@@ -5,13 +5,17 @@ The toy world: p = 11, q = 13, so n = 143 and phi = 120; g = 15; the field
 prime is m = 149 (the first prime above n). Alice and Bob pick shares 5 and
 7, the dealer shares the secret 100 with the single qualified set {A, B}.
 
+Every random draw is pinned by a script, so the run always lands on these
+values.
+
 Run with:  PYTHONPATH=src python3 demos/toy_walkthrough.py
 """
+
+import random
 
 from msss import (
     contribute,
     keygen,
-    peer_reconstruct,
     reconstruct,
     setup,
     share_secret,
@@ -20,13 +24,29 @@ from msss import (
     verify_secret,
 )
 
+
+class Script(random.Random):
+    """Answers each draw with the next listed value."""
+
+    def __init__(self, *values):
+        super().__init__(0)
+        self.values = list(values)
+
+    def randrange(self, *args):
+        return self.values.pop(0)
+
+    def getrandbits(self, k):
+        return self.values.pop(0)
+
+
 print("== initialization ==")
-params, state = setup(bits_per_prime=4, force_primes=(11, 13), force_g=15)
+# the low bits 3 and 5 make the 4-bit primes 11 and 13; then g = 15
+params, state = setup(bits_per_prime=4, rng=Script(3, 5, 15))
 print(f"published params: g = {params.g}, n = {params.n}, m = {params.m}, "
       f"mask width = {params.width} byte")
 
-key_a = keygen(params, "A", force_s=5)
-key_b = keygen(params, "B", force_s=7)
+key_a = keygen(params, "A", Script(5))
+key_b = keygen(params, "B", Script(7))
 roster = {"A": key_a.ps, "B": key_b.ps}
 print(f"A picks s = {key_a.s}, enrolls ps = g^s = {key_a.ps}")
 print(f"B picks s = {key_b.s}, enrolls ps = g^s = {key_b.ps}")
@@ -34,8 +54,8 @@ print(f"B picks s = {key_b.s}, enrolls ps = g^s = {key_b.ps}")
 print("\n== sharing ==")
 secret = 100
 structure = validate_minimal([{"A", "B"}])
-package = share_secret(state, params, roster, secret, structure,
-                       force_s0=7, force_a1=5, force_d=[7])
+# s0 = 7, slope 5, d = 7
+package = share_secret(state, params, roster, secret, structure, Script(7, 5, 7))
 entry = package.entry(1)
 print(f"dealer publishes ps0 = {package.ps0}, h0 = {package.h0}, f(1) = {package.f1}")
 print(f"for the set {sorted(entry.members)}: d = {entry.d}, "
@@ -53,11 +73,6 @@ recovered = reconstruct(params, package, 1, [c_a, c_b], roster)
 print(f"unmask H with both x values -> f({entry.d}) = {entry.masked ^ c_a.x ^ c_b.x}")
 print(f"interpolate through (1, {package.f1}) and ({entry.d}, 135) -> secret {recovered}")
 print(f"tag check: {verify_secret(package, 1, recovered, params.width)}")
-
-print("\n== peer mode: each member computes it alone ==")
-for who in ("A", "B"):
-    got = peer_reconstruct(params, package, 1, [c_a, c_b], roster)
-    print(f"{who} computes {got}")
 
 assert recovered == secret
 print("\nrecovered the shared secret, verified against the public tag")

@@ -18,7 +18,7 @@ from .accessstruct import (
 )
 from .bulletin import Board, from_document, load, save, to_document
 from .codec import encode_fixed, mask_width, tag, xor_combine
-from .combiner import peer_reconstruct, reconstruct, verify_contribution, verify_secret
+from .combiner import check_contributions, reconstruct, verify_contribution, verify_secret
 from .dealer import (
     DealerSecretRecord,
     DealerState,
@@ -34,7 +34,7 @@ from .dealer import (
 )
 from .errors import MsssError
 from .linepoly import LinePoly, interpolate_line
-from .numtheory import gcd, gen_prime, mod_exp, mod_inv
+from .numtheory import gen_prime, mod_inv
 from .participant import Contribution, ParticipantKey, contribute, keygen
 from .simulate import SimulationConfig, run_simulation
 
@@ -55,10 +55,10 @@ __all__ = [
     "SecretPackage",
     "SimulationConfig",
     "add_qualified_set",
+    "check_contributions",
     "contribute",
     "encode_fixed",
     "from_document",
-    "gcd",
     "gen_prime",
     "interpolate_line",
     "is_authorized",
@@ -66,9 +66,7 @@ __all__ = [
     "load",
     "mask_width",
     "matching_set_index",
-    "mod_exp",
     "mod_inv",
-    "peer_reconstruct",
     "reconstruct",
     "remove_participant",
     "remove_qualified_set",

@@ -1,5 +1,7 @@
-"""The public bulletin board: one canonical JSON document holding the system
-parameters, the roster of pseudo-shares, and every secret package.
+"""The public bulletin board, and the one strict file codec of the system.
+
+The board is one canonical JSON document holding the system parameters,
+the roster of pseudo-shares, and every secret package.
 
 Document layout (fixed key order; maps keep insertion order; big integers
 are lowercase hex with no leading zeros; tags are 64 hex chars):
@@ -21,18 +23,25 @@ are lowercase hex with no leading zeros; tags are 64 hex chars):
 Identical boards serialize byte-identically, and ``load`` re-checks every
 public invariant before returning, so a tampered or hand-edited document
 either fails loudly here or is caught later by the tag check.
+
+The private dealer state, participant key files and contribution files go
+through the same writer and reader, in the same JSON style: every file is
+written atomically, and every file read is checked for its exact key set,
+lowercase hex integers and exact JSON types, so a malformed one raises
+MalformedDocument.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field
 
 from . import codec
 from .accessstruct import validate_minimal
-from .dealer import PackageEntry, PublicParams, SecretPackage
+from .dealer import DealerSecretRecord, DealerState, PackageEntry, PublicParams, SecretPackage
 from .errors import (
     BoardIOError,
     EmptySet,
@@ -41,7 +50,8 @@ from .errors import (
     MalformedDocument,
     NotAntichain,
 )
-from .numtheory import ceil_sqrt, gcd, is_probable_prime
+from .numtheory import ceil_sqrt, is_probable_prime
+from .participant import Contribution, ParticipantKey
 
 _HEX = re.compile(r"[0-9a-f]+")
 _TAG_HEX = re.compile(r"[0-9a-f]{64}")
@@ -80,7 +90,7 @@ class Board:
             raise InvariantViolation("width does not match m")
         if not ceil_sqrt(p.n) <= p.g <= p.n:
             raise InvariantViolation("g outside [sqrt(n), n]")
-        if gcd(p.g, p.n) != 1:
+        if math.gcd(p.g, p.n) != 1:
             raise InvariantViolation("g shares a factor with n")
         if self.revision < 0:
             raise InvariantViolation("negative revision")
@@ -145,6 +155,25 @@ def _require_keys(obj, keys, where: str) -> None:
         raise MalformedDocument(f"{where}: missing keys {missing}, unexpected keys {extra}")
 
 
+def _require_map(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise MalformedDocument(f"{where} must be an object")
+    return value
+
+
+def _require_int(value, where: str) -> int:
+    # exact type: JSON true and 1.9 are not integers here
+    if type(value) is not int:
+        raise MalformedDocument(f"{where} must be an integer")
+    return value
+
+
+def _require_id(value, where: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise MalformedDocument(f"{where} must be a non-empty string")
+    return value
+
+
 def package_from_obj(secret_id: str, obj, where: str) -> SecretPackage:
     _require_keys(obj, ("ps0", "h0", "f1", "entries"), where)
     if not isinstance(obj["entries"], list):
@@ -196,7 +225,7 @@ def to_document(board: Board) -> str:
         "roster": {pid: int_to_hex(ps) for pid, ps in board.roster.items()},
         "packages": {sid: package_to_obj(pkg) for sid, pkg in board.packages.items()},
     }
-    return json.dumps(obj, indent=2) + "\n"
+    return _dump(obj)
 
 
 def from_document(text: str) -> Board:
@@ -205,33 +234,22 @@ def from_document(text: str) -> Board:
     Raises MalformedDocument for syntax or shape problems and
     InvariantViolation (naming the rule) for semantic ones.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"not valid JSON: {exc}") from exc
-    _require_keys(obj, ("revision", "params", "roster", "packages"), "document")
-    revision = obj["revision"]
-    if type(revision) is not int:
-        raise MalformedDocument("revision must be an integer")
+    obj = _parse(text, ("revision", "params", "roster", "packages"), "document")
+    revision = _require_int(obj["revision"], "revision")
     praw = obj["params"]
     _require_keys(praw, ("g", "n", "m", "width"), "params")
-    if type(praw["width"]) is not int:
-        raise MalformedDocument("params width must be an integer")
+    width = _require_int(praw["width"], "params width")
     params = PublicParams(
         g=hex_to_int(praw["g"], "params g"),
         n=hex_to_int(praw["n"], "params n"),
         m=hex_to_int(praw["m"], "params m"),
-        width=praw["width"],
+        width=width,
     )
-    if not isinstance(obj["roster"], dict):
-        raise MalformedDocument("roster must be an object")
     roster = {}
-    for pid, raw in obj["roster"].items():
+    for pid, raw in _require_map(obj["roster"], "roster").items():
         roster[pid] = hex_to_int(raw, f"roster {pid}")
-    if not isinstance(obj["packages"], dict):
-        raise MalformedDocument("packages must be an object")
     packages = {}
-    for sid, raw in obj["packages"].items():
+    for sid, raw in _require_map(obj["packages"], "packages").items():
         packages[sid] = package_from_obj(sid, raw, f"package {sid}")
     board = Board(params=params, roster=roster, packages=packages, revision=revision)
     board.validate()
@@ -239,25 +257,119 @@ def from_document(text: str) -> Board:
 
 
 def save(board: Board, path) -> str:
-    """Write the canonical document atomically (temp file plus rename), so
-    concurrent readers always see a complete board. Returns the document."""
+    """Write the canonical document atomically; returns the document."""
     doc = to_document(board)
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(doc)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise BoardIOError(f"cannot write board {path}: {exc}") from exc
+    _write(doc, path)
     return doc
 
 
 def load(path) -> Board:
+    return from_document(_read(path))
+
+
+def save_dealer(state: DealerState, path) -> None:
+    """Write the private dealer state: the factors, phi(n), the next secret
+    index, and one record (s0, slope, secret, package) per secret."""
+    obj = {
+        "p": int_to_hex(state.p),
+        "q": int_to_hex(state.q),
+        "phi": int_to_hex(state.phi),
+        "next_index": state.next_index,
+        "records": {
+            sid: {
+                "s0": int_to_hex(r.s0),
+                "slope": int_to_hex(r.slope),
+                "secret": int_to_hex(r.secret),
+                "package": package_to_obj(r.package),
+            }
+            for sid, r in state.records.items()
+        },
+    }
+    _write(_dump(obj), path)
+
+
+def load_dealer(path) -> DealerState:
+    where = os.fspath(path)
+    obj = _parse(_read(path), ("p", "q", "phi", "next_index", "records"), where)
+    records = {}
+    for sid, raw in _require_map(obj["records"], f"{where} records").items():
+        rwhere = f"{where} record {sid}"
+        _require_keys(raw, ("s0", "slope", "secret", "package"), rwhere)
+        records[sid] = DealerSecretRecord(
+            s0=hex_to_int(raw["s0"], f"{rwhere} s0"),
+            slope=hex_to_int(raw["slope"], f"{rwhere} slope"),
+            secret=hex_to_int(raw["secret"], f"{rwhere} secret"),
+            package=package_from_obj(sid, raw["package"], rwhere),
+        )
+    return DealerState(
+        p=hex_to_int(obj["p"], f"{where} p"),
+        q=hex_to_int(obj["q"], f"{where} q"),
+        phi=hex_to_int(obj["phi"], f"{where} phi"),
+        records=records,
+        next_index=_require_int(obj["next_index"], f"{where} next_index"),
+    )
+
+
+def save_key(key: ParticipantKey, path) -> None:
+    _write(_dump({"id": key.pid, "s": int_to_hex(key.s), "ps": int_to_hex(key.ps)}), path)
+
+
+def load_key(path) -> ParticipantKey:
+    where = os.fspath(path)
+    obj = _parse(_read(path), ("id", "s", "ps"), where)
+    return ParticipantKey(
+        pid=_require_id(obj["id"], f"{where} id"),
+        s=hex_to_int(obj["s"], f"{where} s"),
+        ps=hex_to_int(obj["ps"], f"{where} ps"),
+    )
+
+
+def save_contribution(c: Contribution, path) -> None:
+    obj = {"pid": c.pid, "secret_id": c.secret_id, "set_index": c.set_index, "x": int_to_hex(c.x)}
+    _write(_dump(obj), path)
+
+
+def load_contribution(path) -> Contribution:
+    where = os.fspath(path)
+    obj = _parse(_read(path), ("pid", "secret_id", "set_index", "x"), where)
+    return Contribution(
+        pid=_require_id(obj["pid"], f"{where} pid"),
+        secret_id=_require_id(obj["secret_id"], f"{where} secret_id"),
+        set_index=_require_int(obj["set_index"], f"{where} set_index"),
+        x=hex_to_int(obj["x"], f"{where} x"),
+    )
+
+
+def _dump(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _parse(text: str, keys, where: str) -> dict:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedDocument(f"{where}: not valid JSON: {exc}") from exc
+    _require_keys(obj, keys, where)
+    return obj
+
+
+def _write(text: str, path) -> None:
+    """Write atomically (temp file plus rename), so concurrent readers
+    always see a complete file."""
+    path = os.fspath(path)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise BoardIOError(f"cannot write {path}: {exc}") from exc
+
+
+def _read(path) -> str:
     path = os.fspath(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
-        raise BoardIOError(f"cannot read board {path}: {exc}") from exc
-    return from_document(text)
+        raise BoardIOError(f"cannot read {path}: {exc}") from exc

@@ -3,11 +3,8 @@ reconstruction sessions against a file-backed bulletin board.
 
 Every failure mode maps to its own exit code (success is 0, argparse usage
 errors are 2); see EXIT_CODES. Reports and protocol verdicts go to stdout,
-diagnostics to stderr.
-
-Setting the MSSS_TEST_HOOKS environment variable enables extra flags that
-pin internal random draws (--test-primes, --g, --s, --s0, --a, --d). They
-exist for reproducing fixed test sessions and are hidden otherwise.
+diagnostics to stderr. Every file is read and written through the strict
+codec in ``bulletin``.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ import time
 
 from . import bulletin, combiner, dealer, participant
 from .accessstruct import matching_set_index, validate_minimal
-from .bulletin import Board, hex_to_int, int_to_hex
+from .bulletin import Board, int_to_hex
 from .errors import (
     BadContribution,
     BoardIOError,
@@ -134,125 +131,35 @@ def _board_lock(path: str):
             fcntl.flock(fh, fcntl.LOCK_UN)
 
 
-def _write_json(obj, path: str) -> None:
-    tmp = os.fspath(path) + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise BoardIOError(f"cannot write {path}: {exc}") from exc
-
-
-def _read_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise BoardIOError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"{path}: not valid JSON: {exc}") from exc
-
-
-def _save_dealer(state: dealer.DealerState, path: str) -> None:
-    obj = {
-        "p": int_to_hex(state.p),
-        "q": int_to_hex(state.q),
-        "phi": int_to_hex(state.phi),
-        "next_index": state.next_index,
-        "records": {
-            sid: {
-                "s0": int_to_hex(r.s0),
-                "slope": int_to_hex(r.slope),
-                "secret": int_to_hex(r.secret),
-                "package": bulletin.package_to_obj(r.package),
-            }
-            for sid, r in state.records.items()
-        },
-    }
-    _write_json(obj, path)
-
-
-def _load_dealer(path: str) -> dealer.DealerState:
-    obj = _read_json(path)
-    try:
-        records = {
-            sid: dealer.DealerSecretRecord(
-                s0=hex_to_int(raw["s0"], f"record {sid} s0"),
-                slope=hex_to_int(raw["slope"], f"record {sid} slope"),
-                secret=hex_to_int(raw["secret"], f"record {sid} secret"),
-                package=bulletin.package_from_obj(sid, raw["package"], f"record {sid}"),
-            )
-            for sid, raw in obj["records"].items()
-        }
-        return dealer.DealerState(
-            p=hex_to_int(obj["p"], "dealer p"),
-            q=hex_to_int(obj["q"], "dealer q"),
-            phi=hex_to_int(obj["phi"], "dealer phi"),
-            records=records,
-            next_index=int(obj["next_index"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise MalformedDocument(f"{path}: bad dealer state: {exc}") from exc
-
-
-def _load_key(path: str) -> participant.ParticipantKey:
-    obj = _read_json(path)
-    try:
-        return participant.ParticipantKey(
-            pid=obj["id"],
-            s=hex_to_int(obj["s"], "key s"),
-            ps=hex_to_int(obj["ps"], "key ps"),
-        )
-    except (KeyError, TypeError) as exc:
-        raise MalformedDocument(f"{path}: bad key file: {exc}") from exc
-
-
-def _load_contribution(path: str) -> participant.Contribution:
-    obj = _read_json(path)
-    try:
-        return participant.Contribution(
-            pid=obj["pid"],
-            secret_id=obj["secret_id"],
-            set_index=int(obj["set_index"]),
-            x=hex_to_int(obj["x"], "contribution x"),
-        )
-    except (KeyError, TypeError) as exc:
-        raise MalformedDocument(f"{path}: bad contribution file: {exc}") from exc
-
-
 def _secret_value(args) -> int:
     if getattr(args, "secret_text", None) is not None:
         return int.from_bytes(args.secret_text.encode("utf-8"), "big")
     return _parse_int(args.secret)
 
 
-def _resolve_set_index(package: dealer.SecretPackage, set_arg: str) -> int:
-    members = _parse_members(set_arg)
+def _session(args) -> tuple[Board, dealer.SecretPackage, int]:
+    """The board, the package of --secret-id and the index of --set."""
+    board = bulletin.load(args.board)
+    if args.secret_id not in board.packages:
+        raise UnknownSecret(f"no secret {args.secret_id!r} on the board")
+    package = board.packages[args.secret_id]
+    members = _parse_members(args.set)
     j = matching_set_index(package.structure(), members)
     if j is None:
         raise NoSuchSet(
             f"no qualified set of {package.secret_id} is exactly "
             f"{{{', '.join(sorted(members))}}}"
         )
-    return j
+    return board, package, j
 
 
 def cmd_setup(args) -> int:
     if _refuse_existing(args.board, args.force) or _refuse_existing(args.dealer, args.force):
         return EXIT_FILE_EXISTS
-    force_primes = None
-    raw = getattr(args, "test_primes", None)
-    if raw:
-        p, q = (int(v) for v in raw.split(","))
-        force_primes = (p, q)
-    params, state = dealer.setup(
-        args.bits, _rng(args), force_primes=force_primes, force_g=getattr(args, "force_g", None)
-    )
+    params, state = dealer.setup(args.bits, _rng(args))
     with _board_lock(args.board):
         bulletin.save(Board(params=params), args.board)
-    _save_dealer(state, args.dealer)
+    bulletin.save_dealer(state, args.dealer)
     print(f"n = {params.n} ({params.n.bit_length()} bits)")
     print(f"m = {params.m} ({params.m.bit_length()} bits)")
     print(f"width = {params.width}")
@@ -266,10 +173,8 @@ def cmd_enroll(args) -> int:
         board = bulletin.load(args.board)
         if args.id in board.roster:
             raise DuplicateParticipant(f"{args.id} is already enrolled")
-        key = participant.keygen(
-            board.params, args.id, _rng(args), force_s=getattr(args, "force_s", None)
-        )
-        _write_json({"id": key.pid, "s": int_to_hex(key.s), "ps": int_to_hex(key.ps)}, args.key_out)
+        key = participant.keygen(board.params, args.id, _rng(args))
+        bulletin.save_key(key, args.key_out)
         board.roster[key.pid] = key.ps
         board.revision += 1
         bulletin.save(board, args.board)
@@ -280,28 +185,14 @@ def cmd_enroll(args) -> int:
 def cmd_share(args) -> int:
     structure = _parse_sets(args.sets)
     secret = _secret_value(args)
-    force_d = None
-    raw = getattr(args, "force_d", None)
-    if raw:
-        force_d = [_parse_int(v) for v in raw.split(",")]
     with _board_lock(args.board):
         board = bulletin.load(args.board)
-        state = _load_dealer(args.dealer)
-        pkg = dealer.share_secret(
-            state,
-            board.params,
-            board.roster,
-            secret,
-            structure,
-            _rng(args),
-            force_s0=getattr(args, "force_s0", None),
-            force_a1=getattr(args, "force_a", None),
-            force_d=force_d,
-        )
+        state = bulletin.load_dealer(args.dealer)
+        pkg = dealer.share_secret(state, board.params, board.roster, secret, structure, _rng(args))
         board.packages[pkg.secret_id] = pkg
         board.revision += 1
         bulletin.save(board, args.board)
-        _save_dealer(state, args.dealer)
+        bulletin.save_dealer(state, args.dealer)
     print(pkg.secret_id)
     return 0
 
@@ -309,33 +200,18 @@ def cmd_share(args) -> int:
 def cmd_contribute(args) -> int:
     if _refuse_existing(args.out, args.force):
         return EXIT_FILE_EXISTS
-    board = bulletin.load(args.board)
-    key = _load_key(args.key)
-    if args.secret_id not in board.packages:
-        raise UnknownSecret(f"no secret {args.secret_id!r} on the board")
-    pkg = board.packages[args.secret_id]
-    j = _resolve_set_index(pkg, args.set)
+    board, pkg, j = _session(args)
+    key = bulletin.load_key(args.key)
     c = participant.contribute(board.params, key, pkg, j)
-    _write_json(
-        {"pid": c.pid, "secret_id": c.secret_id, "set_index": c.set_index, "x": int_to_hex(c.x)},
-        args.out,
-    )
+    bulletin.save_contribution(c, args.out)
     print(c.x)
     return 0
 
 
 def cmd_reconstruct(args) -> int:
-    board = bulletin.load(args.board)
-    if args.secret_id not in board.packages:
-        raise UnknownSecret(f"no secret {args.secret_id!r} on the board")
-    pkg = board.packages[args.secret_id]
-    j = _resolve_set_index(pkg, args.set)
-    contributions = [_load_contribution(path) for path in args.contribution]
-    try:
-        recovered = combiner.reconstruct(board.params, pkg, j, contributions, board.roster)
-    except BadContribution as exc:
-        print(f"cheater: {exc.pid}")
-        return EXIT_CODES[BadContribution]
+    board, pkg, j = _session(args)
+    contributions = [bulletin.load_contribution(path) for path in args.contribution]
+    recovered = combiner.reconstruct(board.params, pkg, j, contributions, board.roster)
     print(recovered)
     if combiner.verify_secret(pkg, j, recovered, board.params.width):
         print("tag: ok")
@@ -345,35 +221,18 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    board = bulletin.load(args.board)
-    if args.secret_id not in board.packages:
-        raise UnknownSecret(f"no secret {args.secret_id!r} on the board")
-    pkg = board.packages[args.secret_id]
-    j = _resolve_set_index(pkg, args.set)
-    members = pkg.entry(j).members
-    bad = []
-    for path in args.contribution:
-        c = _load_contribution(path)
-        if c.pid not in board.roster:
-            raise UnknownParticipant(f"{c.pid} has no pseudo-share on the board")
-        honest = (
-            c.secret_id == args.secret_id
-            and c.set_index == j
-            and c.pid in members
-            and combiner.verify_contribution(board.params, pkg, board.roster[c.pid], c)
-        )
-        if honest:
-            print(f"ok: {c.pid}")
-        else:
-            print(f"cheater: {c.pid}")
-            bad.append(c.pid)
-    return EXIT_CODES[BadContribution] if bad else 0
+    board, pkg, j = _session(args)
+    contributions = [bulletin.load_contribution(path) for path in args.contribution]
+    verdicts = combiner.check_contributions(board.params, pkg, j, contributions, board.roster)
+    for c, honest in zip(contributions, verdicts):
+        print(f"{'ok' if honest else 'cheater'}: {c.pid}")
+    return 0 if all(verdicts) else EXIT_CODES[BadContribution]
 
 
 def cmd_update(args) -> int:
     with _board_lock(args.board):
         board = bulletin.load(args.board)
-        state = _load_dealer(args.dealer)
+        state = bulletin.load_dealer(args.dealer)
         renewed: list[str] = []
         if args.action == "renew":
             pkg = dealer.renew_secret(
@@ -382,14 +241,9 @@ def cmd_update(args) -> int:
             board.packages[pkg.secret_id] = pkg
             renewed.append(pkg.secret_id)
         elif args.action == "add-set":
+            members = _parse_members(args.set)
             pkg = dealer.add_qualified_set(
-                state,
-                board.params,
-                board.roster,
-                args.secret_id,
-                _parse_members(args.set),
-                _rng(args),
-                force_d=getattr(args, "force_d", None),
+                state, board.params, board.roster, args.secret_id, members, _rng(args)
             )
             board.packages[pkg.secret_id] = pkg
         elif args.action == "remove-set":
@@ -403,7 +257,7 @@ def cmd_update(args) -> int:
                 renewed.append(pkg.secret_id)
         board.revision += 1
         bulletin.save(board, args.board)
-        _save_dealer(state, args.dealer)
+        bulletin.save_dealer(state, args.dealer)
     if args.action in ("renew", "remove-participant"):
         print("renewed: " + (", ".join(renewed) if renewed else "(none)"))
     else:
@@ -436,7 +290,6 @@ def cmd_simulate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    hooks = bool(os.environ.get("MSSS_TEST_HOOKS"))
     parser = argparse.ArgumentParser(
         prog="msss",
         description="Multi-secret sharing over generalized access structures "
@@ -450,9 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dealer", required=True, help="path for the private dealer state")
     p.add_argument("--seed", type=int, help="deterministic randomness (testing)")
     p.add_argument("--force", action="store_true", help="replace existing files")
-    if hooks:
-        p.add_argument("--test-primes", help="fixed 'p,q' (test hook)")
-        p.add_argument("--g", dest="force_g", type=int, help="fixed g (test hook)")
     p.set_defaults(func=cmd_setup)
 
     p = sub.add_parser("enroll", help="create a participant key and register it")
@@ -461,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key-out", required=True, help="path for the private key file")
     p.add_argument("--seed", type=int)
     p.add_argument("--force", action="store_true")
-    if hooks:
-        p.add_argument("--s", dest="force_s", type=int, help="fixed private exponent (test hook)")
     p.set_defaults(func=cmd_enroll)
 
     p = sub.add_parser("share", help="publish a new secret")
@@ -473,10 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--board", required=True)
     p.add_argument("--dealer", required=True)
     p.add_argument("--seed", type=int)
-    if hooks:
-        p.add_argument("--s0", dest="force_s0", type=int, help="fixed s0 (test hook)")
-        p.add_argument("--a", dest="force_a", type=int, help="fixed slope (test hook)")
-        p.add_argument("--d", dest="force_d", help="fixed d values 'd1,d2' (test hook)")
     p.set_defaults(func=cmd_share)
 
     p = sub.add_parser("contribute", help="compute one member's reconstruction value")
@@ -523,8 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     u.add_argument("--secret-id", required=True)
     u.add_argument("--set", required=True, help="members, e.g. 'C,D'")
     u.add_argument("--seed", type=int)
-    if hooks:
-        u.add_argument("--d", dest="force_d", type=int, help="fixed d (test hook)")
     u.set_defaults(func=cmd_update)
 
     u = usub.add_parser("remove-set", help="revoke one qualified set")

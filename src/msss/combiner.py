@@ -1,15 +1,17 @@
 """Combiner side: verify contributions, unmask, interpolate, and check the
 recovered secret against the published tag.
 
-Contribution checking runs before any unmasking, so a bad value surfaces
-as BadContribution naming the offending participant instead of as garbage
-output. The check is exact, not statistical: raising to h0 is injective on
-units mod n, so any tampered unit value fails it.
+``check_contributions`` is the one place that decides whether a
+contribution is honest; ``reconstruct`` and the CLI's ``verify`` both read
+its verdict. Contribution checking runs before any unmasking, so a bad
+value surfaces as BadContribution naming the offending participants
+instead of as garbage output. The check is exact, not statistical: raising
+to h0 is injective on units mod n, so any tampered unit value fails it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import codec
 from .dealer import PublicParams, SecretPackage
@@ -21,7 +23,6 @@ from .errors import (
     UnmaskOutOfField,
 )
 from .linepoly import interpolate_line
-from .numtheory import mod_exp
 from .participant import Contribution
 
 
@@ -36,7 +37,55 @@ def verify_contribution(
     """
     if not 0 <= contribution.x < params.n:
         return False
-    return mod_exp(contribution.x, package.h0, params.n) == ps
+    return pow(contribution.x, package.h0, params.n) == ps
+
+
+def _bound(c: Contribution, package: SecretPackage, set_index: int) -> bool:
+    return c.secret_id == package.secret_id and c.set_index == set_index
+
+
+def check_contributions(
+    params: PublicParams,
+    package: SecretPackage,
+    set_index: int,
+    contributions: Sequence[Contribution],
+    roster: Mapping[str, int],
+) -> list[bool]:
+    """The verdict on each contribution, in input order: True when honest.
+
+    A contribution is honest when it is bound to this package and set
+    index, comes from a member of that set, and passes verify_contribution
+    against the member's pseudo-share. Every id must be on the roster;
+    otherwise UnknownParticipant is raised before any verdict is given.
+    """
+    for c in contributions:
+        if c.pid not in roster:
+            raise UnknownParticipant(f"{c.pid} has no pseudo-share on the board")
+    members = package.entry(set_index).members
+    return [
+        _bound(c, package, set_index)
+        and c.pid in members
+        and verify_contribution(params, package, roster[c.pid], c)
+        for c in contributions
+    ]
+
+
+def unmask(params: PublicParams, package: SecretPackage, set_index: int, xs: Iterable[int]) -> int:
+    """Strip the masks xs from one entry and read the secret off the line.
+
+    XORs xs into the entry's masked value, then interpolates through (1, f1)
+    and (d, f(d)). UnmaskOutOfField means the unmasked value is not a field
+    element, which with verified inputs certifies corrupted public data or
+    a wrong coalition.
+    """
+    entry = package.entry(set_index)
+    unmasked = codec.xor_combine(entry.masked, xs, params.width)
+    if unmasked >= params.m:
+        raise UnmaskOutOfField(
+            f"unmasked value {unmasked} is not in Z_{params.m}: "
+            "public data corrupt or wrong coalition"
+        )
+    return interpolate_line((1, package.f1), (entry.d, unmasked), params.m).secret
 
 
 def reconstruct(
@@ -50,10 +99,8 @@ def reconstruct(
 
     Needs exactly one contribution per member of the designated set, each
     bound to this package and set index; anything else raises
-    MissingContribution or ExtraContribution. Every contribution is
-    verified first (BadContribution names the cheater). UnmaskOutOfField
-    means the unmasked value is not a field element, which with verified
-    inputs certifies corrupted public data or a wrong coalition.
+    MissingContribution or ExtraContribution. Then every contribution is
+    checked (BadContribution names every cheater) before unmasking.
 
     The caller should still confirm the result with verify_secret.
     """
@@ -61,7 +108,7 @@ def reconstruct(
     entry = package.entry(set_index)
     seen: set[str] = set()
     for c in contributions:
-        if c.secret_id != package.secret_id or c.set_index != set_index:
+        if not _bound(c, package, set_index):
             raise ExtraContribution(
                 f"contribution from {c.pid} is bound to {c.secret_id} set {c.set_index}, "
                 f"not {package.secret_id} set {set_index}"
@@ -74,19 +121,11 @@ def reconstruct(
     missing = entry.members - seen
     if missing:
         raise MissingContribution("missing contributions from: " + ", ".join(sorted(missing)))
-    for c in sorted(contributions, key=lambda c: c.pid):
-        if c.pid not in roster:
-            raise UnknownParticipant(f"{c.pid} has no pseudo-share on the board")
-        if not verify_contribution(params, package, roster[c.pid], c):
-            raise BadContribution(c.pid)
-    unmasked = codec.xor_combine(entry.masked, [c.x for c in contributions], params.width)
-    if unmasked >= params.m:
-        raise UnmaskOutOfField(
-            f"unmasked value {unmasked} is not in Z_{params.m}: "
-            "public data corrupt or wrong coalition"
-        )
-    line = interpolate_line((1, package.f1), (entry.d, unmasked), params.m)
-    return line.secret
+    verdicts = check_contributions(params, package, set_index, contributions, roster)
+    cheaters = [c.pid for c, honest in zip(contributions, verdicts) if not honest]
+    if cheaters:
+        raise BadContribution(cheaters)
+    return unmask(params, package, set_index, [c.x for c in contributions])
 
 
 def verify_secret(package: SecretPackage, set_index: int, recovered: int, width: int) -> bool:
@@ -95,19 +134,3 @@ def verify_secret(package: SecretPackage, set_index: int, recovered: int, width:
     if recovered < 0 or recovered.bit_length() > 8 * width:
         return False
     return codec.tag(recovered, entry.d, width) == entry.tag
-
-
-def peer_reconstruct(
-    params: PublicParams,
-    package: SecretPackage,
-    set_index: int,
-    contributions: Iterable[Contribution],
-    roster: Mapping[str, int],
-) -> int:
-    """Combiner-less mode: after exchanging contributions, every member runs
-    this locally and obtains the secret without a designated third party.
-
-    Same contract as reconstruct; the separate name exists so session
-    harnesses can label who computed what.
-    """
-    return reconstruct(params, package, set_index, contributions, roster)

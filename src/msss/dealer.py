@@ -9,12 +9,14 @@ package with a new qualified set. Everything a dealer operation returns is
 public and meant for the bulletin; nothing private ever appears in a
 SecretPackage.
 
-Randomized operations accept ``force_*`` keyword hooks so tests can pin
-the drawn values exactly; production callers leave them unset.
+Randomized operations draw from an optional ``rng`` (any
+``random.Random``-alike, a secure source by default) in a fixed order, so
+a seeded or scripted generator pins every drawn value.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
@@ -33,7 +35,7 @@ from .errors import (
     UnknownSecret,
 )
 from .linepoly import LinePoly
-from .numtheory import ceil_sqrt, gcd, gen_prime, is_probable_prime, mod_inv, next_prime
+from .numtheory import ceil_sqrt, gen_prime, mod_inv, next_prime
 
 _default_rng = random.SystemRandom()
 
@@ -113,11 +115,7 @@ class DealerState:
 
 
 def setup(
-    bits_per_prime: int,
-    rng: random.Random | None = None,
-    *,
-    force_primes: tuple[int, int] | None = None,
-    force_g: int | None = None,
+    bits_per_prime: int, rng: random.Random | None = None
 ) -> tuple[PublicParams, DealerState]:
     """Generate system parameters and fresh private dealer state.
 
@@ -129,30 +127,17 @@ def setup(
     if bits_per_prime < 4:
         raise ValueError(f"bits_per_prime must be >= 4, got {bits_per_prime}")
     rng = rng or _default_rng
-    if force_primes is not None:
-        p, q = force_primes
-        for v in (p, q):
-            if not is_probable_prime(v, rng):
-                raise ValueError(f"forced factor {v} is not prime")
-        if p == q:
-            raise ValueError("the two prime factors must differ")
-    else:
-        p = gen_prime(bits_per_prime, rng)
+    p = gen_prime(bits_per_prime, rng)
+    q = gen_prime(bits_per_prime, rng)
+    while q == p:
         q = gen_prime(bits_per_prime, rng)
-        while q == p:
-            q = gen_prime(bits_per_prime, rng)
     n = p * q
     phi = (p - 1) * (q - 1)
     lo = ceil_sqrt(n)
-    if force_g is not None:
-        g = force_g
-        if not lo <= g <= n or gcd(g, n) != 1:
-            raise ValueError(f"forced g {g} invalid: need sqrt(n) <= g <= n and gcd(g, n) = 1")
-    else:
-        while True:
-            g = rng.randrange(lo, n + 1)
-            if gcd(g, n) == 1:
-                break
+    while True:
+        g = rng.randrange(lo, n + 1)
+        if math.gcd(g, n) == 1:
+            break
     m = next_prime(n, rng)
     params = PublicParams(g=g, n=n, m=m, width=codec.mask_width(m))
     return params, DealerState(p=p, q=q, phi=phi)
@@ -161,7 +146,7 @@ def setup(
 def _sample_s0(phi: int, n: int, rng) -> int:
     while True:
         s0 = rng.randrange(2, n + 1)
-        if gcd(s0, phi) == 1:
+        if math.gcd(s0, phi) == 1:
             return s0
 
 
@@ -190,9 +175,6 @@ def _publish(
     structure: AccessStructure,
     roster: Roster,
     rng,
-    force_s0: int | None = None,
-    force_a1: int | None = None,
-    force_d: Iterable[int] | None = None,
 ) -> DealerSecretRecord:
     """Build a complete package plus its private record. Shared by
     share_secret, renew_secret, and remove_participant."""
@@ -205,28 +187,12 @@ def _publish(
         raise SecretTooLarge(f"secret must be below m = {m}, got {secret}")
     for members in structure.minimal_sets:
         _check_enrolled(members, roster)
-    if force_s0 is not None:
-        if not 2 <= force_s0 <= n or gcd(force_s0, phi) != 1:
-            raise ValueError("forced s0 must lie in [2, n] and be coprime to phi(n)")
-        s0 = force_s0
-    else:
-        s0 = _sample_s0(phi, n, rng)
+    s0 = _sample_s0(phi, n, rng)
     h0 = mod_inv(s0, phi)
     ps0 = pow(params.g, s0, n)
-    if force_a1 is not None:
-        if not 1 <= force_a1 < m:
-            raise ValueError("forced slope must lie in [1, m - 1]")
-        slope = force_a1
-    else:
-        slope = rng.randrange(1, m)
+    slope = rng.randrange(1, m)
     line = LinePoly(intercept=secret, slope=slope, modulus=m)
-    t = structure.set_count
-    if force_d is not None:
-        ds = list(force_d)
-        if len(ds) != t or len(set(ds)) != t or any(not 2 <= d < m for d in ds):
-            raise ValueError(f"need {t} distinct forced d values in [2, m - 1]")
-    else:
-        ds = _sample_d(t, m, rng)
+    ds = _sample_d(structure.set_count, m, rng)
     entries = []
     for members, d in zip(structure.minimal_sets, ds):
         masks = [pow(roster[pid], s0, n) for pid in sorted(members)]
@@ -254,10 +220,6 @@ def share_secret(
     secret: int,
     structure: AccessStructure,
     rng: random.Random | None = None,
-    *,
-    force_s0: int | None = None,
-    force_a1: int | None = None,
-    force_d: Iterable[int] | None = None,
 ) -> SecretPackage:
     """Publish a new secret under the given access structure.
 
@@ -267,9 +229,7 @@ def share_secret(
     """
     rng = rng or _default_rng
     secret_id = f"s{dealer.next_index}"
-    record = _publish(
-        params, dealer.phi, secret_id, secret, structure, roster, rng, force_s0, force_a1, force_d
-    )
+    record = _publish(params, dealer.phi, secret_id, secret, structure, roster, rng)
     dealer.next_index += 1
     dealer.records[secret_id] = record
     return record.package
@@ -282,10 +242,6 @@ def renew_secret(
     secret_id: str,
     new_secret: int,
     rng: random.Random | None = None,
-    *,
-    force_s0: int | None = None,
-    force_a1: int | None = None,
-    force_d: Iterable[int] | None = None,
 ) -> SecretPackage:
     """Re-share an existing secret id under its current structure.
 
@@ -295,10 +251,7 @@ def renew_secret(
     rng = rng or _default_rng
     record = _require_record(dealer, secret_id)
     structure = record.package.structure()
-    fresh = _publish(
-        params, dealer.phi, secret_id, new_secret, structure, roster, rng,
-        force_s0, force_a1, force_d,
-    )
+    fresh = _publish(params, dealer.phi, secret_id, new_secret, structure, roster, rng)
     dealer.records[secret_id] = fresh
     return fresh.package
 
@@ -310,8 +263,6 @@ def add_qualified_set(
     secret_id: str,
     new_set: Iterable[ParticipantId],
     rng: random.Random | None = None,
-    *,
-    force_d: int | None = None,
 ) -> SecretPackage:
     """Grant one more qualified set access to an already-shared secret.
 
@@ -335,13 +286,7 @@ def add_qualified_set(
                 f"{{{', '.join(sorted(e.members))}}}"
             )
     kept = tuple(e for e in entries if not members < e.members)
-    taken = {e.d for e in entries}
-    if force_d is not None:
-        if not 2 <= force_d < params.m or force_d in taken:
-            raise ValueError("forced d must be unused and in [2, m - 1]")
-        d = force_d
-    else:
-        d = _sample_d(1, params.m, rng, exclude=taken)[0]
+    d = _sample_d(1, params.m, rng, exclude={e.d for e in entries})[0]
     line = LinePoly(intercept=record.secret, slope=record.slope, modulus=params.m)
     masks = [pow(roster[pid], record.s0, params.n) for pid in sorted(members)]
     masked = codec.xor_combine(line.eval(d), masks, params.width)

@@ -80,11 +80,15 @@ class ExtraContribution(MsssError):
 
 
 class BadContribution(MsssError):
-    """A contribution failed the public verification check; names the cheater."""
+    """Contributions failed the public check; names every cheater, sorted.
 
-    def __init__(self, pid, message=None):
-        self.pid = pid
-        super().__init__(message or f"contribution from {pid} failed verification")
+    ``pid`` is the first name, for callers that report one cheater.
+    """
+
+    def __init__(self, pids):
+        self.pids = sorted(pids)
+        self.pid = self.pids[0]
+        super().__init__(f"contribution from {', '.join(self.pids)} failed verification")
 
 
 class UnmaskOutOfField(MsssError):

@@ -1,5 +1,6 @@
-"""Number theory on plain Python integers: probable primes, modular
-exponentiation, modular inverses, gcd.
+"""Number theory on plain Python integers: probable primes and modular
+inverses. Modular exponentiation is the built-in three-argument ``pow``
+and the gcd is ``math.gcd``.
 
 Randomized routines take an optional ``rng`` (any ``random.Random``-alike);
 the default is a cryptographically secure source. Passing a seeded
@@ -32,22 +33,10 @@ def _sieve(bound: int) -> tuple[int, ...]:
 SMALL_PRIMES = _sieve(1000)
 
 
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor; gcd(0, b) = b."""
-    return math.gcd(a, b)
-
-
 def ceil_sqrt(n: int) -> int:
     """Smallest integer >= sqrt(n)."""
     r = math.isqrt(n)
     return r if r * r == n else r + 1
-
-
-def mod_exp(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus. The modulus must be at least 2."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    return pow(base, exp, modulus)
 
 
 def mod_inv(a: int, modulus: int) -> int:

@@ -34,25 +34,14 @@ class Contribution:
     x: int  # ps0**s mod n
 
 
-def keygen(
-    params: PublicParams,
-    pid: str,
-    rng: random.Random | None = None,
-    *,
-    force_s: int | None = None,
-) -> ParticipantKey:
+def keygen(params: PublicParams, pid: str, rng: random.Random | None = None) -> ParticipantKey:
     """Draw a private share and derive the pseudo-share to enroll with.
 
     s is uniform on [2, n]; two participants drawing the same value is
     allowed (and at real sizes never happens).
     """
     rng = rng or _default_rng
-    if force_s is not None:
-        if not 2 <= force_s <= params.n:
-            raise ValueError("forced s must lie in [2, n]")
-        s = force_s
-    else:
-        s = rng.randrange(2, params.n + 1)
+    s = rng.randrange(2, params.n + 1)
     return ParticipantKey(pid=pid, s=s, ps=pow(params.g, s, params.n))
 
 

@@ -11,13 +11,13 @@ no wall-clock values, so a fixed seed gives a byte-identical report.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import asdict, dataclass
 
-from . import codec, combiner, dealer, participant
+from . import combiner, dealer, participant
 from .accessstruct import AccessStructure
-from .linepoly import interpolate_line
-from .numtheory import gcd
+from .errors import BadContribution, UnmaskOutOfField
 
 _default_rng = random.SystemRandom()
 
@@ -68,11 +68,10 @@ def attack_entry(params, package, set_index: int, xs) -> tuple[bool, int | None]
 
     Returns (tag accepted, recovered value or None).
     """
-    entry = package.entry(set_index)
-    guess = codec.xor_combine(entry.masked, xs, params.width)
-    if guess >= params.m:
+    try:
+        value = combiner.unmask(params, package, set_index, xs)
+    except UnmaskOutOfField:
         return False, None
-    value = interpolate_line((1, package.f1), (entry.d, guess), params.m).secret
     return combiner.verify_secret(package, set_index, value, params.width), value
 
 
@@ -80,7 +79,7 @@ def _corrupt(rng, honest_x: int, n: int) -> int:
     """A unit mod n different from the honest contribution."""
     while True:
         candidate = rng.randrange(1, n)
-        if candidate != honest_x and gcd(candidate, n) == 1:
+        if candidate != honest_x and math.gcd(candidate, n) == 1:
             return candidate
 
 
@@ -119,9 +118,10 @@ def run_simulation(config: SimulationConfig) -> dict:
     for sid, pkg in packages.items():
         for j in range(1, pkg.set_count + 1):
             members = sorted(pkg.entry(j).members)
-            contribs = {
+            honest = {
                 pid: participant.contribute(params, keys[pid], pkg, j) for pid in members
             }
+            contribs = dict(honest)
             cheaters = []
             if config.cheaters_per_session:
                 for pid in rng.sample(members, min(config.cheaters_per_session, len(members))):
@@ -130,39 +130,32 @@ def run_simulation(config: SimulationConfig) -> dict:
                         pid=pid,
                         secret_id=sid,
                         set_index=j,
-                        x=_corrupt(rng, contribs[pid].x, params.n),
+                        x=_corrupt(rng, honest[pid].x, params.n),
                     )
-            detected = [
-                pid
-                for pid in members
-                if not combiner.verify_contribution(params, pkg, roster[pid], contribs[pid])
-            ]
             session = {
                 "secret_id": sid,
                 "set_index": j,
                 "members": members,
                 "cheaters_injected": sorted(cheaters),
-                "cheaters_detected": detected,
+                "cheaters_detected": [],
             }
-            if detected:
+            try:
+                got = combiner.reconstruct(params, pkg, j, list(contribs.values()), roster)
+            except BadContribution as exc:
+                session["cheaters_detected"] = exc.pids
                 session["outcome"] = "cheater-detected"
                 session["tag"] = None
             else:
-                got = combiner.reconstruct(params, pkg, j, list(contribs.values()), roster)
                 tag_ok = combiner.verify_secret(pkg, j, got, params.width)
                 session["outcome"] = "recovered" if got == secrets[sid] else "wrong-secret"
                 session["tag"] = "ok" if tag_ok else "mismatch"
             sessions.append(session)
 
-            # every strict subset of the qualified set tries its luck
+            # every strict subset of the qualified set tries its luck, with
+            # the honest values even of members who cheated in the session
             for size in range(1, len(members)):
                 for subset in itertools.combinations(members, size):
-                    xs = [contribs[pid].x for pid in subset if pid not in cheaters]
-                    xs += [
-                        participant.contribute(params, keys[pid], pkg, j).x
-                        for pid in subset
-                        if pid in cheaters
-                    ]
+                    xs = [honest[pid].x for pid in subset]
                     accepted, _ = attack_entry(params, pkg, j, xs)
                     probes.append(
                         {

@@ -9,6 +9,12 @@ if str(SRC) not in sys.path:
 import pytest
 
 from msss import accessstruct, dealer, participant
+from scripted import ScriptedRandom
+
+# The draws that build the toy world. setup: the low bits 3 and 5 that make
+# the 4-bit primes 11 and 13, then g = 15. share: s0 = 7, slope 5, d = 7.
+TOY_SETUP = (3, 5, 15)
+TOY_SHARE = (7, 5, 7)
 
 
 @dataclass
@@ -26,13 +32,13 @@ class ToyWorld:
 
 
 def make_toy_world() -> ToyWorld:
-    params, state = dealer.setup(4, force_primes=(11, 13), force_g=15)
-    key_a = participant.keygen(params, "A", force_s=5)
-    key_b = participant.keygen(params, "B", force_s=7)
+    params, state = dealer.setup(4, ScriptedRandom(TOY_SETUP))
+    key_a = participant.keygen(params, "A", ScriptedRandom([5]))
+    key_b = participant.keygen(params, "B", ScriptedRandom([7]))
     roster = {"A": key_a.ps, "B": key_b.ps}
     structure = accessstruct.validate_minimal([["A", "B"]])
     package = dealer.share_secret(
-        state, params, roster, 100, structure, force_s0=7, force_a1=5, force_d=[7]
+        state, params, roster, 100, structure, ScriptedRandom(TOY_SHARE)
     )
     return ToyWorld(
         params=params, state=state, key_a=key_a, key_b=key_b, roster=roster, package=package

@@ -1,0 +1,31 @@
+"""A random.Random test double that answers from a script."""
+
+import random
+
+
+class ScriptedRandom(random.Random):
+    """Answers randrange and getrandbits with the next scripted value.
+
+    Each value must lie in the range the caller asks for, and a draw past
+    the end of the script fails, so a script pins exactly the draws an
+    operation makes, in their order.
+    """
+
+    def __init__(self, values):
+        super().__init__(0)
+        self.values = list(values)
+
+    def _next(self, lo, hi):
+        assert self.values, "script used up"
+        value = self.values.pop(0)
+        assert lo <= value < hi, f"scripted {value} outside [{lo}, {hi})"
+        return value
+
+    def randrange(self, start, stop=None, step=1):
+        assert step == 1, "stepped ranges are not scripted"
+        if stop is None:
+            start, stop = 0, start
+        return self._next(start, stop)
+
+    def getrandbits(self, k):
+        return self._next(0, 1 << k)

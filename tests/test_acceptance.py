@@ -8,6 +8,7 @@ a failure shows up as the test failing. Run with:
 
 import hashlib
 import json
+import math
 import random
 import time
 
@@ -15,10 +16,11 @@ import pytest
 
 from msss import accessstruct, bulletin, combiner, dealer, participant
 from msss.linepoly import interpolate_line
-from msss.numtheory import gcd
 from msss.simulate import SimulationConfig, run_simulation
 
+from conftest import TOY_SETUP, TOY_SHARE
 from oracles import brute_line_search, naive_mod_exp, scan_inverse
+from scripted import ScriptedRandom
 
 SMALL_WORLD_BUDGET_SECONDS = 10.0
 BIG_WORLD_BUDGET_SECONDS = 120.0
@@ -111,16 +113,16 @@ def test_worked_example_fixture():
     assert brute_line_search(1, 105, 7, 135, 149) == [(100, 5)]
 
     # the implementation against the same constants
-    params, state = dealer.setup(4, force_primes=(11, 13), force_g=15)
+    params, state = dealer.setup(4, ScriptedRandom(TOY_SETUP))
     assert (params.n, params.m, params.width) == (143, 149, 1)
-    key_a = participant.keygen(params, "A", force_s=5)
-    key_b = participant.keygen(params, "B", force_s=7)
+    key_a = participant.keygen(params, "A", ScriptedRandom([5]))
+    key_b = participant.keygen(params, "B", ScriptedRandom([7]))
     assert (key_a.ps, key_b.ps) == (45, 115)
     roster = {"A": key_a.ps, "B": key_b.ps}
     package = dealer.share_secret(
         state, params, roster, 100,
         accessstruct.validate_minimal([["A", "B"]]),
-        force_s0=7, force_a1=5, force_d=[7],
+        ScriptedRandom(TOY_SHARE),
     )
     assert (package.ps0, package.h0, package.f1) == (115, 103, 105)
     assert (package.entry(1).d, package.entry(1).masked) == (7, 184)
@@ -151,7 +153,7 @@ def test_cheater_detection_is_deterministic():
         pid = pids[trial % len(pids)]
         while True:
             forged_x = rng.randrange(1, params.n)
-            if forged_x != honest[pid].x and gcd(forged_x, params.n) == 1:
+            if forged_x != honest[pid].x and math.gcd(forged_x, params.n) == 1:
                 break
         forged = participant.Contribution(pid=pid, secret_id=package.secret_id, set_index=1, x=forged_x)
         if combiner.verify_contribution(params, package, roster[pid], forged):
@@ -201,12 +203,10 @@ def test_multi_use_keys():
     _announce("multi-use keys (3 secrets, same keys throughout)")
 
 
-def test_dynamic_updates_touch_nothing_else(tmp_path, monkeypatch, capsys):
+def test_dynamic_updates_touch_nothing_else(tmp_path, capsys):
     """Renew, add-set, remove-set, and remove-participant leave participant
     key files byte-identical and unrelated packages byte-identical."""
     from msss.cli import main
-
-    monkeypatch.setenv("MSSS_TEST_HOOKS", "1")
 
     def run(*argv):
         code = main([str(a) for a in argv])

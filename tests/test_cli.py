@@ -5,21 +5,26 @@ from pathlib import Path
 
 import pytest
 
-from msss import bulletin
+from msss import bulletin, cli, combiner
 from msss.cli import main
+
+from conftest import TOY_SETUP, TOY_SHARE
+from scripted import ScriptedRandom
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-@pytest.fixture(autouse=True)
-def _enable_test_hooks(monkeypatch):
-    monkeypatch.setenv("MSSS_TEST_HOOKS", "1")
-
-
 @pytest.fixture
 def run(capsys):
-    def _run(*argv):
-        code = main([str(a) for a in argv])
+    def _run(*argv, script=None):
+        """Run one command; ``script`` pins every draw of its RNG."""
+        with pytest.MonkeyPatch.context() as mp:
+            if script is not None:
+                rng = ScriptedRandom(script)
+                mp.setattr(cli, "_rng", lambda args: rng)
+            code = main([str(a) for a in argv])
+        if script is not None and code == 0:
+            assert rng.values == [], "script not used up"
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
@@ -32,18 +37,20 @@ def toy_files(tmp_path, run):
     board = tmp_path / "board.json"
     dealer = tmp_path / "dealer.json"
     code, out, _ = run(
-        "setup", "--bits", 4, "--board", board, "--dealer", dealer, "--test-primes", "11,13", "--g", 15
+        "setup", "--bits", 4, "--board", board, "--dealer", dealer, script=TOY_SETUP
     )
     assert code == 0
     assert out.splitlines() == ["n = 143 (8 bits)", "m = 149 (8 bits)", "width = 1"]
     keys = {}
     for pid, s in (("A", 5), ("B", 7)):
         keys[pid] = tmp_path / f"key_{pid}.json"
-        code, out, _ = run("enroll", "--id", pid, "--board", board, "--key-out", keys[pid], "--s", s)
+        code, out, _ = run(
+            "enroll", "--id", pid, "--board", board, "--key-out", keys[pid], script=[s]
+        )
         assert code == 0
     code, out, _ = run(
         "share", "--secret", 100, "--sets", "A,B", "--board", board, "--dealer", dealer,
-        "--s0", 7, "--a", 5, "--d", "7",
+        script=TOY_SHARE,
     )
     assert code == 0
     assert out.strip() == "s1"
@@ -118,7 +125,7 @@ class TestScriptedToySession:
     def test_verify_flags_contribution_bound_to_another_set(self, run, toy_files):
         code, _, _ = run(
             "update", "add-set", "--board", toy_files["board"], "--dealer", toy_files["dealer"],
-            "--secret-id", "s1", "--set", "B", "--d", 9,
+            "--secret-id", "s1", "--set", "B", script=[9],
         )
         assert code == 0
         # contribution made for set {B} presented as if for a different secret
@@ -148,6 +155,135 @@ class TestScriptedToySession:
         assert obj == {"id": "A", "s": "5", "ps": "2d"}
 
 
+def _write_contribution(world, name, pid, x, secret_id="s1"):
+    path = world["tmp"] / name
+    obj = {"pid": pid, "secret_id": secret_id, "set_index": 1, "x": format(x, "x")}
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def _session_args(world, paths, members="A,B"):
+    args = ["--board", world["board"], "--secret-id", "s1", "--set", members]
+    for path in paths:
+        args += ["--contribution", path]
+    return args
+
+
+class TestOneVerdict:
+    """check_contributions, `msss verify` and `msss reconstruct` agree on
+    every contribution, on the toy world with the set {A, B}."""
+
+    @pytest.mark.parametrize(
+        "case, flagged, reconstruct_code",
+        [
+            ("honest", [], 0),
+            ("flipped-x", ["B"], 15),
+            # neither is a contribution to this session, so reconstruct
+            # refuses the coalition before the verdict
+            ("other-secret", ["B"], 14),
+            ("non-member", ["C"], 14),
+        ],
+    )
+    def test_verdicts_agree(self, run, toy_files, case, flagged, reconstruct_code):
+        assert run("enroll", "--id", "C", "--board", toy_files["board"],
+                   "--key-out", toy_files["tmp"] / "kc.json", script=[9])[0] == 0
+        path_a, _ = _contribute(run, toy_files, "A", "ca.json")
+        if case == "non-member":
+            second = _write_contribution(toy_files, "cc.json", "C", pow(115, 9, 143))
+        else:
+            second, x_b = _contribute(run, toy_files, "B", "cb.json")
+            if case == "flipped-x":
+                second = _write_contribution(toy_files, "cb.json", "B", x_b ^ 2)
+            elif case == "other-secret":
+                second = _write_contribution(toy_files, "cb.json", "B", x_b, secret_id="s2")
+        paths = [path_a, second]
+
+        board = bulletin.load(toy_files["board"])
+        contributions = [bulletin.load_contribution(path) for path in paths]
+        verdicts = combiner.check_contributions(
+            board.params, board.packages["s1"], 1, contributions, board.roster
+        )
+        assert [c.pid for c, ok in zip(contributions, verdicts) if not ok] == flagged
+
+        code, out, _ = run("verify", *_session_args(toy_files, paths))
+        assert out.splitlines() == [
+            f"{'ok' if ok else 'cheater'}: {c.pid}" for c, ok in zip(contributions, verdicts)
+        ]
+        assert code == (15 if flagged else 0)
+
+        code, out, _ = run("reconstruct", *_session_args(toy_files, paths))
+        assert code == reconstruct_code
+        assert (code == 0) == (not flagged)
+        if code == 0:
+            assert out.splitlines() == ["100", "tag: ok"]
+        else:
+            cheaters = [line for line in out.splitlines() if line.startswith("cheater: ")]
+            assert cheaters == ([f"cheater: {pid}" for pid in flagged] if code == 15 else [])
+
+    def test_id_off_the_roster_exits_before_any_verdict(self, run, toy_files):
+        path_a, x_a = _contribute(run, toy_files, "A", "ca.json")
+        stranger = _write_contribution(toy_files, "cz.json", "Z", x_a)
+        code, out, err = run("verify", *_session_args(toy_files, [path_a, stranger]))
+        assert code == 7
+        assert out == ""
+        assert "Z" in err
+
+
+class TestStrictFiles:
+    """Key, contribution and dealer files are parsed as strictly as the
+    board: a malformed one exits 18 and nothing is printed or written."""
+
+    @pytest.mark.parametrize(
+        "command, field, value",
+        [
+            ("reconstruct", "set_index", True),  # once read as set 1
+            ("verify", "set_index", 1.9),  # once truncated to set 1
+            ("verify", "pid", ["A"]),  # once a TypeError traceback
+        ],
+    )
+    def test_malformed_contribution(self, run, toy_files, command, field, value):
+        path_a, _ = _contribute(run, toy_files, "A", "ca.json")
+        path_b, _ = _contribute(run, toy_files, "B", "cb.json")
+        obj = json.loads(path_a.read_text())
+        obj[field] = value
+        path_a.write_text(json.dumps(obj))
+        code, out, err = run(command, *_session_args(toy_files, [path_a, path_b]))
+        assert code == 18
+        assert out == ""
+        assert field in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("next_index", "0"),  # once read as 0, publishing secret id s0
+            ("note", "x"),  # unknown keys were once ignored
+        ],
+    )
+    def test_malformed_dealer_file(self, run, toy_files, field, value):
+        obj = json.loads(toy_files["dealer"].read_text())
+        obj[field] = value
+        toy_files["dealer"].write_text(json.dumps(obj))
+        board_before = toy_files["board"].read_bytes()
+        code, out, err = run("share", "--secret", 5, "--sets", "A", "--board", toy_files["board"],
+                             "--dealer", toy_files["dealer"], "--seed", 1)
+        assert code == 18
+        assert out == ""
+        assert field in err
+        assert toy_files["board"].read_bytes() == board_before
+
+    def test_malformed_key_file(self, run, toy_files):
+        obj = json.loads(toy_files["keys"]["A"].read_text())
+        obj["note"] = "x"
+        toy_files["keys"]["A"].write_text(json.dumps(obj))
+        code, out, err = run(
+            "contribute", "--board", toy_files["board"], "--key", toy_files["keys"]["A"],
+            "--secret-id", "s1", "--set", "A,B", "--out", toy_files["tmp"] / "ca.json",
+        )
+        assert code == 18
+        assert out == ""
+        assert not (toy_files["tmp"] / "ca.json").exists()
+
+
 class TestFullScriptedSession:
     def test_whole_protocol_reproduces_worked_constants(self, run, tmp_path):
         """One uninterrupted operator session under forced randomness:
@@ -156,13 +292,13 @@ class TestFullScriptedSession:
         board = tmp_path / "board.json"
         state = tmp_path / "dealer.json"
         assert run("setup", "--bits", 4, "--board", board, "--dealer", state,
-                   "--test-primes", "11,13", "--g", 15)[0] == 0
+                   script=TOY_SETUP)[0] == 0
         for pid, s in (("A", 5), ("B", 7), ("C", 9)):
             assert run("enroll", "--id", pid, "--board", board,
-                       "--key-out", tmp_path / f"{pid}.key", "--s", s)[0] == 0
+                       "--key-out", tmp_path / f"{pid}.key", script=[s])[0] == 0
 
         code, out, _ = run("share", "--secret", 100, "--sets", "A,B", "--board", board,
-                           "--dealer", state, "--s0", 7, "--a", 5, "--d", "7")
+                           "--dealer", state, script=TOY_SHARE)
         assert code == 0 and out.strip() == "s1"
         code, out, _ = run("share", "--secret", 42, "--sets", "C", "--board", board,
                            "--dealer", state, "--seed", 11)
@@ -192,7 +328,7 @@ class TestFullScriptedSession:
 
         # widen access, then reconstruct through the new set with the same keys
         code, out, _ = run("update", "add-set", "--board", board, "--dealer", state,
-                           "--secret-id", "s1", "--set", "B", "--d", 9)
+                           "--secret-id", "s1", "--set", "B", script=[9])
         assert code == 0
         xb2 = tmp_path / "b2.x"
         code, out, _ = run("contribute", "--board", board, "--key", tmp_path / "B.key",
@@ -215,7 +351,7 @@ class TestUpdates:
     def test_add_set_then_reconstruct_original_secret(self, run, toy_files):
         code, out, _ = run(
             "update", "add-set", "--board", toy_files["board"], "--dealer", toy_files["dealer"],
-            "--secret-id", "s1", "--set", "B", "--d", 9,
+            "--secret-id", "s1", "--set", "B", script=[9],
         )
         assert code == 0
         path_b, _ = _contribute(run, toy_files, "B", "cb2.json", members="B")
@@ -249,7 +385,7 @@ class TestUpdates:
     def test_remove_set_and_last_entry_guard(self, run, toy_files):
         code, _, _ = run(
             "update", "add-set", "--board", toy_files["board"], "--dealer", toy_files["dealer"],
-            "--secret-id", "s1", "--set", "B", "--d", 9,
+            "--secret-id", "s1", "--set", "B", script=[9],
         )
         assert code == 0
         code, _, err = run(
@@ -259,7 +395,7 @@ class TestUpdates:
         assert code == 11  # {B} swallowed {A,B}, so only one entry is left
         code, _, _ = run(
             "update", "add-set", "--board", toy_files["board"], "--dealer", toy_files["dealer"],
-            "--secret-id", "s1", "--set", "A", "--d", 11,
+            "--secret-id", "s1", "--set", "A", script=[11],
         )
         assert code == 0
         code, out, _ = run(
@@ -272,7 +408,7 @@ class TestUpdates:
 
     def test_remove_participant_reports_renewed_ids(self, run, toy_files):
         run("enroll", "--id", "C", "--board", toy_files["board"], "--key-out",
-            toy_files["tmp"] / "kc.json", "--s", 9)
+            toy_files["tmp"] / "kc.json", script=[9])
         code, out, _ = run(
             "share", "--secret", 42, "--sets", "A,B|A,C", "--board", toy_files["board"],
             "--dealer", toy_files["dealer"], "--seed", 3,
@@ -298,7 +434,7 @@ class TestExitCodes:
     def test_unwritable_board_path(self, run, tmp_path):
         code, _, err = run(
             "setup", "--bits", 4, "--board", tmp_path / "missing" / "b.json",
-            "--dealer", tmp_path / "d.json", "--test-primes", "11,13",
+            "--dealer", tmp_path / "d.json", "--seed", 1,
         )
         assert code == 24
         assert "cannot" in err
@@ -306,9 +442,9 @@ class TestExitCodes:
     def test_setup_refuses_existing_board(self, run, tmp_path):
         board, state = tmp_path / "b.json", tmp_path / "d.json"
         assert run("setup", "--bits", 4, "--board", board, "--dealer", state,
-                   "--test-primes", "11,13")[0] == 0
+                   "--seed", 1)[0] == 0
         code, _, err = run("setup", "--bits", 4, "--board", board, "--dealer", state,
-                           "--test-primes", "11,13")
+                           "--seed", 1)
         assert code == 3
         assert "already exists" in err
 
@@ -415,13 +551,13 @@ def test_setup_bits_are_per_prime_factor(run, tmp_path):
 
 
 def test_module_entry_point_runs_in_subprocess(tmp_path):
-    env = {"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin", "MSSS_TEST_HOOKS": "1"}
+    env = {"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"}
     result = subprocess.run(
         [sys.executable, "-m", "msss", "setup", "--bits", "4",
          "--board", str(tmp_path / "b.json"), "--dealer", str(tmp_path / "d.json"),
-         "--test-primes", "11,13", "--g", "15"],
+         "--seed", "1"],
         capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0, result.stderr
-    assert "n = 143" in result.stdout
+    assert "n = 143" in result.stdout  # 11 and 13 are the only 4-bit primes
     assert (tmp_path / "b.json").exists()

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import pytest
@@ -10,10 +11,10 @@ from msss.errors import (
     MissingContribution,
     UnmaskOutOfField,
 )
-from msss.numtheory import gcd
 from msss.simulate import attack_entry
 
 from oracles import naive_mod_exp
+from scripted import ScriptedRandom
 
 
 def _toy_contributions(toy):
@@ -75,12 +76,20 @@ class TestReconstruct:
         rng = random.Random(17)
         for _ in range(50):
             x = rng.randrange(1, toy.params.n)
-            if x == c_b.x or gcd(x, toy.params.n) != 1:
+            if x == c_b.x or math.gcd(x, toy.params.n) != 1:
                 continue
             forged = dataclasses.replace(c_b, x=x)
             with pytest.raises(BadContribution) as info:
                 combiner.reconstruct(toy.params, toy.package, 1, [c_a, forged], toy.roster)
             assert info.value.pid == "B"
+
+    def test_every_cheater_named_in_sorted_order(self, toy):
+        c_a, c_b = _toy_contributions(toy)
+        forged = [dataclasses.replace(c_b, x=c_b.x ^ 1), dataclasses.replace(c_a, x=c_a.x ^ 1)]
+        with pytest.raises(BadContribution) as info:
+            combiner.reconstruct(toy.params, toy.package, 1, forged, toy.roster)
+        assert info.value.pids == ["A", "B"]
+        assert info.value.pid == "A"
 
     def test_duplicate_contribution(self, toy):
         c_a, _ = _toy_contributions(toy)
@@ -120,33 +129,16 @@ class TestVerifySecret:
         assert not combiner.verify_secret(toy.package, 1, 256, toy.params.width)
 
     def test_wrong_set_index(self, toy):
-        pkg = dealer.add_qualified_set(toy.state, toy.params, toy.roster, "s1", ["B"], force_d=9)
-        pkg = dealer.add_qualified_set(toy.state, toy.params, toy.roster, "s1", ["A"], force_d=11)
+        pkg = dealer.add_qualified_set(
+            toy.state, toy.params, toy.roster, "s1", ["B"], ScriptedRandom([9])
+        )
+        pkg = dealer.add_qualified_set(
+            toy.state, toy.params, toy.roster, "s1", ["A"], ScriptedRandom([11])
+        )
         # both entries share the secret but have different d, so the tags differ
         assert combiner.verify_secret(pkg, 1, 100, toy.params.width)
         assert combiner.verify_secret(pkg, 2, 100, toy.params.width)
         assert pkg.entry(1).tag != pkg.entry(2).tag
-
-
-class TestPeerReconstruct:
-    def test_every_member_gets_the_secret(self, toy):
-        contributions = _toy_contributions(toy)
-        results = [
-            combiner.peer_reconstruct(toy.params, toy.package, 1, contributions, toy.roster)
-            for _member in ("A", "B")
-        ]
-        assert results == [100, 100]
-
-    def test_agrees_with_combiner_mode(self, toy):
-        contributions = _toy_contributions(toy)
-        assert combiner.peer_reconstruct(
-            toy.params, toy.package, 1, contributions, toy.roster
-        ) == combiner.reconstruct(toy.params, toy.package, 1, contributions, toy.roster)
-
-    def test_withholding_member_blocks_the_other(self, toy):
-        only_b = [participant.contribute(toy.params, toy.key_b, toy.package, 1)]
-        with pytest.raises(MissingContribution):
-            combiner.peer_reconstruct(toy.params, toy.package, 1, only_b, toy.roster)
 
 
 class TestSoundness:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -13,34 +14,25 @@ from msss.errors import (
     UnknownParticipant,
     UnknownSecret,
 )
-from msss.numtheory import gcd, is_probable_prime
+from msss.numtheory import is_probable_prime
 from msss.simulate import attack_entry
 
-from conftest import make_toy_world
+from conftest import TOY_SETUP, make_toy_world
 from oracles import naive_mod_exp
-
-
-class _ScriptedRng:
-    """Returns queued answers for randrange; for pinning rejection loops."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def randrange(self, *args):
-        return self.values.pop(0)
+from scripted import ScriptedRandom
 
 
 def _enroll_three(params):
-    key_a = participant.keygen(params, "A", force_s=5)
-    key_b = participant.keygen(params, "B", force_s=7)
-    key_c = participant.keygen(params, "C", force_s=9)
-    keys = {"A": key_a, "B": key_b, "C": key_c}
+    keys = {
+        pid: participant.keygen(params, pid, ScriptedRandom([s]))
+        for pid, s in (("A", 5), ("B", 7), ("C", 9))
+    }
     return keys, {pid: k.ps for pid, k in keys.items()}
 
 
 class TestSetup:
     def test_toy_parameters(self):
-        params, state = dealer.setup(4, force_primes=(11, 13), force_g=15)
+        params, state = dealer.setup(4, ScriptedRandom(TOY_SETUP))
         assert (state.p, state.q, state.phi) == (11, 13, 120)
         assert params.n == 143
         assert params.m == 149  # 144..148 are all composite
@@ -48,18 +40,11 @@ class TestSetup:
         assert params.g == 15
 
     def test_g_rejected_until_coprime(self):
-        # first draw hits the factor 11 and must be resampled
-        rng = _ScriptedRng([11, 15])
-        params, _ = dealer.setup(4, rng, force_primes=(11, 13))
+        # the first g drawn is the factor 13 and must be resampled
+        rng = ScriptedRandom([3, 5, 13, 15])
+        params, _ = dealer.setup(4, rng)
         assert params.g == 15
-
-    def test_forced_g_must_be_admissible(self):
-        with pytest.raises(ValueError):
-            dealer.setup(4, force_primes=(11, 13), force_g=11)  # shares a factor
-        with pytest.raises(ValueError):
-            dealer.setup(4, force_primes=(11, 13), force_g=11 + 143)  # above n
-        with pytest.raises(ValueError):
-            dealer.setup(4, force_primes=(11, 13), force_g=5)  # below sqrt(n)
+        assert rng.values == []
 
     def test_deterministic_under_seed(self):
         a = dealer.setup(16, random.Random(42))
@@ -73,7 +58,7 @@ class TestSetup:
         assert (state.p - 1) * (state.q - 1) == state.phi
         assert params.m > params.n
         assert is_probable_prime(params.m)
-        assert gcd(params.g, params.n) == 1
+        assert math.gcd(params.g, params.n) == 1
         assert params.g * params.g >= params.n  # g >= sqrt(n)
         assert params.n.bit_length() in (31, 32)
 
@@ -145,15 +130,6 @@ class TestShareSecret:
             lifted = pow(ps, state.records["s1"].s0, params.n)
             assert pow(lifted, pkg.h0, params.n) == ps
 
-    def test_forced_d_must_fit_the_structure(self, toy):
-        structure = accessstruct.validate_minimal([["A"], ["B"]])
-        for bad in ([7], [7, 7], [1, 9], [7, 149]):
-            with pytest.raises(ValueError):
-                dealer.share_secret(
-                    toy.state, toy.params, toy.roster, 5, structure,
-                    random.Random(1), force_d=bad,
-                )
-
     def test_d_values_distinct_and_not_one(self):
         params, state = dealer.setup(16, random.Random(3))
         rng = random.Random(4)
@@ -213,7 +189,7 @@ class TestRenew:
 class TestAddQualifiedSet:
     def test_worked_addition(self, toy):
         pkg = dealer.add_qualified_set(
-            toy.state, toy.params, toy.roster, "s1", ["B"], force_d=9
+            toy.state, toy.params, toy.roster, "s1", ["B"], ScriptedRandom([9])
         )
         # {B} makes {A, B} redundant, so the structure collapses to {{B}}
         assert [sorted(e.members) for e in pkg.entries] == [["B"]]
@@ -228,7 +204,7 @@ class TestAddQualifiedSet:
         assert combiner.verify_secret(pkg, 1, recovered, toy.params.width)
 
     def test_incomparable_set_appended(self, toy):
-        key_c = participant.keygen(toy.params, "C", force_s=9)
+        key_c = participant.keygen(toy.params, "C", ScriptedRandom([9]))
         toy.roster["C"] = key_c.ps
         pkg = dealer.add_qualified_set(
             toy.state, toy.params, toy.roster, "s1", ["C"], random.Random(1)
@@ -245,7 +221,7 @@ class TestAddQualifiedSet:
             )
 
     def test_superset_rejected(self, toy):
-        key_c = participant.keygen(toy.params, "C", force_s=9)
+        key_c = participant.keygen(toy.params, "C", ScriptedRandom([9]))
         toy.roster["C"] = key_c.ps
         with pytest.raises(NotAntichain):
             dealer.add_qualified_set(
@@ -263,7 +239,7 @@ class TestAddQualifiedSet:
 
 class TestRemoveQualifiedSet:
     def _two_entry_package(self, toy):
-        key_c = participant.keygen(toy.params, "C", force_s=9)
+        key_c = participant.keygen(toy.params, "C", ScriptedRandom([9]))
         toy.roster["C"] = key_c.ps
         return dealer.add_qualified_set(
             toy.state, toy.params, toy.roster, "s1", ["C"], random.Random(1)
@@ -303,7 +279,7 @@ class TestRemoveQualifiedSet:
 
 class TestRemoveParticipant:
     def _world(self):
-        params, state = dealer.setup(4, force_primes=(11, 13), force_g=15)
+        params, state = dealer.setup(4, ScriptedRandom(TOY_SETUP))
         keys, roster = _enroll_three(params)
         s1 = dealer.share_secret(
             state,
@@ -383,4 +359,4 @@ def test_end_to_end_randomized_round_trips():
 def test_toy_world_fixture_is_fresh_each_time():
     a = make_toy_world()
     b = make_toy_world()
-    assert a.package == b.package  # fully forced, so fully reproducible
+    assert a.package == b.package  # fully scripted, so fully reproducible

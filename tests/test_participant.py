@@ -7,6 +7,7 @@ from msss import accessstruct, dealer, participant
 from msss.errors import IndexOutOfRange, NotAMember
 
 from oracles import naive_mod_exp
+from scripted import ScriptedRandom
 
 
 class TestKeygen:
@@ -22,16 +23,10 @@ class TestKeygen:
             assert key.ps == pow(toy.params.g, key.s, toy.params.n)
 
     def test_equal_shares_are_legitimate(self, toy):
-        k1 = participant.keygen(toy.params, "P", force_s=50)
-        k2 = participant.keygen(toy.params, "Q", force_s=50)
+        k1 = participant.keygen(toy.params, "P", ScriptedRandom([50]))
+        k2 = participant.keygen(toy.params, "Q", ScriptedRandom([50]))
         assert k1.s == k2.s
         assert k1.ps == k2.ps
-
-    def test_forced_s_out_of_range(self, toy):
-        with pytest.raises(ValueError):
-            participant.keygen(toy.params, "P", force_s=1)
-        with pytest.raises(ValueError):
-            participant.keygen(toy.params, "P", force_s=toy.params.n + 1)
 
 
 class TestContribute:
@@ -48,7 +43,7 @@ class TestContribute:
         assert c.set_index == 1
 
     def test_not_a_member(self, toy):
-        outsider = participant.keygen(toy.params, "C", force_s=9)
+        outsider = participant.keygen(toy.params, "C", ScriptedRandom([9]))
         with pytest.raises(NotAMember):
             participant.contribute(toy.params, outsider, toy.package, 1)
 
