@@ -301,12 +301,19 @@ def load_dealer(path) -> DealerState:
             secret=hex_to_int(raw["secret"], f"{rwhere} secret"),
             package=package_from_obj(sid, raw["package"], rwhere),
         )
+    next_index = _require_int(obj["next_index"], f"{where} next_index")
+    # share_secret numbers secrets s1, s2, ... and no operation drops one
+    if next_index != len(records) + 1 or list(records) != [f"s{i}" for i in range(1, next_index)]:
+        raise MalformedDocument(
+            f"{where} next_index {next_index} does not follow the records "
+            f"[{', '.join(records)}]"
+        )
     return DealerState(
         p=hex_to_int(obj["p"], f"{where} p"),
         q=hex_to_int(obj["q"], f"{where} q"),
         phi=hex_to_int(obj["phi"], f"{where} phi"),
         records=records,
-        next_index=_require_int(obj["next_index"], f"{where} next_index"),
+        next_index=next_index,
     )
 
 

@@ -2,9 +2,11 @@
 reconstruction sessions against a file-backed bulletin board.
 
 Every failure mode maps to its own exit code (success is 0, argparse usage
-errors are 2); see EXIT_CODES. Reports and protocol verdicts go to stdout,
-diagnostics to stderr. Every file is read and written through the strict
-codec in ``bulletin``.
+errors are 2): each error class carries its ``exit_code``, and the CLI's
+own refusals use the EXIT_* constants below. Reports and protocol verdicts
+go to stdout, diagnostics to stderr. Every file is read and written
+through the strict codec in ``bulletin``; the dealer commands write both
+of theirs through ``_dealer_write``.
 """
 
 from __future__ import annotations
@@ -24,63 +26,17 @@ from .bulletin import Board, int_to_hex
 from .errors import (
     BadContribution,
     BoardIOError,
-    DegeneratePoints,
     DuplicateParticipant,
-    EmptySet,
-    EmptyStructure,
-    ExtraContribution,
-    IndexOutOfRange,
     InvariantViolation,
-    LastEntry,
-    MalformedDocument,
-    MissingContribution,
     MsssError,
     NoSuchSet,
-    NotAMember,
-    NotAntichain,
-    NotInvertible,
-    SecretTooLarge,
-    StructureBecameEmpty,
-    UnknownParticipant,
     UnknownSecret,
-    UnmaskOutOfField,
 )
 from .simulate import SimulationConfig, run_simulation
 
 EXIT_FILE_EXISTS = 3
 EXIT_TAG_MISMATCH = 16
 EXIT_BAD_PARAMETER = 25
-
-EXIT_CODES = {
-    DuplicateParticipant: 4,
-    SecretTooLarge: 5,
-    NotAntichain: 6,
-    UnknownParticipant: 7,
-    UnknownSecret: 8,
-    NotAMember: 9,
-    IndexOutOfRange: 10,
-    LastEntry: 11,
-    StructureBecameEmpty: 12,
-    MissingContribution: 13,
-    ExtraContribution: 14,
-    BadContribution: 15,
-    UnmaskOutOfField: 17,
-    MalformedDocument: 18,
-    InvariantViolation: 19,
-    EmptyStructure: 20,
-    EmptySet: 21,
-    NotInvertible: 22,
-    DegeneratePoints: 23,
-    BoardIOError: 24,
-    NoSuchSet: 26,
-}
-
-
-def _exit_code(exc: MsssError) -> int:
-    for klass in type(exc).__mro__:
-        if klass in EXIT_CODES:
-            return EXIT_CODES[klass]
-    return 1
 
 
 def _parse_int(text: str) -> int:
@@ -131,6 +87,36 @@ def _board_lock(path: str):
             fcntl.flock(fh, fcntl.LOCK_UN)
 
 
+@contextlib.contextmanager
+def _dealer_write(args):
+    """The one write path of the dealer commands.
+
+    Under the board lock, loads the board and the dealer file and refuses
+    (InvariantViolation) unless the dealer's records hold exactly the
+    packages on the board, since publishing from a stale dealer file would
+    overwrite or roll back a published package. Yields (board, state) to
+    the command; once it returns, publishes the dealer's packages as the
+    next revision and saves the board, then the dealer file. A command
+    that raises writes nothing.
+    """
+    with _board_lock(args.board):
+        board = bulletin.load(args.board)
+        state = bulletin.load_dealer(args.dealer)
+        published = state.packages
+        diverged = [
+            sid
+            for sid in {**board.packages, **published}
+            if board.packages.get(sid) != published.get(sid)
+        ]
+        if diverged:
+            raise InvariantViolation("dealer state and board disagree on " + ", ".join(diverged))
+        yield board, state
+        board.packages = state.packages
+        board.revision += 1
+        bulletin.save(board, args.board)
+        bulletin.save_dealer(state, args.dealer)
+
+
 def _secret_value(args) -> int:
     if getattr(args, "secret_text", None) is not None:
         return int.from_bytes(args.secret_text.encode("utf-8"), "big")
@@ -159,7 +145,7 @@ def cmd_setup(args) -> int:
     params, state = dealer.setup(args.bits, _rng(args))
     with _board_lock(args.board):
         bulletin.save(Board(params=params), args.board)
-    bulletin.save_dealer(state, args.dealer)
+        bulletin.save_dealer(state, args.dealer)
     print(f"n = {params.n} ({params.n.bit_length()} bits)")
     print(f"m = {params.m} ({params.m.bit_length()} bits)")
     print(f"width = {params.width}")
@@ -185,14 +171,8 @@ def cmd_enroll(args) -> int:
 def cmd_share(args) -> int:
     structure = _parse_sets(args.sets)
     secret = _secret_value(args)
-    with _board_lock(args.board):
-        board = bulletin.load(args.board)
-        state = bulletin.load_dealer(args.dealer)
+    with _dealer_write(args) as (board, state):
         pkg = dealer.share_secret(state, board.params, board.roster, secret, structure, _rng(args))
-        board.packages[pkg.secret_id] = pkg
-        board.revision += 1
-        bulletin.save(board, args.board)
-        bulletin.save_dealer(state, args.dealer)
     print(pkg.secret_id)
     return 0
 
@@ -226,40 +206,24 @@ def cmd_verify(args) -> int:
     verdicts = combiner.check_contributions(board.params, pkg, j, contributions, board.roster)
     for c, honest in zip(contributions, verdicts):
         print(f"{'ok' if honest else 'cheater'}: {c.pid}")
-    return 0 if all(verdicts) else EXIT_CODES[BadContribution]
+    return 0 if all(verdicts) else BadContribution.exit_code
 
 
 def cmd_update(args) -> int:
-    with _board_lock(args.board):
-        board = bulletin.load(args.board)
-        state = bulletin.load_dealer(args.dealer)
-        renewed: list[str] = []
+    with _dealer_write(args) as (board, state):
+        params, roster, rng = board.params, board.roster, _rng(args)
         if args.action == "renew":
-            pkg = dealer.renew_secret(
-                state, board.params, board.roster, args.secret_id, _secret_value(args), _rng(args)
-            )
-            board.packages[pkg.secret_id] = pkg
-            renewed.append(pkg.secret_id)
+            secret = _secret_value(args)
+            renewed = [dealer.renew_secret(state, params, roster, args.secret_id, secret, rng)]
         elif args.action == "add-set":
             members = _parse_members(args.set)
-            pkg = dealer.add_qualified_set(
-                state, board.params, board.roster, args.secret_id, members, _rng(args)
-            )
-            board.packages[pkg.secret_id] = pkg
+            dealer.add_qualified_set(state, params, roster, args.secret_id, members, rng)
         elif args.action == "remove-set":
-            pkg = dealer.remove_qualified_set(state, args.secret_id, args.index)
-            board.packages[pkg.secret_id] = pkg
+            dealer.remove_qualified_set(state, args.secret_id, args.index)
         else:  # remove-participant
-            for pkg in dealer.remove_participant(
-                state, board.params, board.roster, args.id, _rng(args)
-            ):
-                board.packages[pkg.secret_id] = pkg
-                renewed.append(pkg.secret_id)
-        board.revision += 1
-        bulletin.save(board, args.board)
-        bulletin.save_dealer(state, args.dealer)
+            renewed = dealer.remove_participant(state, params, roster, args.id, rng)
     if args.action in ("renew", "remove-participant"):
-        print("renewed: " + (", ".join(renewed) if renewed else "(none)"))
+        print("renewed: " + (", ".join(pkg.secret_id for pkg in renewed) or "(none)"))
     else:
         print(f"updated: {args.secret_id}")
     return 0
@@ -402,11 +366,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except BadContribution as exc:
-        print(f"cheater: {exc.pid}")
-        return EXIT_CODES[BadContribution]
+        for pid in exc.pids:
+            print(f"cheater: {pid}")
+        return exc.exit_code
     except MsssError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        return exc.exit_code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMETER

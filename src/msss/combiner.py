@@ -40,10 +40,6 @@ def verify_contribution(
     return pow(contribution.x, package.h0, params.n) == ps
 
 
-def _bound(c: Contribution, package: SecretPackage, set_index: int) -> bool:
-    return c.secret_id == package.secret_id and c.set_index == set_index
-
-
 def check_contributions(
     params: PublicParams,
     package: SecretPackage,
@@ -63,7 +59,8 @@ def check_contributions(
             raise UnknownParticipant(f"{c.pid} has no pseudo-share on the board")
     members = package.entry(set_index).members
     return [
-        _bound(c, package, set_index)
+        c.secret_id == package.secret_id
+        and c.set_index == set_index
         and c.pid in members
         and verify_contribution(params, package, roster[c.pid], c)
         for c in contributions
@@ -97,10 +94,11 @@ def reconstruct(
 ) -> int:
     """Recover the secret for one qualified set from its members' values.
 
-    Needs exactly one contribution per member of the designated set, each
-    bound to this package and set index; anything else raises
-    MissingContribution or ExtraContribution. Then every contribution is
-    checked (BadContribution names every cheater) before unmasking.
+    Needs exactly one contribution from each member of the designated set;
+    anything else raises MissingContribution or ExtraContribution. Then
+    check_contributions gives its verdict before any unmasking, and
+    BadContribution names every cheater, including a member whose
+    contribution is bound to another secret or set.
 
     The caller should still confirm the result with verify_secret.
     """
@@ -108,11 +106,6 @@ def reconstruct(
     entry = package.entry(set_index)
     seen: set[str] = set()
     for c in contributions:
-        if not _bound(c, package, set_index):
-            raise ExtraContribution(
-                f"contribution from {c.pid} is bound to {c.secret_id} set {c.set_index}, "
-                f"not {package.secret_id} set {set_index}"
-            )
         if c.pid not in entry.members:
             raise ExtraContribution(f"{c.pid} is not a member of set {set_index}")
         if c.pid in seen:

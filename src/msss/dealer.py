@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import codec
 from .accessstruct import AccessStructure, ParticipantId
@@ -113,6 +113,11 @@ class DealerState:
     records: dict[str, DealerSecretRecord] = field(default_factory=dict)
     next_index: int = 1
 
+    @property
+    def packages(self) -> dict[str, SecretPackage]:
+        """Every record's package by secret id: exactly what the board publishes."""
+        return {sid: record.package for sid, record in self.records.items()}
+
 
 def setup(
     bits_per_prime: int, rng: random.Random | None = None
@@ -167,18 +172,39 @@ def _check_enrolled(members: Iterable[ParticipantId], roster: Roster) -> None:
             raise UnknownParticipant(f"{pid} is not enrolled")
 
 
+def _entries(
+    params: PublicParams, roster: Roster, s0: int, line: LinePoly, sets, ds: Sequence[int]
+) -> tuple[PackageEntry, ...]:
+    """The public entry of each qualified set at its abscissa d: f(d) XORed
+    with every member's mask ps_k**s0 mod n, and the tag binding (secret, d).
+
+    Each member's mask is computed once, however many of the sets hold them.
+    """
+    masks = {pid: pow(roster[pid], s0, params.n) for pid in frozenset().union(*sets)}
+    return tuple(
+        PackageEntry(
+            members=members,
+            d=d,
+            masked=codec.xor_combine(line.eval(d), [masks[pid] for pid in members], params.width),
+            tag=codec.tag(line.secret, d, params.width),
+        )
+        for members, d in zip(sets, ds)
+    )
+
+
 def _publish(
+    dealer: DealerState,
     params: PublicParams,
-    phi: int,
     secret_id: str,
     secret: int,
     structure: AccessStructure,
     roster: Roster,
     rng,
-) -> DealerSecretRecord:
-    """Build a complete package plus its private record. Shared by
-    share_secret, renew_secret, and remove_participant."""
-    n, m, width = params.n, params.m, params.width
+) -> SecretPackage:
+    """Build a complete package under fresh randomness and store its
+    private record under ``secret_id``. Shared by share_secret,
+    renew_secret, and remove_participant."""
+    n, m = params.n, params.m
     if not structure.minimal_sets:
         raise EmptyStructure("cannot share under an empty access structure")
     if secret < 0:
@@ -187,23 +213,16 @@ def _publish(
         raise SecretTooLarge(f"secret must be below m = {m}, got {secret}")
     for members in structure.minimal_sets:
         _check_enrolled(members, roster)
-    s0 = _sample_s0(phi, n, rng)
-    h0 = mod_inv(s0, phi)
+    s0 = _sample_s0(dealer.phi, n, rng)
+    h0 = mod_inv(s0, dealer.phi)
     ps0 = pow(params.g, s0, n)
     slope = rng.randrange(1, m)
     line = LinePoly(intercept=secret, slope=slope, modulus=m)
     ds = _sample_d(structure.set_count, m, rng)
-    entries = []
-    for members, d in zip(structure.minimal_sets, ds):
-        masks = [pow(roster[pid], s0, n) for pid in sorted(members)]
-        masked = codec.xor_combine(line.eval(d), masks, width)
-        entries.append(
-            PackageEntry(members=members, d=d, masked=masked, tag=codec.tag(secret, d, width))
-        )
-    package = SecretPackage(
-        secret_id=secret_id, ps0=ps0, h0=h0, f1=line.eval(1), entries=tuple(entries)
-    )
-    return DealerSecretRecord(s0=s0, slope=slope, secret=secret, package=package)
+    entries = _entries(params, roster, s0, line, structure.minimal_sets, ds)
+    package = SecretPackage(secret_id=secret_id, ps0=ps0, h0=h0, f1=line.eval(1), entries=entries)
+    dealer.records[secret_id] = DealerSecretRecord(s0, slope, secret, package)
+    return package
 
 
 def _require_record(dealer: DealerState, secret_id: str) -> DealerSecretRecord:
@@ -228,11 +247,9 @@ def share_secret(
     The returned package carries a newly assigned secret id.
     """
     rng = rng or _default_rng
-    secret_id = f"s{dealer.next_index}"
-    record = _publish(params, dealer.phi, secret_id, secret, structure, roster, rng)
+    package = _publish(dealer, params, f"s{dealer.next_index}", secret, structure, roster, rng)
     dealer.next_index += 1
-    dealer.records[secret_id] = record
-    return record.package
+    return package
 
 
 def renew_secret(
@@ -249,11 +266,8 @@ def renew_secret(
     when the new secret equals the old one. Other packages are untouched.
     """
     rng = rng or _default_rng
-    record = _require_record(dealer, secret_id)
-    structure = record.package.structure()
-    fresh = _publish(params, dealer.phi, secret_id, new_secret, structure, roster, rng)
-    dealer.records[secret_id] = fresh
-    return fresh.package
+    structure = _require_record(dealer, secret_id).package.structure()
+    return _publish(dealer, params, secret_id, new_secret, structure, roster, rng)
 
 
 def add_qualified_set(
@@ -286,29 +300,22 @@ def add_qualified_set(
                 f"{{{', '.join(sorted(e.members))}}}"
             )
     kept = tuple(e for e in entries if not members < e.members)
-    d = _sample_d(1, params.m, rng, exclude={e.d for e in entries})[0]
+    ds = _sample_d(1, params.m, rng, exclude={e.d for e in entries})
     line = LinePoly(intercept=record.secret, slope=record.slope, modulus=params.m)
-    masks = [pow(roster[pid], record.s0, params.n) for pid in sorted(members)]
-    masked = codec.xor_combine(line.eval(d), masks, params.width)
-    entry = PackageEntry(
-        members=members, d=d, masked=masked, tag=codec.tag(record.secret, d, params.width)
-    )
-    package = replace(record.package, entries=kept + (entry,))
-    record.package = package
-    return package
+    added = _entries(params, roster, record.s0, line, [members], ds)
+    record.package = replace(record.package, entries=kept + added)
+    return record.package
 
 
 def remove_qualified_set(dealer: DealerState, secret_id: str, set_index: int) -> SecretPackage:
     """Revoke one qualified set by deleting its public entry (1-based index)."""
     record = _require_record(dealer, secret_id)
+    record.package.entry(set_index)  # IndexOutOfRange unless 1 <= set_index <= t
     entries = record.package.entries
-    if not 1 <= set_index <= len(entries):
-        raise IndexOutOfRange(f"set index {set_index} outside 1..{len(entries)} for {secret_id}")
     if len(entries) == 1:
         raise LastEntry(f"{secret_id} must keep at least one qualified set")
-    package = replace(record.package, entries=entries[: set_index - 1] + entries[set_index:])
-    record.package = package
-    return package
+    record.package = replace(record.package, entries=entries[: set_index - 1] + entries[set_index:])
+    return record.package
 
 
 def remove_participant(
@@ -332,24 +339,20 @@ def remove_participant(
     rng = rng or _default_rng
     if pid not in roster:
         raise UnknownParticipant(f"{pid} is not enrolled")
-    plans: dict[str, list[frozenset[ParticipantId]]] = {}
+    plans: dict[str, AccessStructure] = {}
     emptied = []
     for sid, record in dealer.records.items():
         sets = [e.members for e in record.package.entries]
         if not any(pid in members for members in sets):
             continue
-        kept = [members for members in sets if pid not in members]
+        kept = tuple(members for members in sets if pid not in members)
         if not kept:
             emptied.append(sid)
-        plans[sid] = kept
+        plans[sid] = AccessStructure(kept)
     if emptied:
         raise StructureBecameEmpty(emptied)
     del roster[pid]
-    renewed = []
-    for sid, kept in plans.items():
-        record = dealer.records[sid]
-        structure = AccessStructure(tuple(kept))
-        fresh = _publish(params, dealer.phi, sid, record.secret, structure, roster, rng)
-        dealer.records[sid] = fresh
-        renewed.append(fresh.package)
-    return renewed
+    return [
+        _publish(dealer, params, sid, dealer.records[sid].secret, structure, roster, rng)
+        for sid, structure in plans.items()
+    ]

@@ -1,64 +1,80 @@
 """Exception hierarchy.
 
-Everything raised on purpose derives from MsssError so callers (and the
-CLI exit-code table) can catch protocol failures without masking bugs.
+Everything raised on purpose derives from MsssError so callers can catch
+protocol failures without masking bugs. Each class carries the exit code
+the CLI returns for it; success is 0, argparse usage errors are 2, and the
+CLI's own 3, 16 and 25 live in ``cli``.
 """
 
 
 class MsssError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 1
 
 
 class NotInvertible(MsssError):
     """Modular inverse requested for a value not coprime to the modulus."""
+    exit_code = 22
 
 
 class EmptyStructure(MsssError):
     """An access structure needs at least one qualified set."""
+    exit_code = 20
 
 
 class EmptySet(MsssError):
     """Qualified sets must contain at least one participant."""
+    exit_code = 21
 
 
 class NotAntichain(MsssError):
     """One qualified set contains another, so the minimal-set form is invalid."""
+    exit_code = 6
 
 
 class DegeneratePoints(MsssError):
     """Both interpolation points share an abscissa."""
+    exit_code = 23
 
 
 class SecretTooLarge(MsssError):
     """The secret does not fit in the field Z_m."""
+    exit_code = 5
 
 
 class UnknownParticipant(MsssError):
     """A referenced participant is not enrolled."""
+    exit_code = 7
 
 
 class DuplicateParticipant(MsssError):
     """Participant id already present on the roster."""
+    exit_code = 4
 
 
 class UnknownSecret(MsssError):
     """No published package under that secret id."""
+    exit_code = 8
 
 
 class NoSuchSet(MsssError):
     """No qualified set of the package matches the named members exactly."""
+    exit_code = 26
 
 
 class IndexOutOfRange(MsssError):
     """Set index outside 1..t for the package."""
+    exit_code = 10
 
 
 class LastEntry(MsssError):
     """A package must keep at least one qualified set."""
+    exit_code = 11
 
 
 class StructureBecameEmpty(MsssError):
     """Removing the participant would leave secrets with no qualified set."""
+    exit_code = 12
 
     def __init__(self, secret_ids):
         self.secret_ids = list(secret_ids)
@@ -69,14 +85,17 @@ class StructureBecameEmpty(MsssError):
 
 class NotAMember(MsssError):
     """The key holder is not a member of the designated qualified set."""
+    exit_code = 9
 
 
 class MissingContribution(MsssError):
     """Reconstruction needs one contribution from every member of the set."""
+    exit_code = 13
 
 
 class ExtraContribution(MsssError):
     """A contribution from outside the designated set, or a duplicate."""
+    exit_code = 14
 
 
 class BadContribution(MsssError):
@@ -84,6 +103,7 @@ class BadContribution(MsssError):
 
     ``pid`` is the first name, for callers that report one cheater.
     """
+    exit_code = 15
 
     def __init__(self, pids):
         self.pids = sorted(pids)
@@ -93,14 +113,17 @@ class BadContribution(MsssError):
 
 class UnmaskOutOfField(MsssError):
     """Unmasked value is not a field element: corrupt public data or a wrong coalition."""
+    exit_code = 17
 
 
 class MalformedDocument(MsssError):
     """Bulletin document failed to parse."""
+    exit_code = 18
 
 
 class InvariantViolation(MsssError):
     """Bulletin document parsed but violates a protocol invariant."""
+    exit_code = 19
 
     def __init__(self, rule):
         self.rule = rule
@@ -109,3 +132,4 @@ class InvariantViolation(MsssError):
 
 class BoardIOError(MsssError):
     """Reading or writing a protocol file failed."""
+    exit_code = 24

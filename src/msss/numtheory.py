@@ -42,23 +42,20 @@ def ceil_sqrt(n: int) -> int:
 def mod_inv(a: int, modulus: int) -> int:
     """Multiplicative inverse of a modulo modulus, in [1, modulus - 1].
 
-    Extended Euclid; raises NotInvertible when gcd(a, modulus) != 1.
+    Raises NotInvertible when gcd(a, modulus) != 1.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
-    old_r, r = a % modulus, modulus
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    if old_r != 1:
-        raise NotInvertible(f"{a} has no inverse modulo {modulus} (gcd is {old_r})")
-    return old_s % modulus
+    try:
+        return pow(a, -1, modulus)
+    except ValueError:
+        gcd = math.gcd(a, modulus)
+        raise NotInvertible(f"{a} has no inverse modulo {modulus} (gcd is {gcd})") from None
 
 
-def is_probable_prime(n: int, rng: random.Random | None = None, rounds: int = MR_ROUNDS) -> bool:
-    """Trial division by the primes below 1000, then Miller-Rabin."""
+def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
+    """Trial division by the primes below 1000, then MR_ROUNDS rounds of
+    Miller-Rabin."""
     if n < 2:
         return False
     for p in SMALL_PRIMES:
@@ -74,7 +71,7 @@ def is_probable_prime(n: int, rng: random.Random | None = None, rounds: int = MR
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(rounds):
+    for _ in range(MR_ROUNDS):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x == 1 or x == n - 1:

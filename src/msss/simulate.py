@@ -172,10 +172,8 @@ def run_simulation(config: SimulationConfig) -> dict:
             coalition = _non_covering_coalition(rng, pids, minimal_sets)
             if coalition is None:
                 break
+            xs = [pow(pkg.ps0, keys[pid].s, params.n) for pid in sorted(coalition)]
             for j in range(1, pkg.set_count + 1):
-                xs = [
-                    pow(pkg.ps0, keys[pid].s, params.n) for pid in sorted(coalition)
-                ]
                 accepted, _ = attack_entry(params, pkg, j, xs)
                 probes.append(
                     {

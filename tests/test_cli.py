@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -178,9 +179,10 @@ class TestOneVerdict:
         [
             ("honest", [], 0),
             ("flipped-x", ["B"], 15),
-            # neither is a contribution to this session, so reconstruct
-            # refuses the coalition before the verdict
-            ("other-secret", ["B"], 14),
+            # a member's contribution bound to another session is a cheat
+            ("other-secret", ["B"], 15),
+            # a non-member is outside the coalition, so reconstruct refuses
+            # it before the verdict
             ("non-member", ["C"], 14),
         ],
     )
@@ -256,6 +258,8 @@ class TestStrictFiles:
         "field, value",
         [
             ("next_index", "0"),  # once read as 0, publishing secret id s0
+            ("next_index", -3),  # once published secret id s-3
+            ("next_index", 1),  # names the existing s1, which share once overwrote
             ("note", "x"),  # unknown keys were once ignored
         ],
     )
@@ -382,6 +386,21 @@ class TestUpdates:
         assert code == 15
         assert out.startswith("cheater:")
 
+    def test_reconstruct_names_every_stale_contribution(self, run, toy_files):
+        paths = [_contribute(run, toy_files, pid, f"c{pid}.json")[0] for pid in ("A", "B")]
+        code, _, _ = run(
+            "update", "renew", "--board", toy_files["board"], "--dealer", toy_files["dealer"],
+            "--secret-id", "s1", "--secret", 44, "--seed", 2,
+        )
+        assert code == 0
+        # one line per cheater, from reconstruct as from verify
+        code, out, _ = run("reconstruct", *_session_args(toy_files, paths))
+        assert code == 15
+        assert out.splitlines() == ["cheater: A", "cheater: B"]
+        code, out, _ = run("verify", *_session_args(toy_files, paths))
+        assert code == 15
+        assert out.splitlines() == ["cheater: A", "cheater: B"]
+
     def test_remove_set_and_last_entry_guard(self, run, toy_files):
         code, _, _ = run(
             "update", "add-set", "--board", toy_files["board"], "--dealer", toy_files["dealer"],
@@ -428,6 +447,122 @@ class TestUpdates:
         board = bulletin.load(toy_files["board"])
         assert "C" not in board.roster
         assert [sorted(e.members) for e in board.packages["s2"].entries] == [["A", "B"]]
+
+
+class TestDealerWrite:
+    """A dealer file that lost its last write no longer matches the board:
+    the next dealer command exits 19, names the secret, and writes nothing."""
+
+    def _lose_next_dealer_write(self, run, world, *argv):
+        before = world["dealer"].read_bytes()
+        code, _, _ = run(*argv, "--board", world["board"], "--dealer", world["dealer"])
+        assert code == 0
+        world["dealer"].write_bytes(before)
+        return world["board"].read_bytes(), before
+
+    def _assert_refused(self, run, world, files, secret_id, *argv):
+        code, out, err = run(*argv, "--board", world["board"], "--dealer", world["dealer"])
+        assert code == 19
+        assert out == ""
+        assert f"disagree on {secret_id}" in err
+        assert (world["board"].read_bytes(), world["dealer"].read_bytes()) == files
+
+    def test_lost_write_after_share(self, run, toy_files):
+        # s2 is on the board but not in the dealer file, whose next_index
+        # would publish s2 again over it
+        files = self._lose_next_dealer_write(
+            run, toy_files, "share", "--secret", 5, "--sets", "A", "--seed", 1
+        )
+        self._assert_refused(
+            run, toy_files, files, "s2", "share", "--secret", 6, "--sets", "B", "--seed", 2
+        )
+
+    def test_lost_write_after_renew(self, run, toy_files):
+        # the dealer file still holds the old s1, which add-set would put
+        # back on the board with one more entry
+        files = self._lose_next_dealer_write(
+            run, toy_files, "update", "renew", "--secret-id", "s1", "--secret", 44, "--seed", 2
+        )
+        self._assert_refused(
+            run, toy_files, files, "s1",
+            "update", "add-set", "--secret-id", "s1", "--set", "B", "--seed", 3,
+        )
+
+
+# A seeded 16-bit session through every command, with the stdout and exit
+# code of each step, the SHA-256 of every file it leaves, and one SHA-256
+# over the board and dealer file after every step, as recorded before the
+# dealer's write path was unified. A refactor of the write path must not
+# change a byte of it.
+GOLDEN_BOARD = ("--board", "board.json")
+GOLDEN_DEALER = GOLDEN_BOARD + ("--dealer", "dealer.json")
+GOLDEN_SESSION = [
+    (("setup", "--bits", 16, *GOLDEN_DEALER, "--seed", 1), 0,
+     "n = 1911295649 (31 bits)\nm = 1911295693 (31 bits)\nwidth = 4\n"),
+    (("enroll", "--id", "A", *GOLDEN_BOARD, "--key-out", "A.key", "--seed", 11), 0,
+     "enrolled A: ps = df1a60e\n"),
+    (("enroll", "--id", "B", *GOLDEN_BOARD, "--key-out", "B.key", "--seed", 12), 0,
+     "enrolled B: ps = 5c6b2c44\n"),
+    (("enroll", "--id", "C", *GOLDEN_BOARD, "--key-out", "C.key", "--seed", 13), 0,
+     "enrolled C: ps = 61bb1314\n"),
+    (("enroll", "--id", "D", *GOLDEN_BOARD, "--key-out", "D.key", "--seed", 14), 0,
+     "enrolled D: ps = 4740ab5e\n"),
+    (("share", "--secret", 12345, "--sets", "A,B|C", *GOLDEN_DEALER, "--seed", 21), 0,
+     "s1\n"),
+    (("share", "--secret-text", "hi", "--sets", "A,C|B,C|B,D", *GOLDEN_DEALER, "--seed", 22),
+     0, "s2\n"),
+    (("update", "renew", *GOLDEN_DEALER, "--secret-id", "s1", "--secret", 54321,
+      "--seed", 23), 0, "renewed: s1\n"),
+    (("update", "add-set", *GOLDEN_DEALER, "--secret-id", "s2", "--set", "A,D", "--seed", 24),
+     0, "updated: s2\n"),
+    (("update", "remove-set", *GOLDEN_DEALER, "--secret-id", "s2", "--index", 1), 0,
+     "updated: s2\n"),
+    (("update", "remove-participant", *GOLDEN_DEALER, "--id", "C", "--seed", 25), 0,
+     "renewed: s1, s2\n"),
+    (("contribute", *GOLDEN_BOARD, "--key", "A.key", "--secret-id", "s1", "--set", "A,B",
+      "--out", "a.x"), 0, "85818752\n"),
+    (("contribute", *GOLDEN_BOARD, "--key", "B.key", "--secret-id", "s1", "--set", "A,B",
+      "--out", "b.x"), 0, "1847065284\n"),
+    (("reconstruct", *GOLDEN_BOARD, "--secret-id", "s1", "--set", "A,B",
+      "--contribution", "a.x", "--contribution", "b.x"), 0, "54321\ntag: ok\n"),
+    (("verify", *GOLDEN_BOARD, "--secret-id", "s1", "--set", "A,B",
+      "--contribution", "a.x", "--contribution", "b.x"), 0, "ok: A\nok: B\n"),
+    (("contribute", *GOLDEN_BOARD, "--key", "B.key", "--secret-id", "s2", "--set", "B,D",
+      "--out", "b2.x"), 0, "1044877062\n"),
+    (("contribute", *GOLDEN_BOARD, "--key", "D.key", "--secret-id", "s2", "--set", "B,D",
+      "--out", "d2.x"), 0, "1522472210\n"),
+    (("reconstruct", *GOLDEN_BOARD, "--secret-id", "s2", "--set", "B,D",
+      "--contribution", "b2.x", "--contribution", "d2.x"), 0, "26729\ntag: ok\n"),
+]
+GOLDEN_SHA256 = {
+    "A.key": "4e957a69ce617d03b48dc5fc29bc35d46d35da5d7db7379c08fc528197a36e68",
+    "B.key": "cb170f0f606a81037d41e210a38b4161e0078a947b044046677de439b293ecd8",
+    "C.key": "c1ae0c24596fd6373098eafbb2687c9fc70aa5f5a7b7f7017fec50ae40a03421",
+    "D.key": "fba2a10462e9258108084cea183fbf5f5266fc6a3cd0e0099babf7891db3f717",
+    "a.x": "5a88236453ab3e8706a314ea8e20119e1a4dc7edb1f3f1302461b4fe7ed5e7f6",
+    "b.x": "0c0f60672f2dcc71ab26d9352f335d2ab12920534d61ccfb5c6050ddd76f4b54",
+    "b2.x": "73d1f68cdef13e888ebd641558dea1d8346bc68df55dbccd73f087249612c528",
+    "board.json": "2a708e560eb488a6891244bff9dd374413875154d15ee0193e443d09a4183080",
+    "board.json.lock": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "d2.x": "ed7b783a57c5ec19d9ddb26625c843d183a7fa8a3a8c368fda9646c8a6ee1383",
+    "dealer.json": "fc7d17014a7fe75e411c17e66872e3447b75f19699921d52bdc8c6a810a101b6",
+}
+GOLDEN_HISTORY_SHA256 = "0a8dfb46650f89721138ca51ab89b5d5caa081fa77b1e53e5ebab31b9490904b"
+
+
+def test_golden_session(run, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    history = hashlib.sha256()
+    for argv, want_code, want_out in GOLDEN_SESSION:
+        code, out, _ = run(*argv)
+        assert (code, out) == (want_code, want_out), argv
+        history.update((tmp_path / "board.json").read_bytes())
+        history.update((tmp_path / "dealer.json").read_bytes())
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()
+    }
+    assert digests == GOLDEN_SHA256
+    assert history.hexdigest() == GOLDEN_HISTORY_SHA256
 
 
 class TestExitCodes:

@@ -105,8 +105,9 @@ class TestReconstruct:
     def test_contribution_bound_to_other_session(self, toy):
         c_a, c_b = _toy_contributions(toy)
         rebound = dataclasses.replace(c_a, secret_id="s9")
-        with pytest.raises(ExtraContribution):
+        with pytest.raises(BadContribution) as info:
             combiner.reconstruct(toy.params, toy.package, 1, [rebound, c_b], toy.roster)
+        assert info.value.pids == ["A"]
 
     def test_unmask_out_of_field(self, toy):
         # flip a masked bit so the unmasked value lands at 151 >= m = 149

@@ -130,6 +130,27 @@ class TestShareSecret:
             lifted = pow(ps, state.records["s1"].s0, params.n)
             assert pow(lifted, pkg.h0, params.n) == ps
 
+    def test_one_mask_per_member(self, monkeypatch):
+        params, state = dealer.setup(16, random.Random(10))
+        rng = random.Random(11)
+        keys = {pid: participant.keygen(params, pid, rng) for pid in ("A", "B", "C")}
+        roster = {pid: k.ps for pid, k in keys.items()}
+        structure = accessstruct.validate_minimal([["A", "B"], ["B", "C"], ["A", "C"]])
+        bases = []
+
+        def counting_pow(base, exp, mod=None):
+            bases.append(base)
+            return pow(base, exp, mod)
+
+        monkeypatch.setattr(dealer, "pow", counting_pow, raising=False)
+        pkg = dealer.share_secret(state, params, roster, 99, structure, rng)
+        # ps0 = g**s0, then one mask per member although each is in two sets
+        assert sorted(bases) == sorted([params.g, *roster.values()])
+        s0 = state.records["s1"].s0
+        for j, e in enumerate(pkg.entries, 1):
+            masks = [pow(roster[pid], s0, params.n) for pid in e.members]
+            assert combiner.unmask(params, pkg, j, masks) == 99
+
     def test_d_values_distinct_and_not_one(self):
         params, state = dealer.setup(16, random.Random(3))
         rng = random.Random(4)
