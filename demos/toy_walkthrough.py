@@ -11,8 +11,6 @@ values.
 Run with:  PYTHONPATH=src python3 demos/toy_walkthrough.py
 """
 
-import random
-
 from msss import (
     contribute,
     keygen,
@@ -25,11 +23,10 @@ from msss import (
 )
 
 
-class Script(random.Random):
+class Script:
     """Answers each draw with the next listed value."""
 
-    def __init__(self, *values):
-        super().__init__(0)
+    def __init__(self, values):
         self.values = list(values)
 
     def randrange(self, *args):
@@ -41,12 +38,12 @@ class Script(random.Random):
 
 print("== initialization ==")
 # the low bits 3 and 5 make the 4-bit primes 11 and 13; then g = 15
-params, state = setup(bits_per_prime=4, rng=Script(3, 5, 15))
+params, state = setup(bits_per_prime=4, rng=Script([3, 5, 15]))
 print(f"published params: g = {params.g}, n = {params.n}, m = {params.m}, "
       f"mask width = {params.width} byte")
 
-key_a = keygen(params, "A", Script(5))
-key_b = keygen(params, "B", Script(7))
+key_a = keygen(params, "A", Script([5]))
+key_b = keygen(params, "B", Script([7]))
 roster = {"A": key_a.ps, "B": key_b.ps}
 print(f"A picks s = {key_a.s}, enrolls ps = g^s = {key_a.ps}")
 print(f"B picks s = {key_b.s}, enrolls ps = g^s = {key_b.ps}")
@@ -55,7 +52,7 @@ print("\n== sharing ==")
 secret = 100
 structure = validate_minimal([{"A", "B"}])
 # s0 = 7, slope 5, d = 7
-package = share_secret(state, params, roster, secret, structure, Script(7, 5, 7))
+package = share_secret(state, params, roster, secret, structure, Script([7, 5, 7]))
 entry = package.entry(1)
 print(f"dealer publishes ps0 = {package.ps0}, h0 = {package.h0}, f(1) = {package.f1}")
 print(f"for the set {sorted(entry.members)}: d = {entry.d}, "

@@ -28,7 +28,8 @@ The private dealer state, participant key files and contribution files go
 through the same writer and reader, in the same JSON style: every file is
 written atomically, and every file read is checked for its exact key set,
 lowercase hex integers and exact JSON types, so a malformed one raises
-MalformedDocument.
+MalformedDocument. ``load_dealer`` accepts a dealer file only for the board
+it serves.
 """
 
 from __future__ import annotations
@@ -97,15 +98,15 @@ class Board:
         for pid, ps in self.roster.items():
             if not isinstance(pid, str) or not pid:
                 raise InvariantViolation("empty participant id on the roster")
-            if not 0 <= ps < p.n:
-                raise InvariantViolation(f"pseudo-share of {pid} not reduced mod n")
+            if not 0 <= ps < p.n or math.gcd(ps, p.n) != 1:
+                raise InvariantViolation(f"pseudo-share of {pid} is not a reduced unit mod n")
         for sid, pkg in self.packages.items():
             if pkg.secret_id != sid:
                 raise InvariantViolation(f"package keyed {sid} carries id {pkg.secret_id}")
             if not pkg.entries:
                 raise InvariantViolation(f"{sid}: no qualified sets")
-            if not 0 <= pkg.ps0 < p.n:
-                raise InvariantViolation(f"{sid}: ps0 not reduced mod n")
+            if not 0 <= pkg.ps0 < p.n or math.gcd(pkg.ps0, p.n) != 1:
+                raise InvariantViolation(f"{sid}: ps0 is not a reduced unit mod n")
             if pkg.h0 < 1:
                 raise InvariantViolation(f"{sid}: h0 must be positive")
             if not 0 <= pkg.f1 < p.m:
@@ -268,13 +269,11 @@ def load(path) -> Board:
 
 
 def save_dealer(state: DealerState, path) -> None:
-    """Write the private dealer state: the factors, phi(n), the next secret
-    index, and one record (s0, slope, secret, package) per secret."""
+    """Write the private dealer state: the factors of n and one record
+    (s0, slope, secret, package) per secret."""
     obj = {
         "p": int_to_hex(state.p),
         "q": int_to_hex(state.q),
-        "phi": int_to_hex(state.phi),
-        "next_index": state.next_index,
         "records": {
             sid: {
                 "s0": int_to_hex(r.s0),
@@ -288,9 +287,16 @@ def save_dealer(state: DealerState, path) -> None:
     _write(_dump(obj), path)
 
 
-def load_dealer(path) -> DealerState:
+def load_dealer(path, board: Board) -> DealerState:
+    """The private dealer state of ``board``; the one reader of a dealer file.
+
+    MalformedDocument unless the records are named exactly s1 ... sk, then
+    InvariantViolation unless p, q > 1 with p*q the board's n, and unless
+    the records' packages are the board's: publishing from any other file
+    would sign under a wrong phi(n), or overwrite or roll back a package.
+    """
     where = os.fspath(path)
-    obj = _parse(_read(path), ("p", "q", "phi", "next_index", "records"), where)
+    obj = _parse(_read(path), ("p", "q", "records"), where)
     records = {}
     for sid, raw in _require_map(obj["records"], f"{where} records").items():
         rwhere = f"{where} record {sid}"
@@ -301,20 +307,22 @@ def load_dealer(path) -> DealerState:
             secret=hex_to_int(raw["secret"], f"{rwhere} secret"),
             package=package_from_obj(sid, raw["package"], rwhere),
         )
-    next_index = _require_int(obj["next_index"], f"{where} next_index")
     # share_secret numbers secrets s1, s2, ... and no operation drops one
-    if next_index != len(records) + 1 or list(records) != [f"s{i}" for i in range(1, next_index)]:
-        raise MalformedDocument(
-            f"{where} next_index {next_index} does not follow the records "
-            f"[{', '.join(records)}]"
-        )
-    return DealerState(
+    if list(records) != [f"s{i}" for i in range(1, len(records) + 1)]:
+        raise MalformedDocument(f"{where} records [{', '.join(records)}] are not s1 ... s<k>")
+    state = DealerState(
         p=hex_to_int(obj["p"], f"{where} p"),
         q=hex_to_int(obj["q"], f"{where} q"),
-        phi=hex_to_int(obj["phi"], f"{where} phi"),
         records=records,
-        next_index=next_index,
     )
+    if not (state.p > 1 and state.q > 1 and state.p * state.q == board.params.n):
+        raise InvariantViolation(f"{where} is not the dealer file of this board: p*q is not n")
+    published = state.packages
+    ids = {**board.packages, **published}
+    diverged = [sid for sid in ids if board.packages.get(sid) != published.get(sid)]
+    if diverged:
+        raise InvariantViolation("dealer state and board disagree on " + ", ".join(diverged))
+    return state
 
 
 def save_key(key: ParticipantKey, path) -> None:

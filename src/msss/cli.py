@@ -27,7 +27,6 @@ from .errors import (
     BadContribution,
     BoardIOError,
     DuplicateParticipant,
-    InvariantViolation,
     MsssError,
     NoSuchSet,
     UnknownSecret,
@@ -91,25 +90,16 @@ def _board_lock(path: str):
 def _dealer_write(args):
     """The one write path of the dealer commands.
 
-    Under the board lock, loads the board and the dealer file and refuses
-    (InvariantViolation) unless the dealer's records hold exactly the
-    packages on the board, since publishing from a stale dealer file would
-    overwrite or roll back a published package. Yields (board, state) to
-    the command; once it returns, publishes the dealer's packages as the
-    next revision and saves the board, then the dealer file. A command
-    that raises writes nothing.
+    Under the board lock, loads the board and its dealer file (which
+    ``bulletin.load_dealer`` refuses unless it serves this board and
+    holds exactly its packages) and yields (board, state) to the command;
+    once it returns, publishes the dealer's packages as the next revision
+    and saves the board, then the dealer file. A command that raises
+    writes nothing.
     """
     with _board_lock(args.board):
         board = bulletin.load(args.board)
-        state = bulletin.load_dealer(args.dealer)
-        published = state.packages
-        diverged = [
-            sid
-            for sid in {**board.packages, **published}
-            if board.packages.get(sid) != published.get(sid)
-        ]
-        if diverged:
-            raise InvariantViolation("dealer state and board disagree on " + ", ".join(diverged))
+        state = bulletin.load_dealer(args.dealer, board)
         yield board, state
         board.packages = state.packages
         board.revision += 1

@@ -30,20 +30,18 @@ def encode_fixed(value: int, width: int) -> bytes:
     return value.to_bytes(width, "big")
 
 
-def decode_fixed(data: bytes) -> int:
-    return int.from_bytes(data, "big")
-
-
 def xor_combine(value: int, masks: Iterable[int], width: int) -> int:
-    """XOR the fixed-width encodings of ``value`` and every mask.
+    """XOR ``value`` with every mask, each a ``width``-byte integer.
 
-    Self-inverse in ``value``; the order of the masks is irrelevant.
+    Self-inverse in ``value``; the order of the masks is irrelevant. Raises
+    OverflowError, as encode_fixed does, for an operand that does not fit.
     """
-    acc = bytearray(encode_fixed(value, width))
-    for mask in masks:
-        for i, b in enumerate(encode_fixed(mask, width)):
-            acc[i] ^= b
-    return decode_fixed(bytes(acc))
+    acc = 0
+    for x in (value, *masks):
+        if x < 0 or x.bit_length() > 8 * width:
+            raise OverflowError(f"{x} does not fit in {width} bytes")
+        acc ^= x
+    return acc
 
 
 def tag(secret: int, d: int, width: int) -> bytes:

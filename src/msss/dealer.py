@@ -2,12 +2,12 @@
 the dynamic updates (renew a secret, add or remove a qualified set, remove
 a participant).
 
-The dealer owns the factorization of n and phi(n), plus one private record
-per shared secret. That record keeps the exponent s0, the line slope, and
-the secret itself: without them the dealer could never extend an existing
-package with a new qualified set. Everything a dealer operation returns is
-public and meant for the bulletin; nothing private ever appears in a
-SecretPackage.
+The dealer owns the factorization of n, plus one private record per shared
+secret. That record keeps the exponent s0, the line slope, and the secret
+itself: without them the dealer could never extend an existing package with
+a new qualified set. phi(n) and the next secret id are derived from these,
+never stored. Everything a dealer operation returns is public and meant for
+the bulletin; nothing private ever appears in a SecretPackage.
 
 Randomized operations draw from an optional ``rng`` (any
 ``random.Random``-alike, a secure source by default) in a fixed order, so
@@ -105,13 +105,16 @@ class DealerSecretRecord:
 
 @dataclass
 class DealerState:
-    """Private dealer state. Never published, never sent to participants."""
+    """Private dealer state, never published: only what cannot be derived,
+    the factors of n and the records s1, s2, ... in publishing order."""
 
     p: int
     q: int
-    phi: int
     records: dict[str, DealerSecretRecord] = field(default_factory=dict)
-    next_index: int = 1
+
+    @property
+    def phi(self) -> int:
+        return (self.p - 1) * (self.q - 1)
 
     @property
     def packages(self) -> dict[str, SecretPackage]:
@@ -137,7 +140,6 @@ def setup(
     while q == p:
         q = gen_prime(bits_per_prime, rng)
     n = p * q
-    phi = (p - 1) * (q - 1)
     lo = ceil_sqrt(n)
     while True:
         g = rng.randrange(lo, n + 1)
@@ -145,7 +147,7 @@ def setup(
             break
     m = next_prime(n, rng)
     params = PublicParams(g=g, n=n, m=m, width=codec.mask_width(m))
-    return params, DealerState(p=p, q=q, phi=phi)
+    return params, DealerState(p=p, q=q)
 
 
 def _sample_s0(phi: int, n: int, rng) -> int:
@@ -244,12 +246,11 @@ def share_secret(
 
     Draws a fresh exponent s0 coprime to phi(n), a fresh slope, and one
     fresh abscissa per qualified set; every member's mask is ps_k**s0 mod n.
-    The returned package carries a newly assigned secret id.
+    The returned package carries the next secret id, s<k+1> after k
+    published secrets.
     """
     rng = rng or _default_rng
-    package = _publish(dealer, params, f"s{dealer.next_index}", secret, structure, roster, rng)
-    dealer.next_index += 1
-    return package
+    return _publish(dealer, params, f"s{len(dealer.records) + 1}", secret, structure, roster, rng)
 
 
 def renew_secret(

@@ -117,17 +117,15 @@ class UnmaskOutOfField(MsssError):
 
 
 class MalformedDocument(MsssError):
-    """Bulletin document failed to parse."""
+    """A protocol file failed to parse, or a dealer file's records are not
+    named s1 ... sk."""
     exit_code = 18
 
 
 class InvariantViolation(MsssError):
-    """Bulletin document parsed but violates a protocol invariant."""
+    """A board parsed but violates a protocol invariant, or a dealer file is
+    not this board's (p*q is not n, or its packages are not the board's)."""
     exit_code = 19
-
-    def __init__(self, rule):
-        self.rule = rule
-        super().__init__(rule)
 
 
 class BoardIOError(MsssError):

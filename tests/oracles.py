@@ -60,3 +60,13 @@ def is_antichain_bruteforce(sets) -> bool:
             if i != j and sets[i] <= sets[j]:
                 return False
     return True
+
+
+def bytewise_xor(value: int, masks, width: int) -> int:
+    """XOR over the big-endian width-byte encodings, one byte at a time;
+    to_bytes raises OverflowError for an operand that does not fit."""
+    acc = bytearray(value.to_bytes(width, "big"))
+    for mask in masks:
+        for i, b in enumerate(mask.to_bytes(width, "big")):
+            acc[i] ^= b
+    return int.from_bytes(acc, "big")

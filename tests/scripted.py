@@ -1,18 +1,17 @@
-"""A random.Random test double that answers from a script."""
-
-import random
+"""A stand-in for random.Random that answers from a script."""
 
 
-class ScriptedRandom(random.Random):
+class ScriptedRandom:
     """Answers randrange and getrandbits with the next scripted value.
 
     Each value must lie in the range the caller asks for, and a draw past
     the end of the script fails, so a script pins exactly the draws an
-    operation makes, in their order.
+    operation makes, in their order. It has no other draw, and no
+    random.Random base, whose constructor on Python 3.10 hashes its
+    argument as a seed and rejects a list.
     """
 
     def __init__(self, values):
-        super().__init__(0)
         self.values = list(values)
 
     def _next(self, lo, hi):

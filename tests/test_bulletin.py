@@ -117,6 +117,24 @@ class TestValidation:
         with pytest.raises(InvariantViolation, match="contained in"):
             to_document(board)
 
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            ("roster", 0),  # x = 0 once verified as A's honest contribution
+            ("roster", 11),  # a factor of n = 143
+            ("ps0", 13),  # the other factor
+        ],
+    )
+    def test_non_units_rejected(self, toy, where, value):
+        obj = json.loads(to_document(_toy_board(toy)))
+        if where == "roster":
+            obj["roster"]["A"] = format(value, "x")
+        else:
+            obj["packages"]["s1"]["ps0"] = format(value, "x")
+        with pytest.raises(InvariantViolation, match="not a reduced unit mod n") as raised:
+            from_document(json.dumps(obj))
+        assert raised.value.exit_code == 19
+
     def test_d_of_one_rejected(self, toy):
         entry = dataclasses.replace(toy.package.entry(1), d=1)
         pkg = dataclasses.replace(toy.package, entries=(entry,))

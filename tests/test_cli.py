@@ -155,6 +155,12 @@ class TestScriptedToySession:
         assert set(obj) == {"id", "s", "ps"}
         assert obj == {"id": "A", "s": "5", "ps": "2d"}
 
+    def test_dealer_file_holds_only_what_cannot_be_derived(self, toy_files):
+        # phi(n) and the next secret id follow from p, q and the records
+        obj = json.loads(toy_files["dealer"].read_text())
+        assert list(obj) == ["p", "q", "records"]
+        assert (obj["p"], obj["q"], list(obj["records"])) == ("b", "d", ["s1"])
+
 
 def _write_contribution(world, name, pid, x, secret_id="s1"):
     path = world["tmp"] / name
@@ -255,25 +261,34 @@ class TestStrictFiles:
         assert field in err
 
     @pytest.mark.parametrize(
-        "field, value",
+        "edit, named",
         [
-            ("next_index", "0"),  # once read as 0, publishing secret id s0
-            ("next_index", -3),  # once published secret id s-3
-            ("next_index", 1),  # names the existing s1, which share once overwrote
-            ("note", "x"),  # unknown keys were once ignored
+            # unknown keys were once ignored
+            pytest.param(lambda obj: obj.update(note="x"), ["note"], id="note-x"),
+            # share names the next secret s<k+1>, which would be s2 again
+            pytest.param(
+                lambda obj: obj.update(records={"s2": obj["records"]["s1"]}), ["s2"],
+                id="only-record-s2",
+            ),
+            # written before phi(n) and the next index were derived; once
+            # trusted, a wrong phi made every honest member a cheater
+            pytest.param(
+                lambda obj: obj.update(phi="78", next_index=2), ["phi", "next_index"],
+                id="stored-phi-and-next-index",
+            ),
         ],
     )
-    def test_malformed_dealer_file(self, run, toy_files, field, value):
+    def test_malformed_dealer_file(self, run, toy_files, edit, named):
         obj = json.loads(toy_files["dealer"].read_text())
-        obj[field] = value
+        edit(obj)
         toy_files["dealer"].write_text(json.dumps(obj))
-        board_before = toy_files["board"].read_bytes()
+        files = (toy_files["board"].read_bytes(), toy_files["dealer"].read_bytes())
         code, out, err = run("share", "--secret", 5, "--sets", "A", "--board", toy_files["board"],
                              "--dealer", toy_files["dealer"], "--seed", 1)
         assert code == 18
         assert out == ""
-        assert field in err
-        assert toy_files["board"].read_bytes() == board_before
+        assert all(name in err for name in named)
+        assert (toy_files["board"].read_bytes(), toy_files["dealer"].read_bytes()) == files
 
     def test_malformed_key_file(self, run, toy_files):
         obj = json.loads(toy_files["keys"]["A"].read_text())
@@ -450,8 +465,9 @@ class TestUpdates:
 
 
 class TestDealerWrite:
-    """A dealer file that lost its last write no longer matches the board:
-    the next dealer command exits 19, names the secret, and writes nothing."""
+    """A dealer file that lost its last write, or that serves another board,
+    does not match the board: the next dealer command exits 19 and writes
+    nothing."""
 
     def _lose_next_dealer_write(self, run, world, *argv):
         before = world["dealer"].read_bytes()
@@ -488,12 +504,41 @@ class TestDealerWrite:
             "update", "add-set", "--secret-id", "s1", "--set", "B", "--seed", 3,
         )
 
+    @pytest.mark.parametrize("factors", ["other-board", "1-and-n"])
+    def test_dealer_file_of_another_board(self, run, tmp_path, factors):
+        # both boards are fresh, so their (empty) package lists agree; a
+        # share signed with the other board's phi(n) once exited 0 and made
+        # verify name both honest members as cheaters
+        board, dealer = tmp_path / "board.json", tmp_path / "dealer.json"
+        assert run("setup", "--bits", 4, "--board", board, "--dealer", dealer,
+                   script=TOY_SETUP)[0] == 0
+        for pid, s in (("A", 5), ("B", 7)):
+            assert run("enroll", "--id", pid, "--board", board,
+                       "--key-out", tmp_path / f"{pid}.key", script=[s])[0] == 0
+        if factors == "other-board":
+            dealer = tmp_path / "other-dealer.json"
+            assert run("setup", "--bits", 16, "--board", tmp_path / "other-board.json",
+                       "--dealer", dealer, "--seed", 2)[0] == 0
+        else:
+            dealer.write_text(json.dumps({"p": "1", "q": "8f", "records": {}}))
+        files = (board.read_bytes(), dealer.read_bytes())
+        code, out, err = run("share", "--secret", 5, "--sets", "A,B", "--board", board,
+                             "--dealer", dealer, "--seed", 3)
+        assert code == 19
+        assert out == ""
+        assert "not the dealer file of this board" in err
+        assert (board.read_bytes(), dealer.read_bytes()) == files
+
 
 # A seeded 16-bit session through every command, with the stdout and exit
-# code of each step, the SHA-256 of every file it leaves, and one SHA-256
-# over the board and dealer file after every step, as recorded before the
-# dealer's write path was unified. A refactor of the write path must not
-# change a byte of it.
+# code of each step, the SHA-256 of every file it leaves, one SHA-256 over
+# the board after every step and one over the dealer file after every step.
+# The outputs, the board history and every file but dealer.json were
+# recorded before the dealer's write path was unified; dealer.json and its
+# history were recorded again when the dealer file stopped storing phi(n)
+# and the next secret index, and at every step it is the earlier file with
+# those two keys removed. A refactor of the write path must not change a
+# byte of it.
 GOLDEN_BOARD = ("--board", "board.json")
 GOLDEN_DEALER = GOLDEN_BOARD + ("--dealer", "dealer.json")
 GOLDEN_SESSION = [
@@ -545,24 +590,26 @@ GOLDEN_SHA256 = {
     "board.json": "2a708e560eb488a6891244bff9dd374413875154d15ee0193e443d09a4183080",
     "board.json.lock": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "d2.x": "ed7b783a57c5ec19d9ddb26625c843d183a7fa8a3a8c368fda9646c8a6ee1383",
-    "dealer.json": "fc7d17014a7fe75e411c17e66872e3447b75f19699921d52bdc8c6a810a101b6",
+    "dealer.json": "96ee31665af6100c07e042ab23f9c1e189fa7692a1c0685867906182feece482",
 }
-GOLDEN_HISTORY_SHA256 = "0a8dfb46650f89721138ca51ab89b5d5caa081fa77b1e53e5ebab31b9490904b"
+GOLDEN_BOARD_HISTORY_SHA256 = "25be2cb1dd8d1479911fe80e409511c1793ed9cef8a2dd93b40d3f48bace3fde"
+GOLDEN_DEALER_HISTORY_SHA256 = "d0e925057e7b3f5f0dfa9e49010a4d3c3c412f13dcdfd9191fb55a3e614d5727"
 
 
 def test_golden_session(run, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    history = hashlib.sha256()
+    board_history, dealer_history = hashlib.sha256(), hashlib.sha256()
     for argv, want_code, want_out in GOLDEN_SESSION:
         code, out, _ = run(*argv)
         assert (code, out) == (want_code, want_out), argv
-        history.update((tmp_path / "board.json").read_bytes())
-        history.update((tmp_path / "dealer.json").read_bytes())
+        board_history.update((tmp_path / "board.json").read_bytes())
+        dealer_history.update((tmp_path / "dealer.json").read_bytes())
     digests = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()
     }
     assert digests == GOLDEN_SHA256
-    assert history.hexdigest() == GOLDEN_HISTORY_SHA256
+    assert board_history.hexdigest() == GOLDEN_BOARD_HISTORY_SHA256
+    assert dealer_history.hexdigest() == GOLDEN_DEALER_HISTORY_SHA256
 
 
 class TestExitCodes:

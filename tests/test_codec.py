@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msss.codec import TAG_BYTES, decode_fixed, encode_fixed, mask_width, tag, xor_combine
+from msss.codec import TAG_BYTES, encode_fixed, mask_width, tag, xor_combine
+
+from oracles import bytewise_xor
 
 # Digests computed with a standalone sha256 tool over the exact message
 # bytes, e.g. printf 'MSSS-v1\x00\x00' | sha256sum
@@ -30,11 +32,6 @@ class TestEncodeFixed:
         width = 2
         seen = {encode_fixed(v, width) for v in range(0, 256**width, 97)}
         assert len(seen) == len(range(0, 256**width, 97))
-
-    @given(v=st.integers(min_value=0, max_value=2**64 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_decode_inverts_encode(self, v):
-        assert decode_fixed(encode_fixed(v, 8)) == v
 
 
 class TestXorCombine:
@@ -63,6 +60,19 @@ class TestXorCombine:
     @settings(max_examples=80, deadline=None)
     def test_involution(self, v, masks):
         assert xor_combine(xor_combine(v, masks, 4), masks, 4) == v
+
+    @given(
+        width=st.integers(min_value=1, max_value=64),
+        operands=st.lists(st.integers(min_value=-1, max_value=2**520), min_size=1, max_size=5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bytewise_reference(self, width, operands):
+        def outcome(fn):
+            try:
+                return fn(operands[0], operands[1:], width)
+            except OverflowError:
+                return OverflowError
+        assert outcome(xor_combine) == outcome(bytewise_xor)
 
 
 class TestTag:
