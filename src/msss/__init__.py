@@ -20,7 +20,6 @@ from .bulletin import Board, from_document, load, save, to_document
 from .codec import encode_fixed, mask_width, tag, xor_combine
 from .combiner import check_contributions, reconstruct, verify_contribution, verify_secret
 from .dealer import (
-    DealerSecretRecord,
     DealerState,
     PackageEntry,
     PublicParams,
@@ -44,7 +43,6 @@ __all__ = [
     "AccessStructure",
     "Board",
     "Contribution",
-    "DealerSecretRecord",
     "DealerState",
     "LinePoly",
     "MsssError",

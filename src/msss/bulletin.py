@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 from . import codec
 from .accessstruct import validate_minimal
-from .dealer import DealerSecretRecord, DealerState, PackageEntry, PublicParams, SecretPackage
+from .dealer import DealerState, PackageEntry, PublicParams, SecretPackage
 from .errors import (
     BoardIOError,
     EmptySet,
@@ -212,6 +212,14 @@ def package_from_obj(secret_id: str, obj, where: str) -> SecretPackage:
     )
 
 
+def packages_from_obj(value, prefix: str = "") -> dict[str, SecretPackage]:
+    """The ``packages`` of a board or dealer file; ``prefix`` names the file."""
+    return {
+        sid: package_from_obj(sid, obj, f"{prefix}package {sid}")
+        for sid, obj in _require_map(value, f"{prefix}packages").items()
+    }
+
+
 def to_document(board: Board) -> str:
     """Canonical serialization; identical boards give identical bytes."""
     board.validate()
@@ -249,9 +257,7 @@ def from_document(text: str) -> Board:
     roster = {}
     for pid, raw in _require_map(obj["roster"], "roster").items():
         roster[pid] = hex_to_int(raw, f"roster {pid}")
-    packages = {}
-    for sid, raw in _require_map(obj["packages"], "packages").items():
-        packages[sid] = package_from_obj(sid, raw, f"package {sid}")
+    packages = packages_from_obj(obj["packages"])
     board = Board(params=params, roster=roster, packages=packages, revision=revision)
     board.validate()
     return board
@@ -269,20 +275,13 @@ def load(path) -> Board:
 
 
 def save_dealer(state: DealerState, path) -> None:
-    """Write the private dealer state: the factors of n and one record
-    (s0, slope, secret, package) per secret."""
+    """Write the private dealer state: the factors of n, each secret, and
+    each package as the board publishes it."""
     obj = {
         "p": int_to_hex(state.p),
         "q": int_to_hex(state.q),
-        "records": {
-            sid: {
-                "s0": int_to_hex(r.s0),
-                "slope": int_to_hex(r.slope),
-                "secret": int_to_hex(r.secret),
-                "package": package_to_obj(r.package),
-            }
-            for sid, r in state.records.items()
-        },
+        "secrets": {sid: int_to_hex(secret) for sid, secret in state.secrets.items()},
+        "packages": {sid: package_to_obj(pkg) for sid, pkg in state.packages.items()},
     }
     _write(_dump(obj), path)
 
@@ -290,39 +289,38 @@ def save_dealer(state: DealerState, path) -> None:
 def load_dealer(path, board: Board) -> DealerState:
     """The private dealer state of ``board``; the one reader of a dealer file.
 
-    MalformedDocument unless the records are named exactly s1 ... sk, then
-    InvariantViolation unless p, q > 1 with p*q the board's n, and unless
-    the records' packages are the board's: publishing from any other file
-    would sign under a wrong phi(n), or overwrite or roll back a package.
+    MalformedDocument unless the secrets and the packages are both named
+    exactly s1 ... sk, then InvariantViolation unless p, q > 1 with p*q the
+    board's n, the packages are the board's, and each secret is below m and
+    matches every tag of its package: publishing from any other file would
+    sign under a wrong phi(n), overwrite or roll back a package, or add an
+    entry that no qualified set can open.
     """
     where = os.fspath(path)
-    obj = _parse(_read(path), ("p", "q", "records"), where)
-    records = {}
-    for sid, raw in _require_map(obj["records"], f"{where} records").items():
-        rwhere = f"{where} record {sid}"
-        _require_keys(raw, ("s0", "slope", "secret", "package"), rwhere)
-        records[sid] = DealerSecretRecord(
-            s0=hex_to_int(raw["s0"], f"{rwhere} s0"),
-            slope=hex_to_int(raw["slope"], f"{rwhere} slope"),
-            secret=hex_to_int(raw["secret"], f"{rwhere} secret"),
-            package=package_from_obj(sid, raw["package"], rwhere),
-        )
+    obj = _parse(_read(path), ("p", "q", "secrets", "packages"), where)
+    secrets = {
+        sid: hex_to_int(raw, f"{where} secret {sid}")
+        for sid, raw in _require_map(obj["secrets"], f"{where} secrets").items()
+    }
+    packages = packages_from_obj(obj["packages"], f"{where} ")
     # share_secret numbers secrets s1, s2, ... and no operation drops one
-    if list(records) != [f"s{i}" for i in range(1, len(records) + 1)]:
-        raise MalformedDocument(f"{where} records [{', '.join(records)}] are not s1 ... s<k>")
-    state = DealerState(
-        p=hex_to_int(obj["p"], f"{where} p"),
-        q=hex_to_int(obj["q"], f"{where} q"),
-        records=records,
-    )
-    if not (state.p > 1 and state.q > 1 and state.p * state.q == board.params.n):
+    if not list(secrets) == list(packages) == [f"s{i}" for i in range(1, len(secrets) + 1)]:
+        ids = f"secrets [{', '.join(secrets)}] and packages [{', '.join(packages)}]"
+        raise MalformedDocument(f"{where} {ids} are not both s1 ... s<k>")
+    p, q = hex_to_int(obj["p"], f"{where} p"), hex_to_int(obj["q"], f"{where} q")
+    if not (p > 1 and q > 1 and p * q == board.params.n):
         raise InvariantViolation(f"{where} is not the dealer file of this board: p*q is not n")
-    published = state.packages
-    ids = {**board.packages, **published}
-    diverged = [sid for sid in ids if board.packages.get(sid) != published.get(sid)]
+    m, width = board.params.m, board.params.width
+    diverged = [
+        sid
+        for sid in {**board.packages, **packages}
+        if board.packages.get(sid) != packages.get(sid)
+        or secrets[sid] >= m
+        or any(e.tag != codec.tag(secrets[sid], e.d, width) for e in packages[sid].entries)
+    ]
     if diverged:
         raise InvariantViolation("dealer state and board disagree on " + ", ".join(diverged))
-    return state
+    return DealerState(p, q, secrets, packages)
 
 
 def save_key(key: ParticipantKey, path) -> None:

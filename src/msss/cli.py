@@ -46,16 +46,14 @@ def _parse_int(text: str) -> int:
         raise ValueError(f"not an integer: {text!r}") from None
 
 
-def _parse_sets(text: str):
-    """'A,B|B,C' -> validated access structure with two minimal sets."""
-    groups = text.split("|")
-    return validate_minimal(
-        [[pid.strip() for pid in group.split(",") if pid.strip()] for group in groups]
-    )
-
-
 def _parse_members(text: str) -> frozenset[str]:
+    """'A, B' -> {A, B}: the one member-list parser of --sets and --set."""
     return frozenset(pid.strip() for pid in text.split(",") if pid.strip())
+
+
+def _parse_sets(text: str) -> list[frozenset[str]]:
+    """'A,B|B,C' -> [{A, B}, {B, C}], not yet validated."""
+    return [_parse_members(group) for group in text.split("|")]
 
 
 def _rng(args):
@@ -91,11 +89,11 @@ def _dealer_write(args):
     """The one write path of the dealer commands.
 
     Under the board lock, loads the board and its dealer file (which
-    ``bulletin.load_dealer`` refuses unless it serves this board and
-    holds exactly its packages) and yields (board, state) to the command;
-    once it returns, publishes the dealer's packages as the next revision
-    and saves the board, then the dealer file. A command that raises
-    writes nothing.
+    ``bulletin.load_dealer`` refuses unless it serves this board, holds
+    exactly its packages and secrets that match their tags) and yields
+    (board, state) to the command; once it returns, publishes the dealer's
+    packages as the next revision and saves the board, then the dealer
+    file. A command that raises writes nothing.
     """
     with _board_lock(args.board):
         board = bulletin.load(args.board)
@@ -143,6 +141,8 @@ def cmd_setup(args) -> int:
 
 
 def cmd_enroll(args) -> int:
+    if _parse_sets(args.id) != [{args.id}]:
+        raise ValueError(f"participant id {args.id!r} cannot be named in --sets")
     if _refuse_existing(args.key_out, args.force):
         return EXIT_FILE_EXISTS
     with _board_lock(args.board):
@@ -159,7 +159,7 @@ def cmd_enroll(args) -> int:
 
 
 def cmd_share(args) -> int:
-    structure = _parse_sets(args.sets)
+    structure = validate_minimal(_parse_sets(args.sets))
     secret = _secret_value(args)
     with _dealer_write(args) as (board, state):
         pkg = dealer.share_secret(state, board.params, board.roster, secret, structure, _rng(args))

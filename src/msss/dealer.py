@@ -2,12 +2,13 @@
 the dynamic updates (renew a secret, add or remove a qualified set, remove
 a participant).
 
-The dealer owns the factorization of n, plus one private record per shared
-secret. That record keeps the exponent s0, the line slope, and the secret
-itself: without them the dealer could never extend an existing package with
-a new qualified set. phi(n) and the next secret id are derived from these,
-never stored. Everything a dealer operation returns is public and meant for
-the bulletin; nothing private ever appears in a SecretPackage.
+The dealer owns the factorization of n, each shared secret, and the
+package it published for it. That is all it needs to extend a package with
+a new qualified set: the exponent s0 is h0**-1 mod phi(n) and the line slope
+is f1 - secret mod m, both read off the package. phi(n) and the next secret
+id are derived too, never stored. Everything a dealer operation returns is
+public and meant for the bulletin; nothing private ever appears in a
+SecretPackage.
 
 Randomized operations draw from an optional ``rng`` (any
 ``random.Random``-alike, a secure source by default) in a fixed order, so
@@ -94,32 +95,20 @@ class SecretPackage:
 
 
 @dataclass
-class DealerSecretRecord:
-    """Private per-secret state; required for the dynamic updates."""
-
-    s0: int
-    slope: int
-    secret: int
-    package: SecretPackage
-
-
-@dataclass
 class DealerState:
-    """Private dealer state, never published: only what cannot be derived,
-    the factors of n and the records s1, s2, ... in publishing order."""
+    """Private dealer state, never published: the factors of n and, by
+    secret id s1, s2, ... in publishing order, each secret and the package
+    the board publishes for it. The package copy is what exposes a lost
+    dealer write; phi(n), s0 and the slope are derived, never stored."""
 
     p: int
     q: int
-    records: dict[str, DealerSecretRecord] = field(default_factory=dict)
+    secrets: dict[str, int] = field(default_factory=dict)
+    packages: dict[str, SecretPackage] = field(default_factory=dict)
 
     @property
     def phi(self) -> int:
         return (self.p - 1) * (self.q - 1)
-
-    @property
-    def packages(self) -> dict[str, SecretPackage]:
-        """Every record's package by secret id: exactly what the board publishes."""
-        return {sid: record.package for sid, record in self.records.items()}
 
 
 def setup(
@@ -203,9 +192,9 @@ def _publish(
     roster: Roster,
     rng,
 ) -> SecretPackage:
-    """Build a complete package under fresh randomness and store its
-    private record under ``secret_id``. Shared by share_secret,
-    renew_secret, and remove_participant."""
+    """Build a complete package under fresh randomness and store it and
+    the secret under ``secret_id``. Shared by share_secret, renew_secret,
+    and remove_participant."""
     n, m = params.n, params.m
     if not structure.minimal_sets:
         raise EmptyStructure("cannot share under an empty access structure")
@@ -223,13 +212,14 @@ def _publish(
     ds = _sample_d(structure.set_count, m, rng)
     entries = _entries(params, roster, s0, line, structure.minimal_sets, ds)
     package = SecretPackage(secret_id=secret_id, ps0=ps0, h0=h0, f1=line.eval(1), entries=entries)
-    dealer.records[secret_id] = DealerSecretRecord(s0, slope, secret, package)
+    dealer.secrets[secret_id] = secret
+    dealer.packages[secret_id] = package
     return package
 
 
-def _require_record(dealer: DealerState, secret_id: str) -> DealerSecretRecord:
+def _require_package(dealer: DealerState, secret_id: str) -> SecretPackage:
     try:
-        return dealer.records[secret_id]
+        return dealer.packages[secret_id]
     except KeyError:
         raise UnknownSecret(f"no secret {secret_id!r}") from None
 
@@ -250,7 +240,7 @@ def share_secret(
     published secrets.
     """
     rng = rng or _default_rng
-    return _publish(dealer, params, f"s{len(dealer.records) + 1}", secret, structure, roster, rng)
+    return _publish(dealer, params, f"s{len(dealer.packages) + 1}", secret, structure, roster, rng)
 
 
 def renew_secret(
@@ -267,7 +257,7 @@ def renew_secret(
     when the new secret equals the old one. Other packages are untouched.
     """
     rng = rng or _default_rng
-    structure = _require_record(dealer, secret_id).package.structure()
+    structure = _require_package(dealer, secret_id).structure()
     return _publish(dealer, params, secret_id, new_secret, structure, roster, rng)
 
 
@@ -281,18 +271,21 @@ def add_qualified_set(
 ) -> SecretPackage:
     """Grant one more qualified set access to an already-shared secret.
 
-    Reuses the retained (s0, slope, secret) so existing entries stay valid,
-    and keeps the published structure a minimal antichain: a new set that
+    Reuses the secret and the line and exponent read off the package, so
+    existing entries stay valid: the slope is f1 - secret mod m, and
+    h0**-1 mod phi(n) is congruent to the drawn s0 modulo phi(n), both at
+    least 1, so on the squarefree n every mask ps_k**s0 comes out the same.
+    Keeps the published structure a minimal antichain: a new set that
     contains an existing one is rejected as pointless, while existing sets
     that strictly contain the new one stop being minimal and are dropped.
     """
     rng = rng or _default_rng
-    record = _require_record(dealer, secret_id)
+    package = _require_package(dealer, secret_id)
     members = frozenset(new_set)
     if not members:
         raise EmptySet("the new qualified set is empty")
     _check_enrolled(members, roster)
-    entries = record.package.entries
+    entries = package.entries
     for e in entries:
         if e.members <= members:
             detail = "duplicates" if e.members == members else "already contains"
@@ -302,21 +295,25 @@ def add_qualified_set(
             )
     kept = tuple(e for e in entries if not members < e.members)
     ds = _sample_d(1, params.m, rng, exclude={e.d for e in entries})
-    line = LinePoly(intercept=record.secret, slope=record.slope, modulus=params.m)
-    added = _entries(params, roster, record.s0, line, [members], ds)
-    record.package = replace(record.package, entries=kept + added)
-    return record.package
+    secret = dealer.secrets[secret_id]
+    line = LinePoly(intercept=secret, slope=(package.f1 - secret) % params.m, modulus=params.m)
+    s0 = mod_inv(package.h0, dealer.phi)
+    added = _entries(params, roster, s0, line, [members], ds)
+    dealer.packages[secret_id] = replace(package, entries=kept + added)
+    return dealer.packages[secret_id]
 
 
 def remove_qualified_set(dealer: DealerState, secret_id: str, set_index: int) -> SecretPackage:
     """Revoke one qualified set by deleting its public entry (1-based index)."""
-    record = _require_record(dealer, secret_id)
-    record.package.entry(set_index)  # IndexOutOfRange unless 1 <= set_index <= t
-    entries = record.package.entries
+    package = _require_package(dealer, secret_id)
+    package.entry(set_index)  # IndexOutOfRange unless 1 <= set_index <= t
+    entries = package.entries
     if len(entries) == 1:
         raise LastEntry(f"{secret_id} must keep at least one qualified set")
-    record.package = replace(record.package, entries=entries[: set_index - 1] + entries[set_index:])
-    return record.package
+    dealer.packages[secret_id] = replace(
+        package, entries=entries[: set_index - 1] + entries[set_index:]
+    )
+    return dealer.packages[secret_id]
 
 
 def remove_participant(
@@ -342,8 +339,8 @@ def remove_participant(
         raise UnknownParticipant(f"{pid} is not enrolled")
     plans: dict[str, AccessStructure] = {}
     emptied = []
-    for sid, record in dealer.records.items():
-        sets = [e.members for e in record.package.entries]
+    for sid, package in dealer.packages.items():
+        sets = [e.members for e in package.entries]
         if not any(pid in members for members in sets):
             continue
         kept = tuple(members for members in sets if pid not in members)
@@ -354,6 +351,6 @@ def remove_participant(
         raise StructureBecameEmpty(emptied)
     del roster[pid]
     return [
-        _publish(dealer, params, sid, dealer.records[sid].secret, structure, roster, rng)
+        _publish(dealer, params, sid, dealer.secrets[sid], structure, roster, rng)
         for sid, structure in plans.items()
     ]

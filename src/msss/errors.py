@@ -117,14 +117,14 @@ class UnmaskOutOfField(MsssError):
 
 
 class MalformedDocument(MsssError):
-    """A protocol file failed to parse, or a dealer file's records are not
-    named s1 ... sk."""
+    """A protocol file failed to parse, or a dealer file's secrets and
+    packages are not both named s1 ... sk."""
     exit_code = 18
 
 
 class InvariantViolation(MsssError):
-    """A board parsed but violates a protocol invariant, or a dealer file is
-    not this board's (p*q is not n, or its packages are not the board's)."""
+    """A board violates a protocol invariant, or a dealer file is not this
+    board's: p*q is not n, or its packages or secrets do not match the board."""
     exit_code = 19
 
 

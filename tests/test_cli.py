@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from msss import bulletin, cli, combiner
+from msss import bulletin, cli, codec, combiner
 from msss.cli import main
 
 from conftest import TOY_SETUP, TOY_SHARE
@@ -156,10 +156,12 @@ class TestScriptedToySession:
         assert obj == {"id": "A", "s": "5", "ps": "2d"}
 
     def test_dealer_file_holds_only_what_cannot_be_derived(self, toy_files):
-        # phi(n) and the next secret id follow from p, q and the records
+        # phi(n) and the next secret id follow from p, q and the secrets, and
+        # s0 and the slope from each package, written as the board writes it
         obj = json.loads(toy_files["dealer"].read_text())
-        assert list(obj) == ["p", "q", "records"]
-        assert (obj["p"], obj["q"], list(obj["records"])) == ("b", "d", ["s1"])
+        assert list(obj) == ["p", "q", "secrets", "packages"]
+        assert (obj["p"], obj["q"], obj["secrets"]) == ("b", "d", {"s1": "64"})
+        assert obj["packages"] == json.loads(toy_files["board"].read_text())["packages"]
 
 
 def _write_contribution(world, name, pid, x, secret_id="s1"):
@@ -267,8 +269,23 @@ class TestStrictFiles:
             pytest.param(lambda obj: obj.update(note="x"), ["note"], id="note-x"),
             # share names the next secret s<k+1>, which would be s2 again
             pytest.param(
-                lambda obj: obj.update(records={"s2": obj["records"]["s1"]}), ["s2"],
+                lambda obj: obj.update(
+                    secrets={"s2": obj["secrets"]["s1"]}, packages={"s2": obj["packages"]["s1"]}
+                ),
+                ["s2"],
                 id="only-record-s2",
+            ),
+            # written while the dealer file stored s0 and the slope; convert it
+            # by moving each record's secret and package out of "records"
+            pytest.param(
+                lambda obj: obj.update(
+                    records={
+                        "s1": {"s0": "7", "slope": "5", "secret": obj.pop("secrets")["s1"],
+                               "package": obj.pop("packages")["s1"]},
+                    }
+                ),
+                ["records"],
+                id="records-with-s0-and-slope",
             ),
             # written before phi(n) and the next index were derived; once
             # trusted, a wrong phi made every honest member a cheater
@@ -504,6 +521,27 @@ class TestDealerWrite:
             "update", "add-set", "--secret-id", "s1", "--set", "B", "--seed", 3,
         )
 
+    @pytest.mark.parametrize("forgery", ["secret-plus-one", "secret-m-with-its-tags"])
+    def test_secret_that_does_not_open_its_package(self, run, toy_files, forgery):
+        # once accepted: add-set published an entry whose honest
+        # reconstruction printed a wrong value and "tag: mismatch"
+        obj = json.loads(toy_files["dealer"].read_text())
+        if forgery == "secret-plus-one":
+            obj["secrets"]["s1"] = "65"
+        else:
+            # the tags accept m = 149, which is no field element
+            obj["secrets"]["s1"] = "95"
+            board = json.loads(toy_files["board"].read_text())
+            for doc in (obj, board):
+                doc["packages"]["s1"]["entries"][0]["tag"] = codec.tag(149, 7, 1).hex()
+            toy_files["board"].write_text(json.dumps(board))
+        toy_files["dealer"].write_text(json.dumps(obj))
+        files = (toy_files["board"].read_bytes(), toy_files["dealer"].read_bytes())
+        self._assert_refused(
+            run, toy_files, files, "s1",
+            "update", "add-set", "--secret-id", "s1", "--set", "B", "--seed", 3,
+        )
+
     @pytest.mark.parametrize("factors", ["other-board", "1-and-n"])
     def test_dealer_file_of_another_board(self, run, tmp_path, factors):
         # both boards are fresh, so their (empty) package lists agree; a
@@ -520,7 +558,7 @@ class TestDealerWrite:
             assert run("setup", "--bits", 16, "--board", tmp_path / "other-board.json",
                        "--dealer", dealer, "--seed", 2)[0] == 0
         else:
-            dealer.write_text(json.dumps({"p": "1", "q": "8f", "records": {}}))
+            dealer.write_text(json.dumps({"p": "1", "q": "8f", "secrets": {}, "packages": {}}))
         files = (board.read_bytes(), dealer.read_bytes())
         code, out, err = run("share", "--secret", 5, "--sets", "A,B", "--board", board,
                              "--dealer", dealer, "--seed", 3)
@@ -534,11 +572,12 @@ class TestDealerWrite:
 # code of each step, the SHA-256 of every file it leaves, one SHA-256 over
 # the board after every step and one over the dealer file after every step.
 # The outputs, the board history and every file but dealer.json were
-# recorded before the dealer's write path was unified; dealer.json and its
+# recorded before the dealer's write path was unified. dealer.json and its
 # history were recorded again when the dealer file stopped storing phi(n)
-# and the next secret index, and at every step it is the earlier file with
-# those two keys removed. A refactor of the write path must not change a
-# byte of it.
+# and the next secret index, and again when it stopped storing s0 and the
+# slope: at every step it is the earliest file with phi and next_index
+# removed and each record's secret and package moved into "secrets" and
+# "packages". A refactor of the write path must not change a byte of it.
 GOLDEN_BOARD = ("--board", "board.json")
 GOLDEN_DEALER = GOLDEN_BOARD + ("--dealer", "dealer.json")
 GOLDEN_SESSION = [
@@ -590,10 +629,10 @@ GOLDEN_SHA256 = {
     "board.json": "2a708e560eb488a6891244bff9dd374413875154d15ee0193e443d09a4183080",
     "board.json.lock": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "d2.x": "ed7b783a57c5ec19d9ddb26625c843d183a7fa8a3a8c368fda9646c8a6ee1383",
-    "dealer.json": "96ee31665af6100c07e042ab23f9c1e189fa7692a1c0685867906182feece482",
+    "dealer.json": "6ea6a0ad3d3b6955e1818b64c762207816f12565982ee561f5fdaa5914602439",
 }
 GOLDEN_BOARD_HISTORY_SHA256 = "25be2cb1dd8d1479911fe80e409511c1793ed9cef8a2dd93b40d3f48bace3fde"
-GOLDEN_DEALER_HISTORY_SHA256 = "d0e925057e7b3f5f0dfa9e49010a4d3c3c412f13dcdfd9191fb55a3e614d5727"
+GOLDEN_DEALER_HISTORY_SHA256 = "31f1e37f9d3ee9d4f0d2655bbf47d3f61920f42fb9303a04188614289a2877d5"
 
 
 def test_golden_session(run, tmp_path, monkeypatch):
@@ -636,6 +675,22 @@ class TestExitCodes:
             "--key-out", toy_files["tmp"] / "again.json",
         )
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "pid", ["", " ", "C,D", "C|D", " C"], ids=["empty", "blank", "comma", "bar", "padded"]
+    )
+    def test_enroll_refuses_an_id_no_set_can_name(self, run, toy_files, pid):
+        # "" once wrote its key file before failing; the others enrolled
+        key = toy_files["tmp"] / "kc.json"
+        board = toy_files["board"].read_bytes()
+        code, out, err = run(
+            "enroll", "--id", pid, "--board", toy_files["board"], "--key-out", key, "--seed", 1
+        )
+        assert code == 25
+        assert out == ""
+        assert repr(pid) in err
+        assert not key.exists()
+        assert toy_files["board"].read_bytes() == board
 
     def test_nested_sets_rejected(self, run, toy_files):
         code, _, err = run(

@@ -14,7 +14,7 @@ from msss.errors import (
     UnknownParticipant,
     UnknownSecret,
 )
-from msss.numtheory import is_probable_prime
+from msss.numtheory import is_probable_prime, mod_inv
 from msss.simulate import attack_entry
 
 from conftest import TOY_SETUP, make_toy_world
@@ -126,8 +126,9 @@ class TestShareSecret:
         roster = {pid: k.ps for pid, k in keys.items()}
         structure = accessstruct.validate_minimal([["A", "B"], ["B", "C"], ["A", "C"]])
         pkg = dealer.share_secret(state, params, roster, 1234 % params.m, structure, rng)
+        s0 = mod_inv(pkg.h0, state.phi)
         for ps in roster.values():
-            lifted = pow(ps, state.records["s1"].s0, params.n)
+            lifted = pow(ps, s0, params.n)
             assert pow(lifted, pkg.h0, params.n) == ps
 
     def test_one_mask_per_member(self, monkeypatch):
@@ -146,7 +147,7 @@ class TestShareSecret:
         pkg = dealer.share_secret(state, params, roster, 99, structure, rng)
         # ps0 = g**s0, then one mask per member although each is in two sets
         assert sorted(bases) == sorted([params.g, *roster.values()])
-        s0 = state.records["s1"].s0
+        s0 = mod_inv(pkg.h0, state.phi)
         for j, e in enumerate(pkg.entries, 1):
             masks = [pow(roster[pid], s0, params.n) for pid in e.members]
             assert combiner.unmask(params, pkg, j, masks) == 99
@@ -181,7 +182,7 @@ class TestRenew:
         )
         before = bulletin.package_to_obj(other)
         dealer.renew_secret(toy.state, toy.params, toy.roster, "s1", 55, random.Random(3))
-        assert bulletin.package_to_obj(toy.state.records["s2"].package) == before
+        assert bulletin.package_to_obj(toy.state.packages["s2"]) == before
 
     def test_unknown_secret(self, toy):
         with pytest.raises(UnknownSecret):
@@ -223,6 +224,22 @@ class TestAddQualifiedSet:
         recovered = combiner.reconstruct(toy.params, pkg, 1, [c], toy.roster)
         assert recovered == 100
         assert combiner.verify_secret(pkg, 1, recovered, toy.params.width)
+
+    def test_exponent_read_off_the_package_may_differ_from_the_drawn_one(self):
+        # s0 = 121 > phi(n) = 120 is a valid draw (coprime to phi, at most n);
+        # h0 = 1 gives back s0 = 1, and ps**121 = ps**1 mod 143 for every ps
+        params, state = dealer.setup(4, ScriptedRandom(TOY_SETUP))
+        keys, roster = _enroll_three(params)
+        structure = accessstruct.validate_minimal([["A", "B"]])
+        rng = ScriptedRandom([121, 5, 7])
+        pkg = dealer.share_secret(state, params, roster, 100, structure, rng)
+        assert pkg.h0 == 1
+        pkg = dealer.add_qualified_set(state, params, roster, "s1", ["C"], ScriptedRandom([9]))
+        entry = pkg.entry(2)
+        assert (entry.members, entry.d) == (frozenset("C"), 9)
+        assert entry.masked == ((100 + 5 * 9) % 149) ^ naive_mod_exp(roster["C"], 121, 143)
+        c = participant.contribute(params, keys["C"], pkg, 2)
+        assert combiner.reconstruct(params, pkg, 2, [c], roster) == 100
 
     def test_incomparable_set_appended(self, toy):
         key_c = participant.keygen(toy.params, "C", ScriptedRandom([9]))
@@ -286,8 +303,8 @@ class TestRemoveQualifiedSet:
     def test_removed_set_loses_access(self, toy):
         self._two_entry_package(toy)
         cached = [
-            participant.contribute(toy.params, toy.key_a, toy.state.records["s1"].package, 1),
-            participant.contribute(toy.params, toy.key_b, toy.state.records["s1"].package, 1),
+            participant.contribute(toy.params, toy.key_a, toy.state.packages["s1"], 1),
+            participant.contribute(toy.params, toy.key_b, toy.state.packages["s1"], 1),
         ]
         pkg = dealer.remove_qualified_set(toy.state, "s1", 1)
         assert all(e.members != frozenset("AB") for e in pkg.entries)
@@ -337,11 +354,11 @@ class TestRemoveParticipant:
         params, state, keys, roster, s1, s2 = self._world()
         key_d = participant.keygen(params, "D", random.Random(9))
         roster["D"] = key_d.ps
-        before = {sid: bulletin.package_to_obj(r.package) for sid, r in state.records.items()}
+        before = {sid: bulletin.package_to_obj(pkg) for sid, pkg in state.packages.items()}
         renewed = dealer.remove_participant(state, params, roster, "D", random.Random(4))
         assert renewed == []
         assert "D" not in roster
-        after = {sid: bulletin.package_to_obj(r.package) for sid, r in state.records.items()}
+        after = {sid: bulletin.package_to_obj(pkg) for sid, pkg in state.packages.items()}
         assert before == after
 
     def test_last_set_blocks_removal(self, toy):
@@ -350,7 +367,7 @@ class TestRemoveParticipant:
         assert info.value.secret_ids == ["s1"]
         # nothing was mutated
         assert "B" in toy.roster
-        assert toy.state.records["s1"].package == toy.package
+        assert toy.state.packages["s1"] == toy.package
 
     def test_unknown_participant(self, toy):
         with pytest.raises(UnknownParticipant):
