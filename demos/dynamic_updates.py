@@ -50,7 +50,7 @@ def session(pkg, j, members, forged=None):
     try:
         got = reconstruct(params, pkg, j, contribs, roster)
     except BadContribution as exc:
-        print(f"  set {j}: cheater detected -> {exc.pid}")
+        print(f"  set {j}: cheater detected -> {', '.join(exc.pids)}")
         return
     ok = verify_secret(pkg, j, got, params.width)
     print(f"  set {j}: recovered {got}, tag {'ok' if ok else 'MISMATCH'}")

@@ -17,7 +17,7 @@ from .accessstruct import (
     validate_minimal,
 )
 from .bulletin import Board, from_document, load, save, to_document
-from .codec import encode_fixed, mask_width, tag, xor_combine
+from .codec import mask_width, tag, xor_combine
 from .combiner import check_contributions, reconstruct, verify_contribution, verify_secret
 from .dealer import (
     DealerState,
@@ -32,8 +32,7 @@ from .dealer import (
     share_secret,
 )
 from .errors import MsssError
-from .linepoly import LinePoly, interpolate_line
-from .numtheory import gen_prime, mod_inv
+from .linepoly import LinePoly
 from .participant import Contribution, ParticipantKey, contribute, keygen
 from .simulate import SimulationConfig, run_simulation
 
@@ -55,16 +54,12 @@ __all__ = [
     "add_qualified_set",
     "check_contributions",
     "contribute",
-    "encode_fixed",
     "from_document",
-    "gen_prime",
-    "interpolate_line",
     "is_authorized",
     "keygen",
     "load",
     "mask_width",
     "matching_set_index",
-    "mod_inv",
     "reconstruct",
     "remove_participant",
     "remove_qualified_set",

@@ -20,9 +20,10 @@ are lowercase hex with no leading zeros; tags are 64 hex chars):
       }
     }
 
-Identical boards serialize byte-identically, and ``load`` re-checks every
-public invariant before returning, so a tampered or hand-edited document
-either fails loudly here or is caught later by the tag check.
+Identical boards serialize byte-identically. ``load`` checks every public
+invariant, so a tampered or hand-edited document either fails loudly here
+or is caught later by the tag check; saving only serializes, as the system
+writes no board that breaks one (see ``Board.validate``).
 
 The private dealer state, participant key files and contribution files go
 through the same writer and reader, in the same JSON style: every file is
@@ -79,7 +80,9 @@ class Board:
     revision: int = 0
 
     def validate(self) -> None:
-        """Re-check every public invariant; raises InvariantViolation."""
+        """Check a board read from outside; raises InvariantViolation. A board
+        built by ``dealer.setup``, ``enroll`` or a dealer operation on a loaded
+        board keeps every invariant, so only ``from_document`` calls this."""
         p = self.params
         if p.n < 4:
             raise InvariantViolation("n too small to be a product of two primes")
@@ -221,8 +224,7 @@ def packages_from_obj(value, prefix: str = "") -> dict[str, SecretPackage]:
 
 
 def to_document(board: Board) -> str:
-    """Canonical serialization; identical boards give identical bytes."""
-    board.validate()
+    """Canonical serialization, no checks; identical boards give identical bytes."""
     obj = {
         "revision": board.revision,
         "params": {
@@ -238,7 +240,7 @@ def to_document(board: Board) -> str:
 
 
 def from_document(text: str) -> Board:
-    """Parse a bulletin document and re-validate all invariants.
+    """Parse a bulletin document and check all its invariants.
 
     Raises MalformedDocument for syntax or shape problems and
     InvariantViolation (naming the rule) for semantic ones.
@@ -264,7 +266,7 @@ def from_document(text: str) -> Board:
 
 
 def save(board: Board, path) -> str:
-    """Write the canonical document atomically; returns the document."""
+    """Write the canonical document atomically, with no checks; returns it."""
     doc = to_document(board)
     _write(doc, path)
     return doc

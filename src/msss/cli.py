@@ -27,6 +27,7 @@ from .errors import (
     BadContribution,
     BoardIOError,
     DuplicateParticipant,
+    InvariantViolation,
     MsssError,
     NoSuchSet,
     UnknownSecret,
@@ -173,6 +174,9 @@ def cmd_contribute(args) -> int:
     board, pkg, j = _session(args)
     key = bulletin.load_key(args.key)
     c = participant.contribute(board.params, key, pkg, j)
+    # a roster value that is not this key's would get its holder blamed
+    if not board.roster[key.pid] == key.ps == pow(board.params.g, key.s, board.params.n):
+        raise InvariantViolation(f"the board's pseudo-share of {key.pid} is not this key's")
     bulletin.save_contribution(c, args.out)
     print(c.x)
     return 0

@@ -99,15 +99,11 @@ class ExtraContribution(MsssError):
 
 
 class BadContribution(MsssError):
-    """Contributions failed the public check; names every cheater, sorted.
-
-    ``pid`` is the first name, for callers that report one cheater.
-    """
+    """Contributions failed the public check; names every cheater, sorted."""
     exit_code = 15
 
     def __init__(self, pids):
         self.pids = sorted(pids)
-        self.pid = self.pids[0]
         super().__init__(f"contribution from {', '.join(self.pids)} failed verification")
 
 
@@ -123,8 +119,9 @@ class MalformedDocument(MsssError):
 
 
 class InvariantViolation(MsssError):
-    """A board violates a protocol invariant, or a dealer file is not this
-    board's: p*q is not n, or its packages or secrets do not match the board."""
+    """A board violates a protocol invariant, a dealer file is not this
+    board's (p*q is not n, or its packages or secrets do not match the
+    board), or a key file's pseudo-share is not the board's."""
     exit_code = 19
 
 

@@ -104,18 +104,14 @@ def run_simulation(config: SimulationConfig) -> dict:
     keys = {pid: participant.keygen(params, pid, rng) for pid in pids}
     roster = {pid: keys[pid].ps for pid in pids}
 
-    packages: dict[str, dealer.SecretPackage] = {}
-    secrets: dict[str, int] = {}
     for _ in range(config.secrets):
         structure = random_antichain(rng, pids, config.max_minimal_sets, config.max_set_size)
         value = rng.randrange(0, params.m)
-        pkg = dealer.share_secret(state, params, roster, value, structure, rng)
-        packages[pkg.secret_id] = pkg
-        secrets[pkg.secret_id] = value
+        dealer.share_secret(state, params, roster, value, structure, rng)
 
     sessions = []
     probes = []
-    for sid, pkg in packages.items():
+    for sid, pkg in state.packages.items():
         for j in range(1, pkg.set_count + 1):
             members = sorted(pkg.entry(j).members)
             honest = {
@@ -147,7 +143,7 @@ def run_simulation(config: SimulationConfig) -> dict:
                 session["tag"] = None
             else:
                 tag_ok = combiner.verify_secret(pkg, j, got, params.width)
-                session["outcome"] = "recovered" if got == secrets[sid] else "wrong-secret"
+                session["outcome"] = "recovered" if got == state.secrets[sid] else "wrong-secret"
                 session["tag"] = "ok" if tag_ok else "mismatch"
             sessions.append(session)
 

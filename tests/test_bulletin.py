@@ -1,12 +1,17 @@
 import dataclasses
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from msss import combiner, participant
+from msss import combiner, dealer, participant
+from msss.accessstruct import validate_minimal
 from msss.bulletin import Board, from_document, load, save, to_document
 from msss.errors import (
     BoardIOError,
+    DuplicateParticipant,
     InvariantViolation,
     MalformedDocument,
     MsssError,
@@ -79,7 +84,7 @@ class TestValidation:
         pkg = dataclasses.replace(toy.package, entries=(entry, twin))
         board = Board(params=toy.params, roster=dict(toy.roster), packages={"s1": pkg})
         with pytest.raises(InvariantViolation, match="duplicate d"):
-            to_document(board)
+            from_document(to_document(board))
 
     def test_composite_m_rejected(self, toy):
         doc = to_document(_toy_board(toy))
@@ -115,7 +120,7 @@ class TestValidation:
         pkg = dataclasses.replace(toy.package, entries=(entry, smaller))
         board = Board(params=toy.params, roster=dict(toy.roster), packages={"s1": pkg})
         with pytest.raises(InvariantViolation, match="contained in"):
-            to_document(board)
+            from_document(to_document(board))
 
     @pytest.mark.parametrize(
         "where, value",
@@ -140,7 +145,7 @@ class TestValidation:
         pkg = dataclasses.replace(toy.package, entries=(entry,))
         board = Board(params=toy.params, roster=dict(toy.roster), packages={"s1": pkg})
         with pytest.raises(InvariantViolation, match="outside"):
-            to_document(board)
+            from_document(to_document(board))
 
 
 HANDWRITTEN_TOY_DOC = """\
@@ -222,3 +227,66 @@ def test_single_character_corruptions_never_yield_a_wrong_accepted_secret(toy):
                 outcomes["true-secret"] += 1
     assert outcomes["error"] > 0
     assert outcomes["tag-rejected"] > 0
+
+
+# A seeded 16-bit world for the dealer operations below; each example starts
+# from its empty board with a fresh dealer state.
+_PARAMS, _STATE = dealer.setup(16, random.Random(5))
+_PIDS = st.sampled_from("ABCD")
+_SIDS = st.sampled_from(["s1", "s2"])
+_SECRETS = st.integers(0, _PARAMS.m)  # m itself is refused
+_OPS = st.one_of(
+    st.tuples(st.just("enroll"), _PIDS),
+    st.tuples(
+        st.just("share"),
+        st.lists(st.frozensets(_PIDS, min_size=1, max_size=2), min_size=1, max_size=3),
+        _SECRETS,
+    ),
+    st.tuples(st.just("renew"), _SIDS, _SECRETS),
+    st.tuples(st.just("add-set"), _SIDS, st.frozensets(_PIDS, max_size=2)),
+    st.tuples(st.just("remove-set"), _SIDS, st.integers(0, 3)),
+    st.tuples(st.just("remove-participant"), _PIDS),
+)
+
+
+def _apply(op, state, roster, rng) -> None:
+    """One library operation, as `msss enroll`, `share` or `update` runs it."""
+    kind, *args = op
+    if kind == "enroll":
+        if args[0] in roster:
+            raise DuplicateParticipant(args[0])
+        roster[args[0]] = participant.keygen(_PARAMS, args[0], rng).ps
+    elif kind == "share":
+        structure = validate_minimal([frozenset(members) for members in args[0]])
+        dealer.share_secret(state, _PARAMS, roster, args[1], structure, rng)
+    elif kind == "renew":
+        dealer.renew_secret(state, _PARAMS, roster, *args, rng)
+    elif kind == "add-set":
+        dealer.add_qualified_set(state, _PARAMS, roster, *args, rng)
+    elif kind == "remove-set":
+        dealer.remove_qualified_set(state, *args)
+    else:
+        dealer.remove_participant(state, _PARAMS, roster, *args, rng)
+
+
+@given(ops=st.lists(_OPS, min_size=6, max_size=16), seed=st.integers(0, 2**32))
+@settings(max_examples=50, deadline=None)
+def test_every_board_the_operations_build_passes_the_reader(ops, seed):
+    """The writer does not check a board because every board the system
+    writes is one of these, and the reader accepts each of them; a refused
+    operation changes nothing."""
+    rng = random.Random(seed)
+    state = dealer.DealerState(_STATE.p, _STATE.q)
+    board = Board(params=_PARAMS)
+    assert from_document(to_document(board)) == board
+    start = [("enroll", "A"), ("enroll", "B"), ("enroll", "C"), ("share", ["AB", "C"], 1)]
+    for op in start + ops:
+        before = (dict(state.secrets), dict(state.packages), dict(board.roster))
+        try:
+            _apply(op, state, board.roster, rng)
+        except MsssError:
+            assert (state.secrets, state.packages, board.roster) == before, op
+            continue
+        board.packages = dict(state.packages)
+        board.revision += 1
+        assert from_document(to_document(board)) == board, op

@@ -239,6 +239,53 @@ class TestOneVerdict:
         assert "Z" in err
 
 
+class TestContributeChecksTheKey:
+    """`msss contribute` refuses (exit 19) unless the board's pseudo-share
+    of the key holder is the key's own, so a tampered board cannot get an
+    honest member named a cheater."""
+
+    @pytest.mark.parametrize("case", ["tampered-roster", "key-of-another-board"])
+    def test_refuses_a_key_the_board_does_not_hold(self, run, toy_files, case):
+        key = toy_files["keys"]["A"]
+        if case == "tampered-roster":
+            # g^3 mod n is a unit, so the board still loads
+            obj = json.loads(toy_files["board"].read_text())
+            obj["roster"]["A"] = format(pow(15, 3, 143), "x")
+            toy_files["board"].write_text(json.dumps(obj))
+            bulletin.load(toy_files["board"])
+        else:
+            # same n and s_A = 5, but g = 20, so ps = 89 where the board has 45
+            other = toy_files["tmp"] / "other"
+            other.mkdir()
+            key = other / "key_A.json"
+            assert run("setup", "--bits", 4, "--board", other / "b.json",
+                       "--dealer", other / "d.json", script=(3, 5, 20))[0] == 0
+            assert run("enroll", "--id", "A", "--board", other / "b.json",
+                       "--key-out", key, script=[5])[0] == 0
+        out_path = toy_files["tmp"] / "ca.json"
+        code, out, err = run(
+            "contribute", "--board", toy_files["board"], "--key", key,
+            "--secret-id", "s1", "--set", "A,B", "--out", out_path,
+        )
+        assert code == 19
+        assert out == ""
+        assert "pseudo-share of A" in err
+        assert not out_path.exists()
+
+    def test_non_member_still_exits_9(self, run, toy_files):
+        key_c = toy_files["tmp"] / "kc.json"
+        assert run("enroll", "--id", "C", "--board", toy_files["board"],
+                   "--key-out", key_c, script=[9])[0] == 0
+        out_path = toy_files["tmp"] / "cc.json"
+        code, out, _ = run(
+            "contribute", "--board", toy_files["board"], "--key", key_c,
+            "--secret-id", "s1", "--set", "A,B", "--out", out_path,
+        )
+        assert code == 9
+        assert out == ""
+        assert not out_path.exists()
+
+
 class TestStrictFiles:
     """Key, contribution and dealer files are parsed as strictly as the
     board: a malformed one exits 18 and nothing is printed or written."""
@@ -767,6 +814,21 @@ class TestSimulateCommand:
         report = json.loads(out_a)
         assert report["summary"]["cheaters_missed"] == 0
         assert report["summary"]["unauthorized_accepted"] == 0
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (7, "bbefa95d814e37cd20f00f412d619fd784481797eeff3df10ba99ce9663d5375"),
+            (3, "9207d19327685ae5c0d8323ade8acc958825ea4d15d387d9be482f5b74cf9703"),
+            (11, "e0337438d4336c8fe4050d63d5b0d91bf870e7941379fb8aae8768e4cb5cf7ba"),
+        ],
+    )
+    def test_golden_report(self, run, seed, digest):
+        # SHA-256 of the whole report; a refactor must not change a byte of it
+        code, out, _ = run("simulate", "--participants", 6, "--secrets", 4, "--cheaters", 1,
+                           "--bits", 64, "--seed", seed)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_timing_goes_to_stderr_not_the_report(self, run):
         code, out, err = run("simulate", "--participants", 3, "--secrets", 1, "--seed", 2)

@@ -50,7 +50,7 @@ class TestVerifyContribution:
         c_b = participant.contribute(toy.params, toy.key_b, toy.package, 1)
         with pytest.raises(BadContribution) as info:
             combiner.reconstruct(toy.params, toy.package, 1, [lifted, c_b], toy.roster)
-        assert info.value.pid == "A"
+        assert info.value.pids == ["A"]
 
 
 class TestReconstruct:
@@ -69,7 +69,7 @@ class TestReconstruct:
         forged = dataclasses.replace(c_a, x=c_a.x ^ 1)
         with pytest.raises(BadContribution) as info:
             combiner.reconstruct(toy.params, toy.package, 1, [forged, c_b], toy.roster)
-        assert info.value.pid == "A"
+        assert info.value.pids == ["A"]
 
     def test_cheating_unit_named_deterministically(self, toy):
         c_a, c_b = _toy_contributions(toy)
@@ -81,7 +81,7 @@ class TestReconstruct:
             forged = dataclasses.replace(c_b, x=x)
             with pytest.raises(BadContribution) as info:
                 combiner.reconstruct(toy.params, toy.package, 1, [c_a, forged], toy.roster)
-            assert info.value.pid == "B"
+            assert info.value.pids == ["B"]
 
     def test_every_cheater_named_in_sorted_order(self, toy):
         c_a, c_b = _toy_contributions(toy)
@@ -89,7 +89,6 @@ class TestReconstruct:
         with pytest.raises(BadContribution) as info:
             combiner.reconstruct(toy.params, toy.package, 1, forged, toy.roster)
         assert info.value.pids == ["A", "B"]
-        assert info.value.pid == "A"
 
     def test_duplicate_contribution(self, toy):
         c_a, _ = _toy_contributions(toy)
