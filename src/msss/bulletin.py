@@ -110,8 +110,10 @@ class Board:
                 raise InvariantViolation(f"{sid}: no qualified sets")
             if not 0 <= pkg.ps0 < p.n or math.gcd(pkg.ps0, p.n) != 1:
                 raise InvariantViolation(f"{sid}: ps0 is not a reduced unit mod n")
-            if pkg.h0 < 1:
-                raise InvariantViolation(f"{sid}: h0 must be positive")
+            # ps0 = g^s0 and h0 = s0^-1 mod phi(n): this identity is what lets an
+            # honest contribution x = ps0^s pass x^h0 == g^s
+            if pow(pkg.ps0, pkg.h0, p.n) != p.g:
+                raise InvariantViolation(f"{sid}: ps0^h0 is not g mod n")
             if not 0 <= pkg.f1 < p.m:
                 raise InvariantViolation(f"{sid}: f1 not a field element")
             ds = [e.d for e in pkg.entries]

@@ -2,6 +2,10 @@
 inverses. Modular exponentiation is the built-in three-argument ``pow``
 and the gcd is ``math.gcd``.
 
+Primality is Baillie-PSW (a strong Miller-Rabin round to base 2 and a
+strong Lucas test) plus RANDOM_ROUNDS Miller-Rabin rounds with random
+bases, after trial division by the primes below 1000.
+
 Randomized routines take an optional ``rng`` (any ``random.Random``-alike);
 the default is a cryptographically secure source. Passing a seeded
 ``random.Random`` makes them fully deterministic, Miller-Rabin bases
@@ -15,8 +19,9 @@ import random
 
 from .errors import NotInvertible
 
-# A composite survives 40 Miller-Rabin rounds with probability < 4**-40 = 2**-80.
-MR_ROUNDS = 40
+# Random-base Miller-Rabin rounds after Baillie-PSW: a composite, even one
+# chosen to fool Baillie-PSW, survives both with probability at most 4**-2.
+RANDOM_ROUNDS = 2
 
 _default_rng = random.SystemRandom()
 
@@ -53,9 +58,81 @@ def mod_inv(a: int, modulus: int) -> int:
         raise NotInvertible(f"{a} has no inverse modulo {modulus} (gcd is {gcd})") from None
 
 
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_mr(n: int, a: int) -> bool:
+    """One strong Miller-Rabin round: is odd n > 3 a strong probable prime
+    to base a, 2 <= a <= n - 2?"""
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**r, d odd
+    x = pow(a, (n - 1) >> r, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of odd n > 3 with Selfridge's
+    parameters (method A): D is the first of 5, -7, 9, -11, ... with
+    (D/n) = -1, P = 1 and Q = (1 - D) / 4."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # (D/n) is never -1 for a square: the search would not end
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return n == abs(D)  # D shares a factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = d * 2**s, d odd
+    d = (n + 1) >> s
+    # U_k, V_k and Q**k mod n, from k = 1 up to k = d along the bits of d
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U = U * V % n
+        V = (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+        if bit == "1":
+            # U_{k+1} = (U_k + V_k) / 2 and V_{k+1} = (D U_k + V_k) / 2, as P = 1
+            U, V = (U + V) % n, (D * U + V) % n
+            U = (U + n if U & 1 else U) >> 1
+            V = (V + n if V & 1 else V) >> 1
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qk) % n  # V_{2k}
+        Qk = Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
 def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
-    """Trial division by the primes below 1000, then MR_ROUNDS rounds of
-    Miller-Rabin."""
+    """Trial division by the primes below 1000, then Baillie-PSW (a strong
+    Miller-Rabin round to base 2 and a strong Lucas test), then
+    RANDOM_ROUNDS Miller-Rabin rounds with bases drawn from ``rng``.
+
+    No composite is known to pass Baillie-PSW, and none exists below 2**64;
+    one built to pass it still fails a random-base round with probability
+    at least 3/4 each. Only a number that passes Baillie-PSW draws bases.
+    """
     if n < 2:
         return False
     for p in SMALL_PRIMES:
@@ -65,24 +142,10 @@ def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
             return False
     if n < SMALL_PRIMES[-1] ** 2:
         return True  # trial division above was exhaustive
+    if not (_strong_mr(n, 2) and _strong_lucas(n)):
+        return False
     rng = rng or _default_rng
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for _ in range(MR_ROUNDS):
-        a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = pow(x, 2, n)
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return all(_strong_mr(n, rng.randrange(2, n - 1)) for _ in range(RANDOM_ROUNDS))
 
 
 def gen_prime(bits: int, rng: random.Random | None = None) -> int:

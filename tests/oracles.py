@@ -70,3 +70,27 @@ def bytewise_xor(value: int, masks, width: int) -> int:
         for i, b in enumerate(mask.to_bytes(width, "big")):
             acc[i] ^= b
     return int.from_bytes(acc, "big")
+
+
+def miller_rabin(n: int, rng, rounds: int = 40) -> bool:
+    """Miller-Rabin with ``rounds`` bases drawn from ``rng``: a composite
+    passes with probability below 4**-rounds."""
+    if n < 4:
+        return n in (2, 3)
+    if n % 2 == 0:
+        return False
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for _ in range(rounds):
+        x = pow(rng.randrange(2, n - 1), d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = pow(x, 2, n)
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True

@@ -140,6 +140,14 @@ class TestValidation:
             from_document(json.dumps(obj))
         assert raised.value.exit_code == 19
 
+    @pytest.mark.parametrize("h0", [0, 102, 104])  # the toy package's h0 is 103
+    def test_h0_must_open_ps0_to_g(self, toy, h0):
+        obj = json.loads(to_document(_toy_board(toy)))
+        obj["packages"]["s1"]["h0"] = format(h0, "x")
+        with pytest.raises(InvariantViolation, match=r"s1: ps0\^h0 is not g mod n") as raised:
+            from_document(json.dumps(obj))
+        assert raised.value.exit_code == 19
+
     def test_d_of_one_rejected(self, toy):
         entry = dataclasses.replace(toy.package.entry(1), d=1)
         pkg = dataclasses.replace(toy.package, entries=(entry,))

@@ -286,6 +286,29 @@ class TestContributeChecksTheKey:
         assert not out_path.exists()
 
 
+class TestBoardChecksH0:
+    """A board whose h0 does not open ps0 to g is refused when it is read,
+    so no honest member is named a cheater for it."""
+
+    @pytest.mark.parametrize("command", ["contribute", "verify", "reconstruct"])
+    def test_tampered_h0_exits_19_at_load(self, run, toy_files, command):
+        paths = [_contribute(run, toy_files, pid, f"c{pid}.json")[0] for pid in "AB"]
+        obj = json.loads(toy_files["board"].read_text())
+        obj["packages"]["s1"]["h0"] = format(103 + 1, "x")
+        toy_files["board"].write_text(json.dumps(obj))
+        out_path = toy_files["tmp"] / "again.json"
+        if command == "contribute":
+            argv = ("contribute", "--board", toy_files["board"], "--key", toy_files["keys"]["A"],
+                    "--secret-id", "s1", "--set", "A,B", "--out", out_path)
+        else:
+            argv = (command, *_session_args(toy_files, paths))
+        code, out, err = run(*argv)
+        assert code == 19
+        assert out == ""
+        assert "s1: ps0^h0 is not g mod n" in err
+        assert not out_path.exists()
+
+
 class TestStrictFiles:
     """Key, contribution and dealer files are parsed as strictly as the
     board: a malformed one exits 18 and nothing is printed or written."""
@@ -804,6 +827,14 @@ class TestSecretText:
         assert recovered.to_bytes(1, "big").decode() == "d"
 
 
+# `msss simulate --participants 6 --secrets 4 --cheaters 1 --bits 64 --seed <seed>`
+GOLDEN_REPORT_SHA256 = {
+    7: "6c190cf36db9064ea0eb15a7d4c5992e22c36c61798a13bb0646640787ceb998",
+    3: "fc938abd28d3ffa170d28ca2880c038da117093f7a80b4a4338ee92f34a80b27",
+    11: "34ade3c010b5d0c78ab625a5f2aa42c34fd47dd53befb5b567bd3173ad412e3a",
+}
+
+
 class TestSimulateCommand:
     def test_deterministic_report(self, run):
         argv = ("simulate", "--participants", 4, "--secrets", 2, "--seed", 9, "--cheaters", 1)
@@ -815,20 +846,13 @@ class TestSimulateCommand:
         assert report["summary"]["cheaters_missed"] == 0
         assert report["summary"]["unauthorized_accepted"] == 0
 
-    @pytest.mark.parametrize(
-        "seed, digest",
-        [
-            (7, "bbefa95d814e37cd20f00f412d619fd784481797eeff3df10ba99ce9663d5375"),
-            (3, "9207d19327685ae5c0d8323ade8acc958825ea4d15d387d9be482f5b74cf9703"),
-            (11, "e0337438d4336c8fe4050d63d5b0d91bf870e7941379fb8aae8768e4cb5cf7ba"),
-        ],
-    )
-    def test_golden_report(self, run, seed, digest):
+    @pytest.mark.parametrize("seed", GOLDEN_REPORT_SHA256)
+    def test_golden_report(self, run, seed):
         # SHA-256 of the whole report; a refactor must not change a byte of it
         code, out, _ = run("simulate", "--participants", 6, "--secrets", 4, "--cheaters", 1,
                            "--bits", 64, "--seed", seed)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORT_SHA256[seed]
 
     def test_timing_goes_to_stderr_not_the_report(self, run):
         code, out, err = run("simulate", "--participants", 3, "--secrets", 1, "--seed", 2)

@@ -6,9 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msss.errors import NotInvertible
-from msss.numtheory import gen_prime, is_probable_prime, mod_inv, next_prime
+from msss.numtheory import (
+    _strong_lucas,
+    _strong_mr,
+    gen_prime,
+    is_probable_prime,
+    mod_inv,
+    next_prime,
+)
 
-from oracles import naive_mod_exp, scan_inverse, trial_division_factor
+from oracles import miller_rabin, naive_mod_exp, scan_inverse, trial_division_factor
 
 
 class TestModExp:
@@ -98,3 +105,59 @@ class TestPrimalityHelpers:
         assert next_prime(2) == 3
         assert next_prime(13) == 17
         assert next_prime(1) == 2
+
+
+class TestBailliePSW:
+    """Each half of Baillie-PSW rejects the pseudoprimes of the other."""
+
+    @pytest.mark.parametrize("n", [2047, 3277, 4033, 4681, 8321, 15841])  # OEIS A001262
+    def test_lucas_rejects_strong_base_2_pseudoprimes(self, n):
+        assert _strong_mr(n, 2)
+        assert not _strong_lucas(n)
+
+    @pytest.mark.parametrize("n", [5459, 5777, 10877, 16109, 18971])  # OEIS A217255
+    def test_base_2_rejects_strong_lucas_pseudoprimes(self, n):
+        assert _strong_lucas(n)
+        assert not _strong_mr(n, 2)
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            1093**2,  # Wieferich squares: Lucas rejects them by its square guard
+            3511**2,
+            3825123056546413051,
+            318665857834031151167461,
+        ],
+    )
+    def test_composites_past_trial_division_and_base_2(self, n):
+        assert trial_division_factor(n, 1000) is None
+        assert _strong_mr(n, 2)
+        assert not is_probable_prime(n, random.Random(0))
+
+    def test_lucas_rejects_a_square_before_the_search(self):
+        # (D/n) is never -1 on a square, and the first D with (D/n) = 0 has |D| = 2**61 - 1
+        assert not _strong_lucas((2**61 - 1) ** 2)
+
+    @given(
+        bits=st.integers(min_value=20, max_value=512),
+        kind=st.sampled_from(["odd", "prime", "two-primes"]),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_agrees_with_40_round_reference(self, bits, kind, seed):
+        rng = random.Random(seed)
+
+        def reference_prime(k):
+            n = rng.getrandbits(k) | (1 << (k - 1)) | 1
+            # the gcd skips most composites before a pow: 223092870 = 2*3*...*23
+            while math.gcd(n, 223092870) != 1 or not miller_rabin(n, rng):
+                n += 2
+            return n
+
+        if kind == "odd":
+            n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        elif kind == "prime":
+            n = reference_prime(bits)
+        else:
+            n = reference_prime(bits // 2) * reference_prime(bits - bits // 2)
+        assert is_probable_prime(n, rng) == miller_rabin(n, rng)
