@@ -295,10 +295,10 @@ def load_dealer(path, board: Board) -> DealerState:
 
     MalformedDocument unless the secrets and the packages are both named
     exactly s1 ... sk, then InvariantViolation unless p, q > 1 with p*q the
-    board's n, the packages are the board's, and each secret is below m and
-    matches every tag of its package: publishing from any other file would
-    sign under a wrong phi(n), overwrite or roll back a package, or add an
-    entry that no qualified set can open.
+    board's n and p != q, the packages are the board's, and each secret is
+    below m and matches every tag of its package: publishing from any other
+    file would sign under a wrong phi(n), overwrite or roll back a package,
+    or add an entry that no qualified set can open.
     """
     where = os.fspath(path)
     obj = _parse(_read(path), ("p", "q", "secrets", "packages"), where)
@@ -314,6 +314,9 @@ def load_dealer(path, board: Board) -> DealerState:
     p, q = hex_to_int(obj["p"], f"{where} p"), hex_to_int(obj["q"], f"{where} q")
     if not (p > 1 and q > 1 and p * q == board.params.n):
         raise InvariantViolation(f"{where} is not the dealer file of this board: p*q is not n")
+    if p == q:
+        # n = p*p has phi(n) = p*(p-1), not (p-1)**2, and no CRT split
+        raise InvariantViolation(f"{where} has p = q: n must have two distinct prime factors")
     m, width = board.params.m, board.params.width
     diverged = [
         sid

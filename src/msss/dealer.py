@@ -10,6 +10,13 @@ id are derived too, never stored. Everything a dealer operation returns is
 public and meant for the bulletin; nothing private ever appears in a
 SecretPackage.
 
+Only the dealer knows p and q, so only the dealer can split a pow mod n by
+the Chinese remainder theorem (Quisquater & Couvreur 1982): every dealer
+pow mod n (ps0 and each mask) is one pow mod p and one mod q, each with its
+exponent reduced mod p-1 or q-1, recombined by Garner's formula. That gives
+exactly pow(x, e, n) at well under half its cost; participants, combiners
+and verifiers, who know only n, pay the full pow.
+
 Randomized operations draw from an optional ``rng`` (any
 ``random.Random``-alike, a secure source by default) in a fixed order, so
 a seeded or scripted generator pins every drawn value.
@@ -139,6 +146,20 @@ def setup(
     return params, DealerState(p=p, q=q)
 
 
+def _pow_n(dealer: DealerState, x: int, e: int) -> int:
+    """pow(x, e, n) for any x >= 0 and e >= 1, computed mod p and mod q.
+
+    Reducing e mod p-1 is Fermat's little theorem for x prime to p; the
+    reduced exponent is taken in 1..p-1, never 0, so x = 0 mod p still
+    gives 0. Garner's formula lifts the two residues to the one value
+    below n = p*q.
+    """
+    p, q = dealer.p, dealer.q
+    xp = pow(x % p, (e - 1) % (p - 1) + 1, p)
+    xq = pow(x % q, (e - 1) % (q - 1) + 1, q)
+    return xq + q * ((xp - xq) * pow(q, -1, p) % p)
+
+
 def _sample_s0(phi: int, n: int, rng) -> int:
     while True:
         s0 = rng.randrange(2, n + 1)
@@ -164,14 +185,20 @@ def _check_enrolled(members: Iterable[ParticipantId], roster: Roster) -> None:
 
 
 def _entries(
-    params: PublicParams, roster: Roster, s0: int, line: LinePoly, sets, ds: Sequence[int]
+    dealer: DealerState,
+    params: PublicParams,
+    roster: Roster,
+    s0: int,
+    line: LinePoly,
+    sets,
+    ds: Sequence[int],
 ) -> tuple[PackageEntry, ...]:
     """The public entry of each qualified set at its abscissa d: f(d) XORed
     with every member's mask ps_k**s0 mod n, and the tag binding (secret, d).
 
     Each member's mask is computed once, however many of the sets hold them.
     """
-    masks = {pid: pow(roster[pid], s0, params.n) for pid in frozenset().union(*sets)}
+    masks = {pid: _pow_n(dealer, roster[pid], s0) for pid in frozenset().union(*sets)}
     return tuple(
         PackageEntry(
             members=members,
@@ -206,11 +233,11 @@ def _publish(
         _check_enrolled(members, roster)
     s0 = _sample_s0(dealer.phi, n, rng)
     h0 = mod_inv(s0, dealer.phi)
-    ps0 = pow(params.g, s0, n)
+    ps0 = _pow_n(dealer, params.g, s0)
     slope = rng.randrange(1, m)
     line = LinePoly(intercept=secret, slope=slope, modulus=m)
     ds = _sample_d(structure.set_count, m, rng)
-    entries = _entries(params, roster, s0, line, structure.minimal_sets, ds)
+    entries = _entries(dealer, params, roster, s0, line, structure.minimal_sets, ds)
     package = SecretPackage(secret_id=secret_id, ps0=ps0, h0=h0, f1=line.eval(1), entries=entries)
     dealer.secrets[secret_id] = secret
     dealer.packages[secret_id] = package
@@ -298,7 +325,7 @@ def add_qualified_set(
     secret = dealer.secrets[secret_id]
     line = LinePoly(intercept=secret, slope=(package.f1 - secret) % params.m, modulus=params.m)
     s0 = mod_inv(package.h0, dealer.phi)
-    added = _entries(params, roster, s0, line, [members], ds)
+    added = _entries(dealer, params, roster, s0, line, [members], ds)
     dealer.packages[secret_id] = replace(package, entries=kept + added)
     return dealer.packages[secret_id]
 

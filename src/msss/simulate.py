@@ -95,7 +95,16 @@ def _non_covering_coalition(rng, pids, minimal_sets, attempts: int = 30):
 
 
 def run_simulation(config: SimulationConfig) -> dict:
-    """Build one deployment and exercise it end to end; returns the report."""
+    """Build one deployment and exercise it end to end; returns the report.
+
+    The dealer's pows run by CRT over p and q (see ``msss.dealer``); every
+    other pow stands for a party that knows only n and pays the full pow mod
+    n. Each session asks its members for fresh contributions, as independent
+    sessions would. The attack probes reuse the x = ps0**s mod n those
+    sessions released for the same secret and raise only the missing ones,
+    each at most once per secret. Neither shortcut changes a value or a
+    draw, so a seed still fixes the report.
+    """
     config.validate()
     rng = random.Random(config.seed) if config.seed is not None else _default_rng
 
@@ -112,11 +121,13 @@ def run_simulation(config: SimulationConfig) -> dict:
     sessions = []
     probes = []
     for sid, pkg in state.packages.items():
+        xs_of = {}  # pid -> x = ps0**s mod n for this secret
         for j in range(1, pkg.set_count + 1):
             members = sorted(pkg.entry(j).members)
             honest = {
                 pid: participant.contribute(params, keys[pid], pkg, j) for pid in members
             }
+            xs_of.update((pid, c.x) for pid, c in honest.items())
             contribs = dict(honest)
             cheaters = []
             if config.cheaters_per_session:
@@ -168,7 +179,9 @@ def run_simulation(config: SimulationConfig) -> dict:
             coalition = _non_covering_coalition(rng, pids, minimal_sets)
             if coalition is None:
                 break
-            xs = [pow(pkg.ps0, keys[pid].s, params.n) for pid in sorted(coalition)]
+            for pid in coalition - xs_of.keys():
+                xs_of[pid] = pow(pkg.ps0, keys[pid].s, params.n)
+            xs = [xs_of[pid] for pid in sorted(coalition)]
             for j in range(1, pkg.set_count + 1):
                 accepted, _ = attack_entry(params, pkg, j, xs)
                 probes.append(

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from msss import bulletin, cli, codec, combiner
+from msss import bulletin, cli, codec, combiner, numtheory
 from msss.cli import main
+from msss.dealer import PublicParams
 
 from conftest import TOY_SETUP, TOY_SHARE
 from scripted import ScriptedRandom
@@ -635,6 +636,28 @@ class TestDealerWrite:
         assert code == 19
         assert out == ""
         assert "not the dealer file of this board" in err
+        assert (board.read_bytes(), dealer.read_bytes()) == files
+
+    def test_dealer_file_with_p_equal_to_q(self, run, tmp_path):
+        # a hand-made board with n = p*p and a dealer file holding p = q:
+        # share once exited 0 and published s1 under the wrong phi(n), and
+        # every later command exited 19 on ps0^h0 != g
+        p = 65521
+        n = p * p
+        m = numtheory.next_prime(n)
+        params = PublicParams(g=p + 1, n=n, m=m, width=codec.mask_width(m))
+        board, dealer = tmp_path / "board.json", tmp_path / "dealer.json"
+        bulletin.save(bulletin.Board(params), board)
+        for pid, seed in (("A", 5), ("B", 7)):
+            assert run("enroll", "--id", pid, "--board", board,
+                       "--key-out", tmp_path / f"{pid}.key", "--seed", seed)[0] == 0
+        dealer.write_text(json.dumps({"p": f"{p:x}", "q": f"{p:x}", "secrets": {}, "packages": {}}))
+        files = (board.read_bytes(), dealer.read_bytes())
+        code, out, err = run("share", "--secret", 5, "--sets", "A,B", "--board", board,
+                             "--dealer", dealer, "--seed", 3)
+        assert code == 19
+        assert out == ""
+        assert "p = q" in err
         assert (board.read_bytes(), dealer.read_bytes()) == files
 
 

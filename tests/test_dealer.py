@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msss import accessstruct, bulletin, combiner, dealer, participant
 from msss.errors import (
@@ -28,6 +30,34 @@ def _enroll_three(params):
         for pid, s in (("A", 5), ("B", 7), ("C", 9))
     }
     return keys, {pid: k.ps for pid, k in keys.items()}
+
+
+_DEALER_64 = dealer.setup(64, random.Random(7))[1]
+
+
+class TestCrtPow:
+    """Every dealer pow mod n is split over p and q; it must be exactly
+    pow(x, e, n), also where x is 0 mod p or mod q."""
+
+    @pytest.mark.parametrize(
+        "state", [dealer.DealerState(p=11, q=13), _DEALER_64], ids=["toy", "64-bit"]
+    )
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_pow_mod_n(self, state, data):
+        p, q = state.p, state.q
+        n = p * q
+        x = data.draw(
+            st.one_of(
+                st.integers(0, 2 * n - 1),
+                st.sampled_from([0, n - 1]),
+                st.integers(0, 2 * q - 1).map(lambda k: k * p),
+                st.integers(0, 2 * p - 1).map(lambda k: k * q),
+            ),
+            label="x",
+        )
+        e = data.draw(st.integers(1, 2 * n), label="e")
+        assert dealer._pow_n(state, x, e) == pow(x, e, n)
 
 
 class TestSetup:
@@ -138,12 +168,13 @@ class TestShareSecret:
         roster = {pid: k.ps for pid, k in keys.items()}
         structure = accessstruct.validate_minimal([["A", "B"], ["B", "C"], ["A", "C"]])
         bases = []
+        pow_n = dealer._pow_n
 
-        def counting_pow(base, exp, mod=None):
+        def counting_pow_n(state, base, exp):
             bases.append(base)
-            return pow(base, exp, mod)
+            return pow_n(state, base, exp)
 
-        monkeypatch.setattr(dealer, "pow", counting_pow, raising=False)
+        monkeypatch.setattr(dealer, "_pow_n", counting_pow_n)
         pkg = dealer.share_secret(state, params, roster, 99, structure, rng)
         # ps0 = g**s0, then one mask per member although each is in two sets
         assert sorted(bases) == sorted([params.g, *roster.values()])

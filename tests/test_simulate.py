@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from msss import participant, simulate
 from msss.simulate import SimulationConfig, run_simulation
 
 
@@ -32,6 +33,31 @@ def test_same_seed_gives_identical_reports():
     a = json.dumps(run_simulation(config), sort_keys=True)
     b = json.dumps(run_simulation(config), sort_keys=True)
     assert a == b
+
+
+def test_probes_raise_each_x_at_most_once_per_secret(monkeypatch):
+    # outside participant.contribute, x = ps0**s is raised only for a
+    # (secret, participant) pair that no session of that secret released,
+    # and only once however many probes hold the participant
+    contributed, raised = set(), []
+    contribute = participant.contribute
+
+    def recording_contribute(params, key, package, set_index):
+        contributed.add((package.ps0, key.s))
+        return contribute(params, key, package, set_index)
+
+    def recording_pow(base, exp, mod=None):
+        raised.append((base, exp))
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(participant, "contribute", recording_contribute)
+    monkeypatch.setattr(simulate, "pow", recording_pow, raising=False)
+    config = SimulationConfig(participants=8, secrets=4, unauthorized_probes=4, seed=7)
+    report = run_simulation(config)
+    assert report["summary"]["unauthorized_accepted"] == 0
+    assert raised
+    assert len(raised) == len(set(raised))
+    assert contributed.isdisjoint(raised)
 
 
 def test_report_is_json_serializable_and_shaped():
