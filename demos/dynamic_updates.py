@@ -8,7 +8,6 @@ participants keep reconstructing with the keys they enrolled with.
 Run with:  PYTHONPATH=src python3 demos/dynamic_updates.py
 """
 
-import dataclasses
 import random
 
 from msss import (
@@ -45,7 +44,7 @@ def session(pkg, j, members, forged=None):
     contribs = [contribute(params, keys[pid], pkg, j) for pid in members]
     if forged:
         contribs = [
-            dataclasses.replace(c, x=c.x ^ 1) if c.pid == forged else c for c in contribs
+            c._replace(x=c.x ^ 1) if c.pid == forged else c for c in contribs
         ]
     try:
         got = reconstruct(params, pkg, j, contribs, roster)

@@ -34,7 +34,6 @@ from .dealer import (
 from .errors import MsssError
 from .linepoly import LinePoly
 from .participant import Contribution, ParticipantKey, contribute, keygen
-from .simulate import SimulationConfig, run_simulation
 
 __version__ = "0.1.0"
 
@@ -75,3 +74,13 @@ __all__ = [
     "verify_secret",
     "xor_combine",
 ]
+
+
+def __getattr__(name):
+    # only the simulate command and library users need msss.simulate, so no
+    # other process pays for importing it
+    if name in ("SimulationConfig", "run_simulation"):
+        from . import simulate
+
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,8 +9,7 @@ must designate which minimal set it is acting as.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import EmptySet, EmptyStructure, NotAntichain
 
@@ -21,8 +20,7 @@ def _fmt(members: frozenset) -> str:
     return "{" + ", ".join(sorted(members)) + "}"
 
 
-@dataclass(frozen=True)
-class AccessStructure:
+class AccessStructure(NamedTuple):
     """A validated antichain of minimal qualified sets, in input order."""
 
     minimal_sets: tuple[frozenset[ParticipantId], ...]

@@ -28,8 +28,8 @@ writes no board that breaks one (see ``Board.validate``).
 The private dealer state, participant key files and contribution files go
 through the same writer and reader, in the same JSON style: every file is
 written atomically, and every file read is checked for its exact key set,
-lowercase hex integers and exact JSON types, so a malformed one raises
-MalformedDocument. ``load_dealer`` accepts a dealer file only for the board
+lowercase hex integers with no leading zeros and exact JSON types, so a
+malformed one raises MalformedDocument. ``load_dealer`` accepts a dealer file only for the board
 it serves.
 """
 
@@ -39,7 +39,6 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field
 
 from . import codec
 from .accessstruct import validate_minimal
@@ -55,7 +54,7 @@ from .errors import (
 from .numtheory import ceil_sqrt, is_probable_prime
 from .participant import Contribution, ParticipantKey
 
-_HEX = re.compile(r"[0-9a-f]+")
+_HEX = re.compile(r"0|[1-9a-f][0-9a-f]*")
 _TAG_HEX = re.compile(r"[0-9a-f]{64}")
 
 
@@ -65,19 +64,30 @@ def int_to_hex(value: int) -> str:
 
 def hex_to_int(value, where: str) -> int:
     if not isinstance(value, str) or not _HEX.fullmatch(value):
-        raise MalformedDocument(f"{where}: expected a lowercase hex string, got {value!r}")
+        raise MalformedDocument(
+            f"{where}: expected lowercase hex with no leading zeros, got {value!r}"
+        )
     return int(value, 16)
 
 
-@dataclass
 class Board:
     """In-memory image of the bulletin. The dealer is the only writer; the
     revision counter goes up by one on every published change."""
 
-    params: PublicParams
-    roster: dict[str, int] = field(default_factory=dict)
-    packages: dict[str, SecretPackage] = field(default_factory=dict)
-    revision: int = 0
+    def __init__(
+        self,
+        params: PublicParams,
+        roster: dict[str, int] | None = None,
+        packages: dict[str, SecretPackage] | None = None,
+        revision: int = 0,
+    ):
+        self.params = params
+        self.roster = {} if roster is None else roster
+        self.packages = {} if packages is None else packages
+        self.revision = revision
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and vars(self) == vars(other)
 
     def validate(self) -> None:
         """Check a board read from outside; raises InvariantViolation. A board

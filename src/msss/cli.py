@@ -32,7 +32,6 @@ from .errors import (
     NoSuchSet,
     UnknownSecret,
 )
-from .simulate import SimulationConfig, run_simulation
 
 EXIT_FILE_EXISTS = 3
 EXIT_TAG_MISMATCH = 16
@@ -224,6 +223,8 @@ def cmd_update(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import SimulationConfig, run_simulation
+
     config = SimulationConfig(
         participants=args.participants,
         secrets=args.secrets,

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import codec
 from .accessstruct import AccessStructure, ParticipantId
@@ -50,8 +49,7 @@ _default_rng = random.SystemRandom()
 Roster = Mapping[ParticipantId, int]
 
 
-@dataclass(frozen=True)
-class PublicParams:
+class PublicParams(NamedTuple):
     """The published triple (g, n, m) plus the derived byte width for masks."""
 
     g: int
@@ -60,8 +58,7 @@ class PublicParams:
     width: int
 
 
-@dataclass(frozen=True)
-class PackageEntry:
+class PackageEntry(NamedTuple):
     """Public data letting one qualified set recover the secret.
 
     ``masked`` is f(d) XORed with every member's mask ps_k**s0 mod n; only
@@ -75,8 +72,7 @@ class PackageEntry:
     tag: bytes
 
 
-@dataclass(frozen=True)
-class SecretPackage:
+class SecretPackage(NamedTuple):
     """Everything the bulletin publishes for one shared secret."""
 
     secret_id: str
@@ -101,17 +97,26 @@ class SecretPackage:
         return AccessStructure(tuple(e.members for e in self.entries))
 
 
-@dataclass
 class DealerState:
     """Private dealer state, never published: the factors of n and, by
     secret id s1, s2, ... in publishing order, each secret and the package
     the board publishes for it. The package copy is what exposes a lost
     dealer write; phi(n), s0 and the slope are derived, never stored."""
 
-    p: int
-    q: int
-    secrets: dict[str, int] = field(default_factory=dict)
-    packages: dict[str, SecretPackage] = field(default_factory=dict)
+    def __init__(
+        self,
+        p: int,
+        q: int,
+        secrets: dict[str, int] | None = None,
+        packages: dict[str, SecretPackage] | None = None,
+    ):
+        self.p = p
+        self.q = q
+        self.secrets = {} if secrets is None else secrets
+        self.packages = {} if packages is None else packages
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and vars(self) == vars(other)
 
     @property
     def phi(self) -> int:
@@ -326,7 +331,7 @@ def add_qualified_set(
     line = LinePoly(intercept=secret, slope=(package.f1 - secret) % params.m, modulus=params.m)
     s0 = mod_inv(package.h0, dealer.phi)
     added = _entries(dealer, params, roster, s0, line, [members], ds)
-    dealer.packages[secret_id] = replace(package, entries=kept + added)
+    dealer.packages[secret_id] = package._replace(entries=kept + added)
     return dealer.packages[secret_id]
 
 
@@ -337,8 +342,8 @@ def remove_qualified_set(dealer: DealerState, secret_id: str, set_index: int) ->
     entries = package.entries
     if len(entries) == 1:
         raise LastEntry(f"{secret_id} must keep at least one qualified set")
-    dealer.packages[secret_id] = replace(
-        package, entries=entries[: set_index - 1] + entries[set_index:]
+    dealer.packages[secret_id] = package._replace(
+        entries=entries[: set_index - 1] + entries[set_index:]
     )
     return dealer.packages[secret_id]
 

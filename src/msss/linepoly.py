@@ -7,7 +7,7 @@ arbitrary points may legitimately produce slope 0, so the type allows it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DegeneratePoints
 from .numtheory import mod_inv
@@ -15,19 +15,17 @@ from .numtheory import mod_inv
 Point = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class LinePoly:
-    intercept: int
-    slope: int
-    modulus: int
+class LinePoly(namedtuple("LinePoly", ("intercept", "slope", "modulus"))):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        if not 0 <= self.intercept < self.modulus:
-            raise ValueError(f"intercept {self.intercept} not reduced mod {self.modulus}")
-        if not 0 <= self.slope < self.modulus:
-            raise ValueError(f"slope {self.slope} not reduced mod {self.modulus}")
+    def __new__(cls, intercept: int, slope: int, modulus: int):
+        if modulus < 2:
+            raise ValueError(f"modulus must be >= 2, got {modulus}")
+        if not 0 <= intercept < modulus:
+            raise ValueError(f"intercept {intercept} not reduced mod {modulus}")
+        if not 0 <= slope < modulus:
+            raise ValueError(f"slope {slope} not reduced mod {modulus}")
+        return super().__new__(cls, intercept, slope, modulus)
 
     def eval(self, x: int) -> int:
         """Value at x, which must already be a field element."""

@@ -9,7 +9,7 @@ which again keeps s hidden. One key serves any number of secrets.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dealer import PublicParams, SecretPackage
 from .errors import NotAMember
@@ -17,15 +17,13 @@ from .errors import NotAMember
 _default_rng = random.SystemRandom()
 
 
-@dataclass(frozen=True)
-class ParticipantKey:
+class ParticipantKey(NamedTuple):
     pid: str
     s: int  # private exponent; never leaves the participant
     ps: int  # public pseudo-share g**s mod n
 
 
-@dataclass(frozen=True)
-class Contribution:
+class Contribution(NamedTuple):
     """One member's public reconstruction value, bound to its session."""
 
     pid: str

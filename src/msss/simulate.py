@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from . import combiner, dealer, participant
 from .accessstruct import AccessStructure
@@ -22,8 +22,7 @@ from .errors import BadContribution, UnmaskOutOfField
 _default_rng = random.SystemRandom()
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(NamedTuple):
     participants: int
     secrets: int
     bits_per_prime: int = 16
@@ -195,7 +194,7 @@ def run_simulation(config: SimulationConfig) -> dict:
                 )
 
     report = {
-        "config": asdict(config),
+        "config": config._asdict(),
         "params": {
             "n_bits": params.n.bit_length(),
             "m_bits": params.m.bit_length(),

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 
 from msss import combiner, dealer, participant
 from msss.accessstruct import validate_minimal
-from msss.bulletin import Board, from_document, load, save, to_document
+from msss.bulletin import Board, from_document, hex_to_int, load, save, to_document
 from msss.errors import (
     BoardIOError,
     DuplicateParticipant,
@@ -66,7 +65,7 @@ class TestCanonicalForm:
             load(tmp_path / "nope.json")
 
     def test_multiple_packages_keep_insertion_order(self, toy):
-        second = dataclasses.replace(toy.package, secret_id="s2")
+        second = toy.package._replace(secret_id="s2")
         board = Board(
             params=toy.params,
             roster=dict(toy.roster),
@@ -80,8 +79,8 @@ class TestCanonicalForm:
 class TestValidation:
     def test_duplicate_d_rejected(self, toy):
         entry = toy.package.entry(1)
-        twin = dataclasses.replace(entry, members=frozenset(["A"]))
-        pkg = dataclasses.replace(toy.package, entries=(entry, twin))
+        twin = entry._replace(members=frozenset(["A"]))
+        pkg = toy.package._replace(entries=(entry, twin))
         board = Board(params=toy.params, roster=dict(toy.roster), packages={"s1": pkg})
         with pytest.raises(InvariantViolation, match="duplicate d"):
             from_document(to_document(board))
@@ -108,6 +107,23 @@ class TestValidation:
         with pytest.raises(MalformedDocument):
             from_document(bad)
 
+    @pytest.mark.parametrize("field, value", [("n", "008f"), ("d", "07")])
+    def test_leading_zeros_rejected(self, toy, field, value):
+        # "008f" once loaded as n = 0x8f, and saving the board dropped the zeros
+        obj = json.loads(to_document(_toy_board(toy)))
+        if field == "n":
+            obj["params"]["n"] = value
+        else:
+            obj["packages"]["s1"]["entries"][0]["d"] = value
+        with pytest.raises(MalformedDocument, match="leading zeros") as raised:
+            from_document(json.dumps(obj, indent=2) + "\n")
+        assert raised.value.exit_code == 18
+
+    def test_zero_is_hex_0(self):
+        assert hex_to_int("0", "x") == 0
+        with pytest.raises(MalformedDocument):
+            hex_to_int("00", "x")
+
     def test_member_not_on_roster(self, toy):
         obj = json.loads(to_document(_toy_board(toy)))
         del obj["roster"]["B"]
@@ -116,8 +132,8 @@ class TestValidation:
 
     def test_non_antichain_package(self, toy):
         entry = toy.package.entry(1)
-        smaller = dataclasses.replace(entry, members=frozenset(["A"]), d=9)
-        pkg = dataclasses.replace(toy.package, entries=(entry, smaller))
+        smaller = entry._replace(members=frozenset(["A"]), d=9)
+        pkg = toy.package._replace(entries=(entry, smaller))
         board = Board(params=toy.params, roster=dict(toy.roster), packages={"s1": pkg})
         with pytest.raises(InvariantViolation, match="contained in"):
             from_document(to_document(board))
@@ -149,8 +165,8 @@ class TestValidation:
         assert raised.value.exit_code == 19
 
     def test_d_of_one_rejected(self, toy):
-        entry = dataclasses.replace(toy.package.entry(1), d=1)
-        pkg = dataclasses.replace(toy.package, entries=(entry,))
+        entry = toy.package.entry(1)._replace(d=1)
+        pkg = toy.package._replace(entries=(entry,))
         board = Board(params=toy.params, roster=dict(toy.roster), packages={"s1": pkg})
         with pytest.raises(InvariantViolation, match="outside"):
             from_document(to_document(board))

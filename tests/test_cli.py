@@ -390,6 +390,21 @@ class TestStrictFiles:
         assert out == ""
         assert not (toy_files["tmp"] / "ca.json").exists()
 
+    @pytest.mark.parametrize("field", ["s", "ps"])
+    def test_key_file_hex_with_leading_zero(self, run, toy_files, field):
+        # once read as the same integer, so the key file was not canonical
+        obj = json.loads(toy_files["keys"]["A"].read_text())
+        obj[field] = "0" + obj[field]
+        toy_files["keys"]["A"].write_text(json.dumps(obj))
+        code, out, err = run(
+            "contribute", "--board", toy_files["board"], "--key", toy_files["keys"]["A"],
+            "--secret-id", "s1", "--set", "A,B", "--out", toy_files["tmp"] / "ca.json",
+        )
+        assert code == 18
+        assert out == ""
+        assert f"{field}: expected lowercase hex with no leading zeros" in err
+        assert not (toy_files["tmp"] / "ca.json").exists()
+
 
 class TestFullScriptedSession:
     def test_whole_protocol_reproduces_worked_constants(self, run, tmp_path):
