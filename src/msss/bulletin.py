@@ -8,7 +8,7 @@ are lowercase hex with no leading zeros; tags are 64 hex chars):
 
     {
       "revision": 3,
-      "params": {"g": "f", "n": "8f", "m": "95", "width": 1},
+      "params": {"g": "f", "n": "8f", "m": "95", "width": 1, "m_chain": []},
       "roster": {"A": "2d", "B": "73"},
       "packages": {
         "s1": {
@@ -19,6 +19,12 @@ are lowercase hex with no leading zeros; tags are 64 hex chars):
         }
       }
     }
+
+``m_chain`` is the chain of primes, largest first, that proves m prime
+(``numtheory.proves_prime``); an m below ``numtheory.TRIAL_LIMIT``, like the
+toy 149 here, has an empty one. A board without the key predates the chain
+and cannot be converted, as its m - 1 cannot be factored in general: run
+``msss setup`` again.
 
 Identical boards serialize byte-identically. ``load`` checks every public
 invariant, so a tampered or hand-edited document either fails loudly here
@@ -51,7 +57,7 @@ from .errors import (
     MalformedDocument,
     NotAntichain,
 )
-from .numtheory import ceil_sqrt, is_probable_prime
+from .numtheory import ceil_sqrt, proves_prime
 from .participant import Contribution, ParticipantKey
 
 _HEX = re.compile(r"0|[1-9a-f][0-9a-f]*")
@@ -98,8 +104,8 @@ class Board:
             raise InvariantViolation("n too small to be a product of two primes")
         if p.m <= p.n:
             raise InvariantViolation("m not larger than n")
-        if not is_probable_prime(p.m):
-            raise InvariantViolation("m not prime")
+        if not proves_prime(p.m, p.m_chain):
+            raise InvariantViolation("m not proved prime by its chain")
         if p.width != codec.mask_width(p.m):
             raise InvariantViolation("width does not match m")
         if not ceil_sqrt(p.n) <= p.g <= p.n:
@@ -244,6 +250,7 @@ def to_document(board: Board) -> str:
             "n": int_to_hex(board.params.n),
             "m": int_to_hex(board.params.m),
             "width": board.params.width,
+            "m_chain": [int_to_hex(link) for link in board.params.m_chain],
         },
         "roster": {pid: int_to_hex(ps) for pid, ps in board.roster.items()},
         "packages": {sid: package_to_obj(pkg) for sid, pkg in board.packages.items()},
@@ -260,13 +267,23 @@ def from_document(text: str) -> Board:
     obj = _parse(text, ("revision", "params", "roster", "packages"), "document")
     revision = _require_int(obj["revision"], "revision")
     praw = obj["params"]
-    _require_keys(praw, ("g", "n", "m", "width"), "params")
-    width = _require_int(praw["width"], "params width")
+    if isinstance(praw, dict) and "m_chain" not in praw:
+        raise MalformedDocument(
+            "params: no m_chain, the chain that proves m prime: the board predates it"
+            " and cannot be converted; run `msss setup` again"
+        )
+    _require_keys(praw, ("g", "n", "m", "width", "m_chain"), "params")
+    if not isinstance(praw["m_chain"], list):
+        raise MalformedDocument("params m_chain must be a list")
     params = PublicParams(
         g=hex_to_int(praw["g"], "params g"),
         n=hex_to_int(praw["n"], "params n"),
         m=hex_to_int(praw["m"], "params m"),
-        width=width,
+        width=_require_int(praw["width"], "params width"),
+        m_chain=tuple(
+            hex_to_int(link, f"params m_chain link {i}")
+            for i, link in enumerate(praw["m_chain"], 1)
+        ),
     )
     roster = {}
     for pid, raw in _require_map(obj["roster"], "roster").items():

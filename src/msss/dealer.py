@@ -42,7 +42,7 @@ from .errors import (
     UnknownSecret,
 )
 from .linepoly import LinePoly
-from .numtheory import ceil_sqrt, gen_prime, mod_inv, next_prime
+from .numtheory import ceil_sqrt, gen_prime, mod_inv, proved_prime_above
 
 _default_rng = random.SystemRandom()
 
@@ -50,12 +50,15 @@ Roster = Mapping[ParticipantId, int]
 
 
 class PublicParams(NamedTuple):
-    """The published triple (g, n, m) plus the derived byte width for masks."""
+    """The published triple (g, n, m) plus the derived byte width for masks
+    and the chain (N1, ..., Nk), largest first, that proves m prime (see
+    ``numtheory.proves_prime``)."""
 
     g: int
     n: int
     m: int
     width: int
+    m_chain: tuple[int, ...]
 
 
 class PackageEntry(NamedTuple):
@@ -130,8 +133,12 @@ def setup(
 
     n = p*q for two distinct primes of ``bits_per_prime`` bits each; g is
     drawn from [ceil(sqrt(n)), n] and resampled until it shares no factor
-    with n (which in particular rules out p and q); m is the smallest prime
-    above n, keeping the mask width minimal.
+    with n (which in particular rules out p and q). After them, m > n is
+    grown with the prime chain that proves it (``numtheory.proved_prime_above``):
+    the smallest prime above n while n is below ``numtheory.TRIAL_LIMIT``,
+    otherwise the first prime above n of the form 2*k*N1 + 1 over the chain's
+    top link N1, about half as wide as n; either way the mask width stays
+    ``codec.mask_width(m)``.
     """
     if bits_per_prime < 4:
         raise ValueError(f"bits_per_prime must be >= 4, got {bits_per_prime}")
@@ -146,8 +153,8 @@ def setup(
         g = rng.randrange(lo, n + 1)
         if math.gcd(g, n) == 1:
             break
-    m = next_prime(n, rng)
-    params = PublicParams(g=g, n=n, m=m, width=codec.mask_width(m))
+    m, m_chain = proved_prime_above(n, rng)
+    params = PublicParams(g=g, n=n, m=m, width=codec.mask_width(m), m_chain=m_chain)
     return params, DealerState(p=p, q=q)
 
 

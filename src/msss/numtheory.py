@@ -1,10 +1,19 @@
-"""Number theory on plain Python integers: probable primes and modular
-inverses. Modular exponentiation is the built-in three-argument ``pow``
-and the gcd is ``math.gcd``.
+"""Number theory on plain Python integers: probable primes, proved primes
+and modular inverses. Modular exponentiation is the built-in three-argument
+``pow`` and the gcd is ``math.gcd``.
 
-Primality is Baillie-PSW (a strong Miller-Rabin round to base 2 and a
-strong Lucas test) plus RANDOM_ROUNDS Miller-Rabin rounds with random
-bases, after trial division by the primes below 1000.
+Probable primality is Baillie-PSW (a strong Miller-Rabin round to base 2
+and a strong Lucas test) plus RANDOM_ROUNDS Miller-Rabin rounds with random
+bases, after trial division by the primes below 1000; the dealer draws p
+and q with it.
+
+The field prime m comes with a proof instead: a chain of primes
+m = N0 > N1 > ... > Nk in which each link proves the one above it prime by
+Pocklington's criterion (Brillhart, Lehmer & Selfridge 1975) and the tail
+Nk is below TRIAL_LIMIT, where trial division decides. ``proved_prime_above``
+grows such a chain upward, as in Maurer's method (Maurer 1995), and
+``proves_prime`` checks one deterministically, with about one pow at the
+size of m and no random draw.
 
 Randomized routines take an optional ``rng`` (any ``random.Random``-alike);
 the default is a cryptographically secure source. Passing a seeded
@@ -16,6 +25,7 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Sequence
 
 from .errors import NotInvertible
 
@@ -36,6 +46,10 @@ def _sieve(bound: int) -> tuple[int, ...]:
 
 
 SMALL_PRIMES = _sieve(1000)
+# trial division by SMALL_PRIMES decides the primality of every n below this
+TRIAL_LIMIT = SMALL_PRIMES[-1] ** 2
+# every number of at most this many bits is below TRIAL_LIMIT
+_TAIL_BITS = TRIAL_LIMIT.bit_length() - 1
 
 
 def ceil_sqrt(n: int) -> int:
@@ -124,6 +138,15 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
+def _trial_division(n: int) -> bool | None:
+    """Primality of n >= 2 by the primes below 1000: exact below TRIAL_LIMIT,
+    None for a larger n that none of them divides."""
+    for p in SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    return True if n < TRIAL_LIMIT else None
+
+
 def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
     """Trial division by the primes below 1000, then Baillie-PSW (a strong
     Miller-Rabin round to base 2 and a strong Lucas test), then
@@ -135,13 +158,9 @@ def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
     """
     if n < 2:
         return False
-    for p in SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    if n < SMALL_PRIMES[-1] ** 2:
-        return True  # trial division above was exhaustive
+    verdict = _trial_division(n)
+    if verdict is not None:
+        return verdict
     if not (_strong_mr(n, 2) and _strong_lucas(n)):
         return False
     rng = rng or _default_rng
@@ -159,13 +178,81 @@ def gen_prime(bits: int, rng: random.Random | None = None) -> int:
             return candidate
 
 
-def next_prime(n: int, rng: random.Random | None = None) -> int:
-    """Smallest probable prime strictly greater than n."""
-    if n < 2:
-        return 2
-    candidate = n + 1
-    if candidate % 2 == 0:
-        candidate += 1  # even values above 2 cannot be prime
-    while not is_probable_prime(candidate, rng):
-        candidate += 2
-    return candidate
+def pocklington_step(n: int, r: int) -> bool:
+    """One link of a prime chain: if r is prime, does it prove n prime?
+
+    n must be odd, r must divide n - 1 with r*r >= n and have at most
+    n.bit_length() // 2 + 2 bits, and b = 2**((n-1)/r) mod n must have
+    b**r = 1 and gcd(b - 1, n) = 1. Then every prime factor of n is 1 mod r
+    (Pocklington), so above r >= sqrt(n), and n is prime. The bit bound
+    halves the width at each link, so a chain is logarithmically long.
+    """
+    if not (
+        1 < r
+        and r * r >= n
+        and n % 2
+        and (n - 1) % r == 0
+        and r.bit_length() <= n.bit_length() // 2 + 2
+    ):
+        return False
+    b = pow(2, (n - 1) // r, n)
+    return pow(b, r, n) == 1 and math.gcd(b - 1, n) == 1
+
+
+def proves_prime(m: int, chain: Sequence[int]) -> bool:
+    """Does ``chain`` = (N1, ..., Nk), largest first, prove m prime?
+
+    Each link N of m, N1, ... passes ``pocklington_step`` with the next one,
+    and the last, Nk (or m itself for an empty chain), is below TRIAL_LIMIT
+    and prime by trial division. Deterministic: no random draw.
+    """
+    links = (m, *chain)
+    tail = links[-1]
+    return (
+        2 <= tail < TRIAL_LIMIT
+        and _trial_division(tail)
+        and all(pocklington_step(n, r) for n, r in zip(links, links[1:]))
+    )
+
+
+def proved_prime_above(n: int, rng: random.Random | None = None) -> tuple[int, tuple[int, ...]]:
+    """A prime m > n and the chain (N1, ..., Nk) that proves it, for
+    ``proves_prime``.
+
+    Below TRIAL_LIMIT, m is the smallest prime above n, with an empty chain
+    and no draw. Above it, the chain grows upward: a tail from ``gen_prime``
+    of at most _TAIL_BITS bits, then links N = 2*k*r + 1 over the link r
+    below, each with a drawn k that gives N twice the bits of r less about
+    four, until N1 has n.bit_length() // 2 + 2 bits. m is the smallest
+    2*k*N1 + 1 above n that passes the step.
+    """
+    for m in range(max(n + 1, 2), TRIAL_LIMIT):
+        if _trial_division(m):
+            return m, ()
+    rng = rng or _default_rng
+    bits = [n.bit_length() // 2 + 2]
+    while bits[-1] > _TAIL_BITS:
+        bits.append(bits[-1] // 2 + 2)
+    chain = [gen_prime(bits.pop(), rng)]
+    for b in reversed(bits):
+        r = chain[0]
+        # every N = 2*k*r + 1 with k in [lo, hi] has exactly b bits
+        lo, hi = (1 << (b - 2)) // r + 1, ((1 << (b - 1)) - 1) // r
+        while True:
+            link = 2 * rng.randrange(lo, hi + 1) * r + 1
+            if _passes_step(link, r):
+                break
+        chain.insert(0, link)
+    step = 2 * chain[0]
+    m = n + step - (n - 1) % step  # the smallest 2*k*N1 + 1 above n
+    while not _passes_step(m, chain[0]):
+        m += step
+    return m, tuple(chain)
+
+
+def _passes_step(n: int, r: int) -> bool:
+    """``pocklington_step(n, r)`` behind the cheaper filters of a candidate
+    search: trial division, then a base-2 Fermat test. The full-width
+    pow(2, n - 1, n) rejects a composite faster than the step's two pows,
+    pow(2, (n-1)/r, n) and its r-th power, and a prime passes it anyway."""
+    return _trial_division(n) is not False and pow(2, n - 1, n) == 1 and pocklington_step(n, r)

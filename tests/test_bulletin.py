@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msss import combiner, dealer, participant
+from msss import combiner, dealer, numtheory, participant
 from msss.accessstruct import validate_minimal
 from msss.bulletin import Board, from_document, hex_to_int, load, save, to_document
 from msss.errors import (
@@ -88,8 +88,19 @@ class TestValidation:
     def test_composite_m_rejected(self, toy):
         doc = to_document(_toy_board(toy))
         bad = doc.replace('"m": "95"', '"m": "99"')  # 0x99 = 153 = 9 * 17
-        with pytest.raises(InvariantViolation, match="m not prime"):
+        with pytest.raises(InvariantViolation, match="m not proved prime by its chain"):
             from_document(bad)
+
+    def test_load_proves_m_without_a_random_draw(self, tmp_path, monkeypatch):
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"board load drew from the random source ({name})")
+
+        params, _ = dealer.setup(64, random.Random(2))
+        assert params.m_chain  # m is past trial division, so the chain does the proving
+        save(Board(params), tmp_path / "board.json")
+        monkeypatch.setattr(numtheory, "_default_rng", NoDraws())
+        assert load(tmp_path / "board.json").params == params
 
     def test_not_json(self):
         with pytest.raises(MalformedDocument):
@@ -175,7 +186,7 @@ class TestValidation:
 HANDWRITTEN_TOY_DOC = """\
 {
   "revision": 1,
-  "params": {"g": "f", "n": "8f", "m": "95", "width": 1},
+  "params": {"g": "f", "n": "8f", "m": "95", "width": 1, "m_chain": []},
   "roster": {"A": "2d", "B": "73"},
   "packages": {
     "s1": {

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ from msss.cli import main
 from msss.dealer import PublicParams
 
 from conftest import TOY_SETUP, TOY_SHARE
+from oracles import miller_rabin, trial_division_factor
 from scripted import ScriptedRandom
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -308,6 +311,122 @@ class TestBoardChecksH0:
         assert out == ""
         assert "s1: ps0^h0 is not g mod n" in err
         assert not out_path.exists()
+
+
+def _next_link(r, low):
+    """The smallest N = 2*k*r + 1 >= low that the 40-round oracle calls prime
+    and for which 2**((N-1)/r) is not 1 mod N."""
+    rng = random.Random(0)
+    link = low + (1 - low) % (2 * r)
+    while not (miller_rabin(link, rng) and pow(2, (link - 1) // r, link) != 1):
+        link += 2 * r
+    return link
+
+
+def _forged_chain(n, top_shift=0, composite_tail=False):
+    """A prime m > n and a chain built like the dealer's, but with the top
+    link ``top_shift`` bits wider than the rule allows for m, or with a
+    composite tail."""
+    bits = [n.bit_length() // 2 + 2 + top_shift]
+    while bits[-1] > 19:
+        bits.append(bits[-1] // 2 + 2)
+    tail = (1 << (bits[-1] - 1)) + 1
+    while (trial_division_factor(tail, math.isqrt(tail) + 1) is None) == composite_tail:
+        tail += 2
+    chain = [tail]
+    for b in reversed(bits[:-1]):
+        chain.insert(0, _next_link(chain[0], 1 << (b - 1)))
+    return _next_link(chain[0], n + 1), chain
+
+
+def _chain_tampers():
+    """(id, edit of (m, chain, n) -> (m, chain)); each breaks one rule of the chain."""
+
+    def too_wide(m, chain, n):
+        m, chain = _forged_chain(n, top_shift=1)
+        assert chain[0].bit_length() > m.bit_length() // 2 + 2
+        return m, chain
+
+    def too_small(m, chain, n):
+        m, chain = _forged_chain(n, top_shift=-3)
+        assert chain[0] ** 2 < m
+        return m, chain
+
+    def composite_tail(m, chain, n):
+        m, chain = _forged_chain(n, composite_tail=True)
+        # every step holds; only the tail is not prime
+        links = [m, *chain]
+        assert all(numtheory.pocklington_step(a, b) for a, b in zip(links, links[1:]))
+        return m, chain
+
+    def not_a_divisor(m, chain, n):
+        other = chain[0] + 2
+        while not miller_rabin(other, random.Random(0)):
+            other += 2
+        assert (m - 1) % other
+        return m, [other, *chain[1:]]
+
+    return [
+        ("m-plus-2", lambda m, chain, n: (m + 2, chain)),
+        ("link-plus-2", lambda m, chain, n: (m, [chain[0] + 2, *chain[1:]])),
+        ("dropped-link", lambda m, chain, n: (m, chain[:-1])),
+        ("r-squared-below-n", too_small),
+        ("link-not-dividing", not_a_divisor),
+        ("link-over-bit-bound", too_wide),
+        ("composite-tail", composite_tail),
+    ]
+
+
+class TestBoardChecksMChain:
+    """Every load proves m prime from the board's chain; a board whose chain
+    does not is refused (exit 19) before anything is written, and a chain
+    key that is missing or malformed exits 18."""
+
+    @pytest.fixture(params=[16, 64])
+    def chain_board(self, request, run, tmp_path):
+        board = tmp_path / "board.json"
+        assert run("setup", "--bits", request.param, "--board", board,
+                   "--dealer", tmp_path / "dealer.json", "--seed", 4)[0] == 0
+        return board
+
+    def _enroll_refused(self, run, board, want_code, want_err):
+        before = board.read_bytes()
+        key = board.parent / "A.key"
+        code, out, err = run("enroll", "--id", "A", "--board", board, "--key-out", key,
+                             "--seed", 1)
+        assert (code, out) == (want_code, "")
+        assert want_err in err
+        assert not key.exists()
+        assert board.read_bytes() == before
+
+    @pytest.mark.parametrize("tamper", [pytest.param(t, id=name) for name, t in _chain_tampers()])
+    def test_chain_that_proves_nothing_exits_19(self, run, chain_board, tamper):
+        obj = json.loads(chain_board.read_text())
+        params = obj["params"]
+        n, m = int(params["n"], 16), int(params["m"], 16)
+        chain = [int(link, 16) for link in params["m_chain"]]
+        m, chain = tamper(m, chain, n)
+        params.update(m=format(m, "x"), width=codec.mask_width(m),
+                      m_chain=[format(link, "x") for link in chain])
+        chain_board.write_text(json.dumps(obj))
+        self._enroll_refused(run, chain_board, 19, "m not proved prime by its chain")
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            pytest.param(lambda params: params.pop("m_chain"), "run `msss setup` again",
+                         id="old-layout"),
+            pytest.param(lambda params: params.update(m_chain=["x" + params["m_chain"][0]]),
+                         "params m_chain link 1", id="link-not-hex"),
+            pytest.param(lambda params: params.update(m_chain=params["m_chain"][0]),
+                         "params m_chain must be a list", id="chain-not-a-list"),
+        ],
+    )
+    def test_malformed_chain_exits_18(self, run, chain_board, edit, named):
+        obj = json.loads(chain_board.read_text())
+        edit(obj["params"])
+        chain_board.write_text(json.dumps(obj))
+        self._enroll_refused(run, chain_board, 18, named)
 
 
 class TestStrictFiles:
@@ -659,8 +778,8 @@ class TestDealerWrite:
         # every later command exited 19 on ps0^h0 != g
         p = 65521
         n = p * p
-        m = numtheory.next_prime(n)
-        params = PublicParams(g=p + 1, n=n, m=m, width=codec.mask_width(m))
+        m, m_chain = numtheory.proved_prime_above(n, random.Random(1))
+        params = PublicParams(g=p + 1, n=n, m=m, width=codec.mask_width(m), m_chain=m_chain)
         board, dealer = tmp_path / "board.json", tmp_path / "dealer.json"
         bulletin.save(bulletin.Board(params), board)
         for pid, seed in (("A", 5), ("B", 7)):
@@ -685,12 +804,15 @@ class TestDealerWrite:
 # and the next secret index, and again when it stopped storing s0 and the
 # slope: at every step it is the earliest file with phi and next_index
 # removed and each record's secret and package moved into "secrets" and
-# "packages". A refactor of the write path must not change a byte of it.
+# "packages". The setup line, board.json, dealer.json and both histories were
+# recorded again when m came with the chain that proves it prime: every draw
+# after g moved, and the board gained "m_chain"; no other output or file
+# changed. A refactor of the write path must not change a byte of it.
 GOLDEN_BOARD = ("--board", "board.json")
 GOLDEN_DEALER = GOLDEN_BOARD + ("--dealer", "dealer.json")
 GOLDEN_SESSION = [
     (("setup", "--bits", 16, *GOLDEN_DEALER, "--seed", 1), 0,
-     "n = 1911295649 (31 bits)\nm = 1911295693 (31 bits)\nwidth = 4\n"),
+     "n = 1911295649 (31 bits)\nm = 1913349007 (31 bits)\nwidth = 4\n"),
     (("enroll", "--id", "A", *GOLDEN_BOARD, "--key-out", "A.key", "--seed", 11), 0,
      "enrolled A: ps = df1a60e\n"),
     (("enroll", "--id", "B", *GOLDEN_BOARD, "--key-out", "B.key", "--seed", 12), 0,
@@ -734,13 +856,13 @@ GOLDEN_SHA256 = {
     "a.x": "5a88236453ab3e8706a314ea8e20119e1a4dc7edb1f3f1302461b4fe7ed5e7f6",
     "b.x": "0c0f60672f2dcc71ab26d9352f335d2ab12920534d61ccfb5c6050ddd76f4b54",
     "b2.x": "73d1f68cdef13e888ebd641558dea1d8346bc68df55dbccd73f087249612c528",
-    "board.json": "2a708e560eb488a6891244bff9dd374413875154d15ee0193e443d09a4183080",
+    "board.json": "1ed6faacb1f6a91be190bbbc3d6f482392985a2b55609b6e662f66a3ffc0e98b",
     "board.json.lock": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "d2.x": "ed7b783a57c5ec19d9ddb26625c843d183a7fa8a3a8c368fda9646c8a6ee1383",
-    "dealer.json": "6ea6a0ad3d3b6955e1818b64c762207816f12565982ee561f5fdaa5914602439",
+    "dealer.json": "2639e4a70a58d7472edab397d32c521aa8afb70adc9d21201e9dec2b5ed7d1af",
 }
-GOLDEN_BOARD_HISTORY_SHA256 = "25be2cb1dd8d1479911fe80e409511c1793ed9cef8a2dd93b40d3f48bace3fde"
-GOLDEN_DEALER_HISTORY_SHA256 = "31f1e37f9d3ee9d4f0d2655bbf47d3f61920f42fb9303a04188614289a2877d5"
+GOLDEN_BOARD_HISTORY_SHA256 = "3184cf54d00fb7410093eee5a92423cde9426edd7403929ecd4b8609c7b64158"
+GOLDEN_DEALER_HISTORY_SHA256 = "e2ed882db2fc6c605e80feb87fd02aaa79a502a44d993f0024ae3dd3d3c47b0c"
 
 
 def test_golden_session(run, tmp_path, monkeypatch):
@@ -866,10 +988,13 @@ class TestSecretText:
 
 
 # `msss simulate --participants 6 --secrets 4 --cheaters 1 --bits 64 --seed <seed>`
+# Seeds 7 and 11 were recorded again when m came with its prime chain, which
+# moves every draw after g. Seed 3 kept its report: keygen's rejection
+# sampling brings its stream back to the same words.
 GOLDEN_REPORT_SHA256 = {
-    7: "6c190cf36db9064ea0eb15a7d4c5992e22c36c61798a13bb0646640787ceb998",
+    7: "f88f78e408fda7447c474a047c14487e7025df4cc3c2b278ecde031666d0766a",
     3: "fc938abd28d3ffa170d28ca2880c038da117093f7a80b4a4338ee92f34a80b27",
-    11: "34ade3c010b5d0c78ab625a5f2aa42c34fd47dd53befb5b567bd3173ad412e3a",
+    11: "52902485582b85586300ea15e122f0b130d62bf1017b97c6af8029258012529f",
 }
 
 

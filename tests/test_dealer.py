@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msss import accessstruct, bulletin, combiner, dealer, participant
+from msss import accessstruct, bulletin, codec, combiner, dealer, participant
 from msss.errors import (
     EmptySet,
     IndexOutOfRange,
@@ -16,11 +16,11 @@ from msss.errors import (
     UnknownParticipant,
     UnknownSecret,
 )
-from msss.numtheory import is_probable_prime, mod_inv
+from msss.numtheory import is_probable_prime, mod_inv, proves_prime
 from msss.simulate import attack_entry
 
 from conftest import TOY_SETUP, make_toy_world
-from oracles import naive_mod_exp
+from oracles import miller_rabin, naive_mod_exp
 from scripted import ScriptedRandom
 
 
@@ -91,6 +91,16 @@ class TestSetup:
         assert math.gcd(params.g, params.n) == 1
         assert params.g * params.g >= params.n  # g >= sqrt(n)
         assert params.n.bit_length() in (31, 32)
+
+    @given(bits=st.integers(min_value=8, max_value=128), seed=st.integers(0, 2**32))
+    @settings(max_examples=25, deadline=None)
+    def test_m_comes_with_a_chain_that_proves_it(self, bits, seed):
+        params, _ = dealer.setup(bits, random.Random(seed))
+        assert params.m > params.n
+        assert params.width == codec.mask_width(params.m)
+        assert proves_prime(params.m, params.m_chain)
+        oracle = random.Random(seed)
+        assert all(miller_rabin(link, oracle) for link in (params.m, *params.m_chain))
 
     def test_rejects_tiny_primes(self):
         with pytest.raises(ValueError):

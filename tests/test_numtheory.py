@@ -7,15 +7,19 @@ from hypothesis import strategies as st
 
 from msss.errors import NotInvertible
 from msss.numtheory import (
+    TRIAL_LIMIT,
     _strong_lucas,
     _strong_mr,
     gen_prime,
     is_probable_prime,
     mod_inv,
-    next_prime,
+    pocklington_step,
+    proved_prime_above,
+    proves_prime,
 )
 
 from oracles import miller_rabin, naive_mod_exp, scan_inverse, trial_division_factor
+from scripted import ScriptedRandom
 
 
 class TestModExp:
@@ -100,12 +104,6 @@ class TestPrimalityHelpers:
         assert is_probable_prime(2**61 - 1)
         assert not is_probable_prime((2**31 - 1) * (2**61 - 1))
 
-    def test_next_prime(self):
-        assert next_prime(143) == 149
-        assert next_prime(2) == 3
-        assert next_prime(13) == 17
-        assert next_prime(1) == 2
-
 
 class TestBailliePSW:
     """Each half of Baillie-PSW rejects the pseudoprimes of the other."""
@@ -161,3 +159,76 @@ class TestBailliePSW:
         else:
             n = reference_prime(bits // 2) * reference_prime(bits - bits // 2)
         assert is_probable_prime(n, rng) == miller_rabin(n, rng)
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, by trial division."""
+    found, k = [], 2
+    while k * k <= n:
+        if n % k == 0:
+            found.append(k)
+            while n % k == 0:
+                n //= k
+        k += 1
+    return found + [n] if n > 1 else found
+
+
+class TestPocklingtonStep:
+    def test_no_composite_below_20000_passes_and_every_prime_can(self):
+        accepted = 0
+        for n in range(3, 20000, 2):
+            # a composite n has a proper divisor up to its square root
+            prime = trial_division_factor(n, math.isqrt(n) + 1) is None
+            rs = [r for r in _prime_factors(n - 1) if r * r >= n]
+            for r in rs:
+                if pocklington_step(n, r):
+                    accepted += 1
+                    assert prime, (n, r)
+            # the largest r the step's shape rules allow proves every prime it can
+            shaped = [r for r in rs if r.bit_length() <= n.bit_length() // 2 + 2]
+            if prime and shaped and pow(2, (n - 1) // max(shaped), n) != 1:
+                assert pocklington_step(n, max(shaped)), n
+        assert accepted > 500
+
+    def test_each_shape_rule(self):
+        # 1019 = 2 * 509 + 1, and 509 is prime, but 509 has 9 bits, over 10 // 2 + 2
+        assert not pocklington_step(1019, 509)
+        # 1021 - 1 = 2**2 * 3 * 5 * 17: 17 * 17 < 1021
+        assert not pocklington_step(1021, 17)
+        # 37 * 37 >= 149 and 37 divides 148, but not 150 or 146
+        assert pocklington_step(149, 37)
+        assert not pocklington_step(151, 37)
+        assert not pocklington_step(148, 37)
+        assert not pocklington_step(149, 0)
+        assert not pocklington_step(149, 1)
+
+
+class TestProvedPrime:
+    def test_small_n_gives_the_next_prime_with_no_chain_or_draw(self):
+        assert proved_prime_above(143, ScriptedRandom([])) == (149, ())
+        assert proved_prime_above(1, ScriptedRandom([])) == (2, ())
+        assert proves_prime(149, ())
+        assert not proves_prime(143, ())
+
+    def test_empty_chain_only_below_the_trial_limit(self):
+        assert not proves_prime(2**61 - 1, ())
+        assert not proves_prime(TRIAL_LIMIT, ())
+
+    def test_chain_above_the_trial_limit(self):
+        m, chain = proved_prime_above(TRIAL_LIMIT, random.Random(3))
+        assert m > TRIAL_LIMIT and chain
+        assert proves_prime(m, chain)
+        assert not proves_prime(m + 2, chain)
+        assert not proves_prime(m, chain[:-1])
+
+    @given(bits=st.integers(min_value=2, max_value=300), seed=st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_chain_is_short_and_every_link_is_prime(self, bits, seed):
+        rng = random.Random(seed)
+        n = rng.getrandbits(bits) | (1 << (bits - 1))
+        m, chain = proved_prime_above(n, rng)
+        assert m > n
+        assert m.bit_length() <= n.bit_length() + 1
+        assert proves_prime(m, chain)
+        assert len(chain) <= max(0, n.bit_length().bit_length() - 3)
+        assert all(miller_rabin(link, rng) for link in (m, *chain))

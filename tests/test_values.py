@@ -12,7 +12,7 @@ from msss.linepoly import LinePoly
 from msss.participant import Contribution, ParticipantKey
 from msss.simulate import SimulationConfig
 
-PARAMS_FIELDS = dict(g=15, n=143, m=149, width=1)
+PARAMS_FIELDS = dict(g=15, n=143, m=149, width=1, m_chain=())
 ENTRY_FIELDS = dict(members=frozenset({"A", "B"}), d=7, masked=184, tag=bytes(32))
 PARAMS = PublicParams(**PARAMS_FIELDS)
 ENTRY = PackageEntry(**ENTRY_FIELDS)
