@@ -32,7 +32,6 @@ from .dealer import (
     share_secret,
 )
 from .errors import MsssError
-from .linepoly import LinePoly
 from .participant import Contribution, ParticipantKey, contribute, keygen
 
 __version__ = "0.1.0"
@@ -42,7 +41,6 @@ __all__ = [
     "Board",
     "Contribution",
     "DealerState",
-    "LinePoly",
     "MsssError",
     "PackageEntry",
     "ParticipantId",

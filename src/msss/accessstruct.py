@@ -29,13 +29,6 @@ class AccessStructure(NamedTuple):
     def set_count(self) -> int:
         return len(self.minimal_sets)
 
-    def participants(self) -> frozenset[ParticipantId]:
-        """Everyone mentioned by at least one minimal set."""
-        out: frozenset[ParticipantId] = frozenset()
-        for members in self.minimal_sets:
-            out |= members
-        return out
-
 
 def validate_minimal(sets: Iterable[Iterable[ParticipantId]]) -> AccessStructure:
     """Check and freeze a list of minimal qualified sets.

@@ -322,10 +322,11 @@ def load_dealer(path, board: Board) -> DealerState:
 
     MalformedDocument unless the secrets and the packages are both named
     exactly s1 ... sk, then InvariantViolation unless p, q > 1 with p*q the
-    board's n and p != q, the packages are the board's, and each secret is
-    below m and matches every tag of its package: publishing from any other
-    file would sign under a wrong phi(n), overwrite or roll back a package,
-    or add an entry that no qualified set can open.
+    board's n and p != q, every h0 is a unit mod phi(n), the packages are
+    the board's, and each secret is below m and matches every tag of its
+    package: publishing from any other file would sign under a wrong
+    phi(n), derive no s0 = h0**-1 mod phi(n) for add-set, overwrite or roll
+    back a package, or add an entry that no qualified set can open.
     """
     where = os.fspath(path)
     obj = _parse(_read(path), ("p", "q", "secrets", "packages"), where)
@@ -344,6 +345,11 @@ def load_dealer(path, board: Board) -> DealerState:
     if p == q:
         # n = p*p has phi(n) = p*(p-1), not (p-1)**2, and no CRT split
         raise InvariantViolation(f"{where} has p = q: n must have two distinct prime factors")
+    phi = (p - 1) * (q - 1)
+    for sid, pkg in packages.items():
+        # ps0^h0 = g on the board does not make h0 the inverse of an s0
+        if math.gcd(pkg.h0, phi) != 1:
+            raise InvariantViolation(f"{where} {sid}: h0 is not a unit mod phi(n)")
     m, width = board.params.m, board.params.width
     diverged = [
         sid

@@ -82,7 +82,7 @@ def unmask(params: PublicParams, package: SecretPackage, set_index: int, xs: Ite
             f"unmasked value {unmasked} is not in Z_{params.m}: "
             "public data corrupt or wrong coalition"
         )
-    return interpolate_line((1, package.f1), (entry.d, unmasked), params.m).secret
+    return interpolate_line(package.f1, entry.d, unmasked, params.m)
 
 
 def reconstruct(

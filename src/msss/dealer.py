@@ -41,8 +41,8 @@ from .errors import (
     UnknownParticipant,
     UnknownSecret,
 )
-from .linepoly import LinePoly
-from .numtheory import ceil_sqrt, gen_prime, mod_inv, proved_prime_above
+from .linepoly import line_at
+from .numtheory import ceil_sqrt, gen_prime, proved_prime_above
 
 _default_rng = random.SystemRandom()
 
@@ -201,7 +201,8 @@ def _entries(
     params: PublicParams,
     roster: Roster,
     s0: int,
-    line: LinePoly,
+    secret: int,
+    slope: int,
     sets,
     ds: Sequence[int],
 ) -> tuple[PackageEntry, ...]:
@@ -215,8 +216,10 @@ def _entries(
         PackageEntry(
             members=members,
             d=d,
-            masked=codec.xor_combine(line.eval(d), [masks[pid] for pid in members], params.width),
-            tag=codec.tag(line.secret, d, params.width),
+            masked=codec.xor_combine(
+                line_at(secret, slope, d, params.m), [masks[pid] for pid in members], params.width
+            ),
+            tag=codec.tag(secret, d, params.width),
         )
         for members, d in zip(sets, ds)
     )
@@ -244,13 +247,13 @@ def _publish(
     for members in structure.minimal_sets:
         _check_enrolled(members, roster)
     s0 = _sample_s0(dealer.phi, n, rng)
-    h0 = mod_inv(s0, dealer.phi)
+    h0 = pow(s0, -1, dealer.phi)
     ps0 = _pow_n(dealer, params.g, s0)
     slope = rng.randrange(1, m)
-    line = LinePoly(intercept=secret, slope=slope, modulus=m)
     ds = _sample_d(structure.set_count, m, rng)
-    entries = _entries(dealer, params, roster, s0, line, structure.minimal_sets, ds)
-    package = SecretPackage(secret_id=secret_id, ps0=ps0, h0=h0, f1=line.eval(1), entries=entries)
+    entries = _entries(dealer, params, roster, s0, secret, slope, structure.minimal_sets, ds)
+    f1 = line_at(secret, slope, 1, m)
+    package = SecretPackage(secret_id=secret_id, ps0=ps0, h0=h0, f1=f1, entries=entries)
     dealer.secrets[secret_id] = secret
     dealer.packages[secret_id] = package
     return package
@@ -335,9 +338,9 @@ def add_qualified_set(
     kept = tuple(e for e in entries if not members < e.members)
     ds = _sample_d(1, params.m, rng, exclude={e.d for e in entries})
     secret = dealer.secrets[secret_id]
-    line = LinePoly(intercept=secret, slope=(package.f1 - secret) % params.m, modulus=params.m)
-    s0 = mod_inv(package.h0, dealer.phi)
-    added = _entries(dealer, params, roster, s0, line, [members], ds)
+    slope = (package.f1 - secret) % params.m
+    s0 = pow(package.h0, -1, dealer.phi)
+    added = _entries(dealer, params, roster, s0, secret, slope, [members], ds)
     dealer.packages[secret_id] = package._replace(entries=kept + added)
     return dealer.packages[secret_id]
 

@@ -3,18 +3,14 @@
 Everything raised on purpose derives from MsssError so callers can catch
 protocol failures without masking bugs. Each class carries the exit code
 the CLI returns for it; success is 0, argparse usage errors are 2, and the
-CLI's own 3, 16 and 25 live in ``cli``.
+CLI's own 3, 16 and 25 live in ``cli``. Codes 22 and 23 are retired and
+not reused.
 """
 
 
 class MsssError(Exception):
     """Base class for all errors raised by this package."""
     exit_code = 1
-
-
-class NotInvertible(MsssError):
-    """Modular inverse requested for a value not coprime to the modulus."""
-    exit_code = 22
 
 
 class EmptyStructure(MsssError):
@@ -30,11 +26,6 @@ class EmptySet(MsssError):
 class NotAntichain(MsssError):
     """One qualified set contains another, so the minimal-set form is invalid."""
     exit_code = 6
-
-
-class DegeneratePoints(MsssError):
-    """Both interpolation points share an abscissa."""
-    exit_code = 23
 
 
 class SecretTooLarge(MsssError):

@@ -1,57 +1,19 @@
-"""Lines over Z_m: the sharing polynomial y = intercept + slope * x.
+"""The sharing line f(x) = secret + slope * x over Z_m.
 
-Dealer-made sharing lines always carry slope >= 1; a flat line would give
-the secret away through the published value at x = 1. Interpolating two
-arbitrary points may legitimately produce slope 0, so the type allows it.
+The secret sits at x = 0 and the public point at x = 1; each qualified set
+opens f at its own d in [2, m-1]. The dealer evaluates the line with
+``line_at`` and the combiner reads the secret back with ``interpolate_line``.
 """
 
-from __future__ import annotations
 
-from collections import namedtuple
-
-from .errors import DegeneratePoints
-from .numtheory import mod_inv
-
-Point = tuple[int, int]
+def line_at(secret: int, slope: int, x: int, m: int) -> int:
+    """f(x) = secret + slope * x mod m."""
+    return (secret + slope * x) % m
 
 
-class LinePoly(namedtuple("LinePoly", ("intercept", "slope", "modulus"))):
-    __slots__ = ()
+def interpolate_line(f1: int, d: int, y: int, m: int) -> int:
+    """The secret f(0) of the line through (1, f1) and (d, y).
 
-    def __new__(cls, intercept: int, slope: int, modulus: int):
-        if modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {modulus}")
-        if not 0 <= intercept < modulus:
-            raise ValueError(f"intercept {intercept} not reduced mod {modulus}")
-        if not 0 <= slope < modulus:
-            raise ValueError(f"slope {slope} not reduced mod {modulus}")
-        return super().__new__(cls, intercept, slope, modulus)
-
-    def eval(self, x: int) -> int:
-        """Value at x, which must already be a field element."""
-        if not 0 <= x < self.modulus:
-            raise ValueError(f"x must lie in [0, {self.modulus - 1}], got {x}")
-        return (self.intercept + self.slope * x) % self.modulus
-
-    @property
-    def secret(self) -> int:
-        """The concealed value: the evaluation at x = 0."""
-        return self.intercept
-
-
-def interpolate_line(p1: Point, p2: Point, modulus: int) -> LinePoly:
-    """The unique line through two points with distinct abscissas.
-
-    ``modulus`` must be prime so the abscissa difference is invertible.
-    Raises DegeneratePoints when x1 == x2.
+    m must be prime and d in [2, m-1], so that d - 1 is a unit mod m.
     """
-    x1, y1 = p1
-    x2, y2 = p2
-    for coord in (x1, y1, x2, y2):
-        if not 0 <= coord < modulus:
-            raise ValueError(f"coordinate {coord} not reduced mod {modulus}")
-    if x1 == x2:
-        raise DegeneratePoints(f"both points have abscissa {x1}")
-    slope = (y2 - y1) * mod_inv((x2 - x1) % modulus, modulus) % modulus
-    intercept = (y1 - slope * x1) % modulus
-    return LinePoly(intercept=intercept, slope=slope, modulus=modulus)
+    return (f1 - (y - f1) * pow(d - 1, -1, m)) % m

@@ -1,6 +1,6 @@
-"""Number theory on plain Python integers: probable primes, proved primes
-and modular inverses. Modular exponentiation is the built-in three-argument
-``pow`` and the gcd is ``math.gcd``.
+"""Number theory on plain Python integers: probable primes and proved
+primes. Modular exponentiation is the built-in three-argument ``pow``, a
+modular inverse is ``pow(a, -1, m)`` and the gcd is ``math.gcd``.
 
 Probable primality is Baillie-PSW (a strong Miller-Rabin round to base 2
 and a strong Lucas test) plus RANDOM_ROUNDS Miller-Rabin rounds with random
@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 import random
 from typing import Sequence
-
-from .errors import NotInvertible
 
 # Random-base Miller-Rabin rounds after Baillie-PSW: a composite, even one
 # chosen to fool Baillie-PSW, survives both with probability at most 4**-2.
@@ -56,20 +54,6 @@ def ceil_sqrt(n: int) -> int:
     """Smallest integer >= sqrt(n)."""
     r = math.isqrt(n)
     return r if r * r == n else r + 1
-
-
-def mod_inv(a: int, modulus: int) -> int:
-    """Multiplicative inverse of a modulo modulus, in [1, modulus - 1].
-
-    Raises NotInvertible when gcd(a, modulus) != 1.
-    """
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    try:
-        return pow(a, -1, modulus)
-    except ValueError:
-        gcd = math.gcd(a, modulus)
-        raise NotInvertible(f"{a} has no inverse modulo {modulus} (gcd is {gcd})") from None
 
 
 def _jacobi(a: int, n: int) -> int:

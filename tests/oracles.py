@@ -42,16 +42,6 @@ def brute_line_search(x1: int, y1: int, x2: int, y2: int, m: int) -> list:
     return found
 
 
-def brute_line_search_2d(x1: int, y1: int, x2: int, y2: int, m: int) -> list:
-    """Fully exhaustive variant: tries every (intercept, slope) pair."""
-    found = []
-    for intercept in range(m):
-        for slope in range(m):
-            if (intercept + slope * x1) % m == y1 and (intercept + slope * x2) % m == y2:
-                found.append((intercept, slope))
-    return found
-
-
 def is_antichain_bruteforce(sets) -> bool:
     """Pairwise subset scan over a list of sets."""
     sets = [frozenset(s) for s in sets]

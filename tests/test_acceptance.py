@@ -264,25 +264,22 @@ def test_dynamic_updates_touch_nothing_else(tmp_path, capsys):
 
 def test_interpolation_matches_bruteforce_over_z149():
     """interpolate_line agrees exactly with an exhaustive linear-system
-    search over Z_149: every (y1, y2) pair on the protocol-shaped abscissas
-    (1, 7), plus every (x2, y2) against the worked public point."""
+    search over Z_149: every (y1, y2) pair at the worked abscissa d = 7,
+    plus every (d, y2) with d in [2, 148] against the worked public point
+    (1, 105)."""
     m = 149
     cases = 0
     for y1 in range(m):
         for y2 in range(m):
-            expected = brute_line_search(1, y1, 7, y2, m)
-            line = interpolate_line((1, y1), (7, y2), m)
-            assert expected == [(line.intercept, line.slope)]
+            [(secret, _)] = brute_line_search(1, y1, 7, y2, m)
+            assert interpolate_line(y1, 7, y2, m) == secret
             cases += 1
-    for x2 in range(m):
-        if x2 == 1:
-            continue
+    for d in range(2, m):
         for y2 in range(m):
-            expected = brute_line_search(1, 105, x2, y2, m)
-            line = interpolate_line((1, 105), (x2, y2), m)
-            assert expected == [(line.intercept, line.slope)]
+            [(secret, _)] = brute_line_search(1, 105, d, y2, m)
+            assert interpolate_line(105, d, y2, m) == secret
             cases += 1
-    assert cases == m * m + (m - 1) * m
+    assert cases == m * m + (m - 2) * m
     _announce(f"interpolation oracle equivalence ({cases} cases over Z_149)")
 
 

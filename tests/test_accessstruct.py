@@ -89,7 +89,7 @@ def test_validation_matches_bruteforce_oracle(sets):
 @settings(max_examples=100, deadline=None)
 def test_monotone_closure_over_the_roster(sets):
     structure = validate_minimal(sets)
-    others = [p for p in PIDS if p not in structure.participants()]
+    others = [p for p in PIDS if p not in frozenset().union(*structure.minimal_sets)]
     for minimal in structure.minimal_sets:
         for extra in range(len(others) + 1):
             for added in itertools.combinations(others, extra):

@@ -11,6 +11,7 @@ import pytest
 from msss import bulletin, cli, codec, combiner, numtheory
 from msss.cli import main
 from msss.dealer import PublicParams
+from msss.errors import MsssError
 
 from conftest import TOY_SETUP, TOY_SHARE
 from oracles import miller_rabin, trial_division_factor
@@ -794,6 +795,34 @@ class TestDealerWrite:
         assert "p = q" in err
         assert (board.read_bytes(), dealer.read_bytes()) == files
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("share", "--secret", 5, "--sets", "A,B", "--seed", 3),
+            ("update", "renew", "--secret-id", "s1", "--secret", 44, "--seed", 3),
+            ("update", "add-set", "--secret-id", "s1", "--set", "A", "--seed", 3),
+            ("update", "remove-set", "--secret-id", "s1", "--index", 1),
+            ("update", "remove-participant", "--id", "B", "--seed", 3),
+        ],
+        ids=["share", "renew", "add-set", "remove-set", "remove-participant"],
+    )
+    def test_h0_not_a_unit_mod_phi(self, run, toy_files, argv):
+        # g = 25, ps0 = 5 and h0 = 2 pass the board's ps0^h0 = g check, but
+        # 2 has no inverse mod phi(143) = 120: add-set once exited 22
+        files = {}
+        for name in ("board", "dealer"):
+            obj = json.loads(toy_files[name].read_text())
+            obj["packages"]["s1"].update(ps0="5", h0="2")
+            if name == "board":
+                obj["params"]["g"] = "19"
+            toy_files[name].write_text(json.dumps(obj))
+            files[name] = toy_files[name].read_bytes()
+        code, out, err = run(*argv, "--board", toy_files["board"], "--dealer", toy_files["dealer"])
+        assert code == 19
+        assert out == ""
+        assert "s1: h0 is not a unit mod phi(n)" in err
+        assert {name: toy_files[name].read_bytes() for name in files} == files
+
 
 # A seeded 16-bit session through every command, with the stdout and exit
 # code of each step, the SHA-256 of every file it leaves, one SHA-256 over
@@ -879,6 +908,35 @@ def test_golden_session(run, tmp_path, monkeypatch):
     assert digests == GOLDEN_SHA256
     assert board_history.hexdigest() == GOLDEN_BOARD_HISTORY_SHA256
     assert dealer_history.hexdigest() == GOLDEN_DEALER_HISTORY_SHA256
+
+
+def _readme_exit_table() -> dict[int, str]:
+    """Code -> meaning, from the two-column table under "### Exit codes"."""
+    text = (SRC.parent / "README.md").read_text()
+    table = text.split("### Exit codes", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        for code, meaning in zip(cells[::3], cells[1::3]):
+            if code.isdigit():
+                rows[int(code)] = meaning
+    return rows
+
+
+def test_exit_codes_are_unique_and_documented():
+    classes, pending = [], [MsssError]
+    while pending:
+        subclasses = pending.pop().__subclasses__()
+        classes += subclasses
+        pending += subclasses
+    codes = {cls.__name__: cls.exit_code for cls in classes}
+    codes.update((name, value) for name, value in vars(cli).items() if name.startswith("EXIT_"))
+    assert len(set(codes.values())) == len(codes), codes
+    table = _readme_exit_table()
+    assert set(codes.values()) <= set(table), set(codes.values()) - set(table)
+    for retired in (22, 23):
+        assert retired not in codes.values()
+        assert table[retired] == "retired, not reused"
 
 
 class TestExitCodes:

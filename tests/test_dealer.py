@@ -16,7 +16,7 @@ from msss.errors import (
     UnknownParticipant,
     UnknownSecret,
 )
-from msss.numtheory import is_probable_prime, mod_inv, proves_prime
+from msss.numtheory import is_probable_prime, proves_prime
 from msss.simulate import attack_entry
 
 from conftest import TOY_SETUP, make_toy_world
@@ -166,7 +166,7 @@ class TestShareSecret:
         roster = {pid: k.ps for pid, k in keys.items()}
         structure = accessstruct.validate_minimal([["A", "B"], ["B", "C"], ["A", "C"]])
         pkg = dealer.share_secret(state, params, roster, 1234 % params.m, structure, rng)
-        s0 = mod_inv(pkg.h0, state.phi)
+        s0 = pow(pkg.h0, -1, state.phi)
         for ps in roster.values():
             lifted = pow(ps, s0, params.n)
             assert pow(lifted, pkg.h0, params.n) == ps
@@ -188,7 +188,7 @@ class TestShareSecret:
         pkg = dealer.share_secret(state, params, roster, 99, structure, rng)
         # ps0 = g**s0, then one mask per member although each is in two sets
         assert sorted(bases) == sorted([params.g, *roster.values()])
-        s0 = mod_inv(pkg.h0, state.phi)
+        s0 = pow(pkg.h0, -1, state.phi)
         for j, e in enumerate(pkg.entries, 1):
             masks = [pow(roster[pid], s0, params.n) for pid in e.members]
             assert combiner.unmask(params, pkg, j, masks) == 99

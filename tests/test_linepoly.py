@@ -1,96 +1,68 @@
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msss.errors import DegeneratePoints
-from msss.linepoly import LinePoly, interpolate_line
+from msss.linepoly import interpolate_line, line_at
 
-from oracles import brute_line_search_2d
+from oracles import brute_line_search
 
 PRIMES = [11, 97, 149, 257]
 
 
+@st.composite
+def lines(draw):
+    """(m, secret, slope) with the secret and the slope reduced mod m."""
+    m = draw(st.sampled_from(PRIMES))
+    return m, draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+
+
 class TestEval:
     def test_worked_values(self):
-        f = LinePoly(intercept=100, slope=5, modulus=149)
-        assert f.eval(1) == 105
-        assert f.eval(7) == 135
+        assert line_at(100, 5, 1, 149) == 105
+        assert line_at(100, 5, 7, 149) == 135
 
     def test_x_zero_gives_the_secret(self):
-        f = LinePoly(intercept=42, slope=17, modulus=97)
-        assert f.eval(0) == f.secret == 42
+        assert line_at(42, 17, 0, 97) == 42
 
-    def test_rejects_x_outside_field(self):
-        f = LinePoly(intercept=1, slope=1, modulus=11)
-        with pytest.raises(ValueError):
-            f.eval(11)
-        with pytest.raises(ValueError):
-            f.eval(-1)
-
-    def test_rejects_unreduced_coefficients(self):
-        with pytest.raises(ValueError):
-            LinePoly(intercept=149, slope=5, modulus=149)
-        with pytest.raises(ValueError):
-            LinePoly(intercept=0, slope=-1, modulus=149)
+    @given(lines(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_the_oracle(self, line, data):
+        m, secret, slope = line
+        x1 = data.draw(st.integers(0, m - 1))
+        x2 = data.draw(st.integers(0, m - 1).filter(lambda x: x != x1))
+        y1, y2 = line_at(secret, slope, x1, m), line_at(secret, slope, x2, m)
+        assert brute_line_search(x1, y1, x2, y2, m) == [(secret, slope)]
 
 
 class TestInterpolate:
     def test_worked_example(self):
-        line = interpolate_line((1, 105), (7, 135), 149)
-        assert (line.intercept, line.slope) == (100, 5)
-        assert brute_line_search_2d(1, 105, 7, 135, 149) == [(100, 5)]
+        assert interpolate_line(105, 7, 135, 149) == 100
+        assert brute_line_search(1, 105, 7, 135, 149) == [(100, 5)]
 
-    def test_degenerate_points(self):
-        with pytest.raises(DegeneratePoints):
-            interpolate_line((1, 10), (1, 20), 149)
-        with pytest.raises(DegeneratePoints):
-            interpolate_line((1, 10), (1, 10), 149)
-
-    def test_definition_points(self):
-        secret, slope, m = 33, 12, 97
-        line = interpolate_line((0, secret), (1, (secret + slope) % m), m)
-        assert (line.intercept, line.slope) == (secret, slope)
-
-    def test_rejects_unreduced_coordinates(self):
-        with pytest.raises(ValueError):
-            interpolate_line((1, 149), (7, 10), 149)
-
-    @given(
-        m=st.sampled_from(PRIMES),
-        secret=st.integers(min_value=0, max_value=10**6),
-        slope=st.integers(min_value=1, max_value=10**6),
-        d=st.integers(min_value=2, max_value=10**6),
-    )
+    @given(lines())
     @settings(max_examples=150, deadline=None)
-    def test_round_trip(self, m, secret, slope, d):
-        f = LinePoly(intercept=secret % m, slope=1 + slope % (m - 1), modulus=m)
-        d = 2 + d % (m - 2)
-        back = interpolate_line((1, f.eval(1)), (d, f.eval(d)), m)
-        assert back == f
+    def test_round_trip(self, line):
+        m, secret, slope = line
+        f1 = line_at(secret, slope, 1, m)
+        for d in range(2, m):
+            assert interpolate_line(f1, d, line_at(secret, slope, d, m), m) == secret
 
-    @given(
-        m=st.sampled_from(PRIMES),
-        secret=st.integers(min_value=0, max_value=10**6),
-        slope=st.integers(min_value=0, max_value=10**6),
-        x1=st.integers(min_value=0, max_value=10**6),
-        x2=st.integers(min_value=0, max_value=10**6),
-    )
+    @given(lines(), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_affine_difference(self, m, secret, slope, x1, x2):
-        f = LinePoly(intercept=secret % m, slope=slope % m, modulus=m)
-        x1, x2 = x1 % m, x2 % m
-        assert (f.eval(x1) - f.eval(x2)) % m == f.slope * (x1 - x2) % m
+    def test_affine_difference(self, line, data):
+        m, secret, slope = line
+        x1, x2 = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+        difference = line_at(secret, slope, x1, m) - line_at(secret, slope, x2, m)
+        assert difference % m == slope * (x1 - x2) % m
 
 
 def test_exhaustive_oracle_equivalence_small_field():
-    """Every valid point pair over Z_11 against the fully exhaustive search."""
+    """Every line over Z_11 at every d in [2, 10], against the exhaustive
+    search: line_at gives the points, interpolate_line the secret."""
     m = 11
-    for x1 in range(m):
-        for x2 in range(m):
-            if x1 == x2:
-                continue
-            for y1 in range(m):
-                for y2 in range(m):
-                    expected = brute_line_search_2d(x1, y1, x2, y2, m)
-                    line = interpolate_line((x1, y1), (x2, y2), m)
-                    assert expected == [(line.intercept, line.slope)]
+    for secret in range(m):
+        for slope in range(m):
+            f1 = line_at(secret, slope, 1, m)
+            for d in range(2, m):
+                y = line_at(secret, slope, d, m)
+                assert brute_line_search(1, f1, d, y, m) == [(secret, slope)]
+                assert interpolate_line(f1, d, y, m) == secret

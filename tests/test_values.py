@@ -8,7 +8,6 @@ import pytest
 from msss.accessstruct import AccessStructure
 from msss.bulletin import Board
 from msss.dealer import DealerState, PackageEntry, PublicParams, SecretPackage
-from msss.linepoly import LinePoly
 from msss.participant import Contribution, ParticipantKey
 from msss.simulate import SimulationConfig
 
@@ -28,7 +27,6 @@ VALUES = [
     (Contribution, dict(pid="A", secret_id="s1", set_index=1, x=112), "x", 113),
     (AccessStructure, dict(minimal_sets=(frozenset({"A", "B"}),)), "minimal_sets", ()),
     (SimulationConfig, dict(participants=3, secrets=2, seed=1), "seed", 2),
-    (LinePoly, dict(intercept=100, slope=5, modulus=149), "slope", 6),
 ]
 
 
