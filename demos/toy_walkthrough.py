@@ -51,8 +51,8 @@ print(f"B picks s = {key_b.s}, enrolls ps = g^s = {key_b.ps}")
 print("\n== sharing ==")
 secret = 100
 structure = validate_minimal([{"A", "B"}])
-# s0 = 7, slope 5, d = 7
-package = share_secret(state, params, roster, secret, structure, Script([7, 5, 7]))
+# h0 = 103, so s0 = 103^-1 mod 120 = 7; slope 5, d = 7
+package = share_secret(state, params, roster, secret, structure, Script([103, 5, 7]))
 entry = package.entry(1)
 print(f"dealer publishes ps0 = {package.ps0}, h0 = {package.h0}, f(1) = {package.f1}")
 print(f"for the set {sorted(entry.members)}: d = {entry.d}, "

@@ -26,6 +26,11 @@ toy 149 here, has an empty one. A board without the key predates the chain
 and cannot be converted, as its m - 1 cannot be factored in general: run
 ``msss setup`` again.
 
+Every h0 is odd, at least 3 and at most ``dealer.H0_BITS`` bits wide, and
+no two packages share one; a board from before h0 was short fails the
+width bound and cannot be converted either, as a new h0 means a new s0 and
+new masks: run ``msss setup`` again.
+
 Identical boards serialize byte-identically. ``load`` checks every public
 invariant, so a tampered or hand-edited document either fails loudly here
 or is caught later by the tag check; saving only serializes, as the system
@@ -48,7 +53,7 @@ import re
 
 from . import codec
 from .accessstruct import validate_minimal
-from .dealer import DealerState, PackageEntry, PublicParams, SecretPackage
+from .dealer import H0_BITS, DealerState, PackageEntry, PublicParams, SecretPackage
 from .errors import (
     BoardIOError,
     EmptySet,
@@ -100,6 +105,21 @@ class Board:
         built by ``dealer.setup``, ``enroll`` or a dealer operation on a loaded
         board keeps every invariant, so only ``from_document`` calls this."""
         p = self.params
+        # h0 first, before any pow: a wide h0 would make the ps0^h0 check
+        # slow, and two packages with one h0 share s0, so the x values
+        # released for one would strip the masks of the other
+        owner = {}
+        for sid, pkg in self.packages.items():
+            if pkg.h0.bit_length() > H0_BITS:
+                raise InvariantViolation(
+                    f"{sid}: h0 has {pkg.h0.bit_length()} bits, over {H0_BITS}: a board"
+                    " with full-width h0 predates short exponents; run `msss setup` again"
+                )
+            if pkg.h0 < 3 or pkg.h0 % 2 == 0:
+                raise InvariantViolation(f"{sid}: h0 is not odd and at least 3")
+            if pkg.h0 in owner:
+                raise InvariantViolation(f"{sid}: h0 is also the h0 of {owner[pkg.h0]}")
+            owner[pkg.h0] = sid
         if p.n < 4:
             raise InvariantViolation("n too small to be a product of two primes")
         if p.m <= p.n:
@@ -126,6 +146,9 @@ class Board:
                 raise InvariantViolation(f"{sid}: no qualified sets")
             if not 0 <= pkg.ps0 < p.n or math.gcd(pkg.ps0, p.n) != 1:
                 raise InvariantViolation(f"{sid}: ps0 is not a reduced unit mod n")
+            if pkg.ps0 == p.g:
+                # s0 = 1 modulo the order of g: every mask would be a roster value
+                raise InvariantViolation(f"{sid}: ps0 is g, so every mask is public")
             # ps0 = g^s0 and h0 = s0^-1 mod phi(n): this identity is what lets an
             # honest contribution x = ps0^s pass x^h0 == g^s
             if pow(pkg.ps0, pkg.h0, p.n) != p.g:

@@ -173,8 +173,12 @@ def cmd_contribute(args) -> int:
     board, pkg, j = _session(args)
     key = bulletin.load_key(args.key)
     c = participant.contribute(board.params, key, pkg, j)
-    # a roster value that is not this key's would get its holder blamed
-    if not board.roster[key.pid] == key.ps == pow(board.params.g, key.s, board.params.n):
+    # a roster value that is not this key's would get its holder blamed; the
+    # board guarantees ps0^h0 = g, so x passing the public check is g^s = ps
+    if not (
+        board.roster[key.pid] == key.ps
+        and combiner.verify_contribution(board.params, pkg, key.ps, c)
+    ):
         raise InvariantViolation(f"the board's pseudo-share of {key.pid} is not this key's")
     bulletin.save_contribution(c, args.out)
     print(c.x)

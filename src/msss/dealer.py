@@ -10,6 +10,12 @@ id are derived too, never stored. Everything a dealer operation returns is
 public and meant for the bulletin; nothing private ever appears in a
 SecretPackage.
 
+Each package's public exponent h0 is drawn first and short (at most
+H0_BITS bits, as RSA draws its public exponent), and s0 = h0**-1 mod phi(n)
+is derived from it: s0 stays full width and secret, while every public
+check x**h0 costs a short pow. Forging a contribution is still taking an
+h0-th root mod n.
+
 Only the dealer knows p and q, so only the dealer can split a pow mod n by
 the Chinese remainder theorem (Quisquater & Couvreur 1982): every dealer
 pow mod n (ps0 and each mask) is one pow mod p and one mod q, each with its
@@ -46,6 +52,9 @@ from .numtheory import ceil_sqrt, gen_prime, proved_prime_above
 
 _default_rng = random.SystemRandom()
 
+# the widest public exponent h0 the dealer draws and a board may carry
+H0_BITS = 128
+
 Roster = Mapping[ParticipantId, int]
 
 
@@ -80,7 +89,7 @@ class SecretPackage(NamedTuple):
 
     secret_id: str
     ps0: int  # g**s0 mod n
-    h0: int  # inverse of s0 modulo phi(n); the exponent for contribution checks
+    h0: int  # short, odd, 3 <= h0 < 2**H0_BITS; the exponent for contribution checks
     f1: int  # f(1), the public point of the sharing line
     entries: tuple[PackageEntry, ...]
 
@@ -172,11 +181,34 @@ def _pow_n(dealer: DealerState, x: int, e: int) -> int:
     return xq + q * ((xp - xq) * pow(q, -1, p) % p)
 
 
-def _sample_s0(phi: int, n: int, rng) -> int:
+def _draw_h0(dealer: DealerState, g: int, rng) -> tuple[int, int, int]:
+    """Draw the short public exponent h0 and derive s0 = h0**-1 mod phi(n).
+
+    h0 is drawn from [3, min(2**H0_BITS, phi(n))) until it is a unit mod
+    phi(n) (so odd), differs from the h0 of every package the dealer holds
+    (a shared h0 is a shared s0, and a renew that kept its h0 would keep
+    every mask), and gives ps0 = g**s0 other than g (else s0 = 1 modulo the
+    order of g, and every mask ps_k**s0 would be the roster value ps_k).
+    Returns (h0, s0, ps0); s0 stays full width and secret.
+    """
+    phi = dealer.phi
+    bound = min(1 << H0_BITS, phi)
+    taken = {pkg.h0 for pkg in dealer.packages.values()}
+
+    def ps0_of(h0: int) -> int | None:
+        if h0 in taken or math.gcd(h0, phi) != 1:
+            return None
+        ps0 = _pow_n(dealer, g, pow(h0, -1, phi))
+        return None if ps0 == g else ps0
+
+    # a toy phi(n) has few units: refuse once all are used, not draw forever
+    if bound <= 1 << 16 and all(ps0_of(h0) is None for h0 in range(3, bound)):
+        raise ValueError(f"every h0 below phi(n) = {phi} is used; n is too small for more")
     while True:
-        s0 = rng.randrange(2, n + 1)
-        if math.gcd(s0, phi) == 1:
-            return s0
+        h0 = rng.randrange(3, bound)
+        ps0 = ps0_of(h0)
+        if ps0 is not None:
+            return h0, pow(h0, -1, phi), ps0
 
 
 def _sample_d(count: int, m: int, rng, exclude: Iterable[int] = ()) -> list[int]:
@@ -237,7 +269,7 @@ def _publish(
     """Build a complete package under fresh randomness and store it and
     the secret under ``secret_id``. Shared by share_secret, renew_secret,
     and remove_participant."""
-    n, m = params.n, params.m
+    m = params.m
     if not structure.minimal_sets:
         raise EmptyStructure("cannot share under an empty access structure")
     if secret < 0:
@@ -246,9 +278,7 @@ def _publish(
         raise SecretTooLarge(f"secret must be below m = {m}, got {secret}")
     for members in structure.minimal_sets:
         _check_enrolled(members, roster)
-    s0 = _sample_s0(dealer.phi, n, rng)
-    h0 = pow(s0, -1, dealer.phi)
-    ps0 = _pow_n(dealer, params.g, s0)
+    h0, s0, ps0 = _draw_h0(dealer, params.g, rng)
     slope = rng.randrange(1, m)
     ds = _sample_d(structure.set_count, m, rng)
     entries = _entries(dealer, params, roster, s0, secret, slope, structure.minimal_sets, ds)
@@ -276,8 +306,9 @@ def share_secret(
 ) -> SecretPackage:
     """Publish a new secret under the given access structure.
 
-    Draws a fresh exponent s0 coprime to phi(n), a fresh slope, and one
-    fresh abscissa per qualified set; every member's mask is ps_k**s0 mod n.
+    Draws a fresh short exponent h0 (see ``_draw_h0``) and derives s0 =
+    h0**-1 mod phi(n) from it, then a fresh slope and one fresh abscissa per
+    qualified set; every member's mask is ps_k**s0 mod n.
     The returned package carries the next secret id, s<k+1> after k
     published secrets.
     """
@@ -295,8 +326,9 @@ def renew_secret(
 ) -> SecretPackage:
     """Re-share an existing secret id under its current structure.
 
-    A full re-publication: fresh s0, slope, abscissas, masks and tags, even
-    when the new secret equals the old one. Other packages are untouched.
+    A full re-publication: fresh h0 (never the old one) and so fresh s0,
+    slope, abscissas, masks and tags, even when the new secret equals the
+    old one. Other packages are untouched.
     """
     rng = rng or _default_rng
     structure = _require_package(dealer, secret_id).structure()
@@ -315,8 +347,8 @@ def add_qualified_set(
 
     Reuses the secret and the line and exponent read off the package, so
     existing entries stay valid: the slope is f1 - secret mod m, and
-    h0**-1 mod phi(n) is congruent to the drawn s0 modulo phi(n), both at
-    least 1, so on the squarefree n every mask ps_k**s0 comes out the same.
+    h0**-1 mod phi(n) is exactly the s0 the dealer derived when it drew h0,
+    so every mask ps_k**s0 comes out the same.
     Keeps the published structure a minimal antichain: a new set that
     contains an existing one is rejected as pointless, while existing sets
     that strictly contain the new one stop being minimal and are dropped.

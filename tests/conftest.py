@@ -1,3 +1,4 @@
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -12,9 +13,13 @@ from msss import accessstruct, dealer, participant
 from scripted import ScriptedRandom
 
 # The draws that build the toy world. setup: the low bits 3 and 5 that make
-# the 4-bit primes 11 and 13, then g = 15. share: s0 = 7, slope 5, d = 7.
+# the 4-bit primes 11 and 13, then g = 15. share: h0 = 103 (so s0 = 7), slope
+# 5, d = 7.
 TOY_SETUP = (3, 5, 15)
-TOY_SHARE = (7, 5, 7)
+TOY_SHARE = (103, 5, 7)
+# the least h0 = 103 + 60k of 129 bits: it opens the toy ps0 = 115 (of order
+# 60) to g as 103 does, so on the toy board it breaks only the width rule
+TOY_WIDE_H0 = 103 + 60 * -(-(2**128 - 103) // 60)
 
 
 @dataclass
@@ -43,6 +48,17 @@ def make_toy_world() -> ToyWorld:
     return ToyWorld(
         params=params, state=state, key_a=key_a, key_b=key_b, roster=roster, package=package
     )
+
+
+def full_width_draw(state, g, rng):
+    """The dealer's draw before h0 was short, for building boards of that
+    time: s0 from [2, n] coprime to phi(n), and h0 = s0^-1 mod phi(n), as
+    wide as phi(n). Stands in for ``dealer._draw_h0``."""
+    n = state.p * state.q
+    while True:
+        s0 = rng.randrange(2, n + 1)
+        if math.gcd(s0, state.phi) == 1:
+            return pow(s0, -1, state.phi), s0, pow(g, s0, n)
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msss import combiner, dealer, numtheory, participant
+from msss import bulletin, combiner, dealer, numtheory, participant
 from msss.accessstruct import validate_minimal
 from msss.bulletin import Board, from_document, hex_to_int, load, save, to_document
 from msss.errors import (
@@ -15,6 +15,12 @@ from msss.errors import (
     MalformedDocument,
     MsssError,
 )
+
+from conftest import TOY_WIDE_H0, full_width_draw
+
+
+def _no_pow(*args):
+    raise AssertionError("pow called")
 
 
 def _toy_board(toy) -> Board:
@@ -65,7 +71,10 @@ class TestCanonicalForm:
             load(tmp_path / "nope.json")
 
     def test_multiple_packages_keep_insertion_order(self, toy):
-        second = toy.package._replace(secret_id="s2")
+        # two packages may not share h0, so the second one is a real share
+        second = dealer.share_secret(
+            toy.state, toy.params, toy.roster, 17, validate_minimal([["A"]]), random.Random(2)
+        )
         board = Board(
             params=toy.params,
             roster=dict(toy.roster),
@@ -167,12 +176,66 @@ class TestValidation:
             from_document(json.dumps(obj))
         assert raised.value.exit_code == 19
 
-    @pytest.mark.parametrize("h0", [0, 102, 104])  # the toy package's h0 is 103
+    @pytest.mark.parametrize("h0", [101, 105, 107])  # the toy package's h0 is 103
     def test_h0_must_open_ps0_to_g(self, toy, h0):
         obj = json.loads(to_document(_toy_board(toy)))
         obj["packages"]["s1"]["h0"] = format(h0, "x")
         with pytest.raises(InvariantViolation, match=r"s1: ps0\^h0 is not g mod n") as raised:
             from_document(json.dumps(obj))
+        assert raised.value.exit_code == 19
+
+    @pytest.mark.parametrize(
+        "h0, rule",
+        [
+            pytest.param(TOY_WIDE_H0, "h0 has 129 bits, over 128", id="129-bit"),
+            pytest.param(0, "h0 is not odd and at least 3", id="0"),
+            pytest.param(1, "h0 is not odd and at least 3", id="1"),
+            pytest.param(102, "h0 is not odd and at least 3", id="102"),
+            pytest.param(104, "h0 is not odd and at least 3", id="104"),
+        ],
+    )
+    def test_h0_must_be_short_odd_and_at_least_3(self, toy, h0, rule, monkeypatch):
+        obj = json.loads(to_document(_toy_board(toy)))
+        obj["packages"]["s1"]["h0"] = format(h0, "x")
+        # refused before any pow
+        monkeypatch.setattr(bulletin, "pow", _no_pow, raising=False)
+        monkeypatch.setattr(bulletin, "proves_prime", _no_pow)
+        with pytest.raises(InvariantViolation, match=f"s1: {rule}") as raised:
+            from_document(json.dumps(obj))
+        assert raised.value.exit_code == 19
+
+    def test_two_packages_with_one_h0_rejected(self, toy):
+        # s2 copies s1's ps0 and h0, so ps0^h0 = g holds for both: the two
+        # would share s0, and only the uniqueness rule breaks
+        second = dealer.share_secret(
+            toy.state, toy.params, toy.roster, 17, validate_minimal([["A"]]), random.Random(2)
+        )
+        second = second._replace(ps0=toy.package.ps0, h0=toy.package.h0)
+        board = Board(toy.params, dict(toy.roster), {"s1": toy.package, "s2": second})
+        with pytest.raises(InvariantViolation, match="s2: h0 is also the h0 of s1") as raised:
+            from_document(to_document(board))
+        assert raised.value.exit_code == 19
+
+    def test_ps0_equal_to_g_rejected(self, toy):
+        # h0 = 61 is its own inverse mod 120 and 15^61 = 15 mod 143, as g has
+        # order 60: ps0 = g opens to g, and every mask ps^61 is ps itself
+        pkg = toy.package._replace(ps0=toy.params.g, h0=61)
+        assert pow(pkg.ps0, pkg.h0, toy.params.n) == toy.params.g
+        board = Board(toy.params, dict(toy.roster), {"s1": pkg})
+        with pytest.raises(InvariantViolation, match="s1: ps0 is g") as raised:
+            from_document(to_document(board))
+        assert raised.value.exit_code == 19
+
+    def test_full_width_h0_from_before_short_exponents_rejected(self, monkeypatch):
+        params, state = dealer.setup(512, random.Random(6))
+        rng = random.Random(7)
+        roster = {"A": participant.keygen(params, "A", rng).ps}
+        monkeypatch.setattr(dealer, "_draw_h0", full_width_draw)
+        pkg = dealer.share_secret(state, params, roster, 5, validate_minimal([["A"]]), rng)
+        assert pkg.h0.bit_length() > 1000
+        doc = to_document(Board(params, roster, {"s1": pkg}))
+        with pytest.raises(InvariantViolation, match="run `msss setup` again") as raised:
+            from_document(doc)
         assert raised.value.exit_code == 19
 
     def test_d_of_one_rejected(self, toy):

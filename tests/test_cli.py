@@ -8,12 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from msss import bulletin, cli, codec, combiner, numtheory
+from msss import bulletin, cli, codec, combiner, dealer, numtheory
 from msss.cli import main
 from msss.dealer import PublicParams
 from msss.errors import MsssError
 
-from conftest import TOY_SETUP, TOY_SHARE
+from conftest import TOY_SETUP, TOY_SHARE, TOY_WIDE_H0, full_width_draw
 from oracles import miller_rabin, trial_division_factor
 from scripted import ScriptedRandom
 
@@ -299,7 +299,7 @@ class TestBoardChecksH0:
     def test_tampered_h0_exits_19_at_load(self, run, toy_files, command):
         paths = [_contribute(run, toy_files, pid, f"c{pid}.json")[0] for pid in "AB"]
         obj = json.loads(toy_files["board"].read_text())
-        obj["packages"]["s1"]["h0"] = format(103 + 1, "x")
+        obj["packages"]["s1"]["h0"] = format(103 + 4, "x")  # odd, so only ps0^h0 = g breaks
         toy_files["board"].write_text(json.dumps(obj))
         out_path = toy_files["tmp"] / "again.json"
         if command == "contribute":
@@ -312,6 +312,96 @@ class TestBoardChecksH0:
         assert out == ""
         assert "s1: ps0^h0 is not g mod n" in err
         assert not out_path.exists()
+
+
+class TestBoardChecksShortH0:
+    """Every h0 on a board is short, odd, at least 3 and its own package's
+    alone; a board that breaks one of these is refused at load (exit 19)
+    and no file is written."""
+
+    @staticmethod
+    def _refused(run, world, argv, named):
+        files = [world["board"].read_bytes(), world["dealer"].read_bytes()]
+        code, out, err = run(*argv)
+        assert (code, out) == (19, ""), err
+        assert named in err
+        assert [world["board"].read_bytes(), world["dealer"].read_bytes()] == files
+
+    @pytest.mark.parametrize(
+        "h0, named",
+        [
+            pytest.param(TOY_WIDE_H0, "s1: h0 has 129 bits, over 128", id="129-bit"),
+            pytest.param(102, "s1: h0 is not odd and at least 3", id="even"),
+            pytest.param(1, "s1: h0 is not odd and at least 3", id="one"),
+        ],
+    )
+    def test_h0_outside_the_rules_exits_19(self, run, toy_files, h0, named):
+        obj = json.loads(toy_files["board"].read_text())
+        obj["packages"]["s1"]["h0"] = format(h0, "x")
+        toy_files["board"].write_text(json.dumps(obj))
+        argv = ("share", "--secret", 5, "--sets", "A", "--board", toy_files["board"],
+                "--dealer", toy_files["dealer"], "--seed", 1)
+        self._refused(run, toy_files, argv, named)
+
+    def test_two_packages_with_one_h0_exit_19(self, run, toy_files):
+        assert run("share", "--secret", 5, "--sets", "A", "--board", toy_files["board"],
+                   "--dealer", toy_files["dealer"], "--seed", 1)[0] == 0
+        obj = json.loads(toy_files["board"].read_text())
+        s1, s2 = obj["packages"]["s1"], obj["packages"]["s2"]
+        s2.update(ps0=s1["ps0"], h0=s1["h0"])  # ps0^h0 = g still holds for both
+        toy_files["board"].write_text(json.dumps(obj))
+        out_path = toy_files["tmp"] / "ca.json"
+        argv = ("contribute", "--board", toy_files["board"], "--key", toy_files["keys"]["A"],
+                "--secret-id", "s1", "--set", "A,B", "--out", out_path)
+        self._refused(run, toy_files, argv, "s2: h0 is also the h0 of s1")
+        assert not out_path.exists()
+
+    def test_board_from_before_short_h0_exits_19_on_every_load(
+        self, run, tmp_path, monkeypatch
+    ):
+        world = {"board": tmp_path / "board.json", "dealer": tmp_path / "dealer.json",
+                 "tmp": tmp_path, "keys": {"A": tmp_path / "A.key"}}
+        where = ("--board", world["board"])
+        assert run("setup", "--bits", 512, *where, "--dealer", world["dealer"],
+                   "--seed", 6)[0] == 0
+        assert run("enroll", "--id", "A", *where, "--key-out", world["keys"]["A"],
+                   "--seed", 7)[0] == 0
+        with monkeypatch.context() as mp:
+            mp.setattr(dealer, "_draw_h0", full_width_draw)
+            assert run("share", "--secret", 5, "--sets", "A", *where,
+                       "--dealer", world["dealer"], "--seed", 8)[0] == 0
+        h0 = int(json.loads(world["board"].read_text())["packages"]["s1"]["h0"], 16)
+        assert h0.bit_length() > 1000
+        named = "run `msss setup` again"
+        for argv in [
+            ("enroll", "--id", "B", *where, "--key-out", tmp_path / "B.key", "--seed", 9),
+            ("share", "--secret", 6, "--sets", "A", *where, "--dealer", world["dealer"],
+             "--seed", 9),
+            ("update", "renew", "--secret-id", "s1", "--secret", 7, *where,
+             "--dealer", world["dealer"], "--seed", 9),
+            ("contribute", *where, "--key", world["keys"]["A"], "--secret-id", "s1",
+             "--set", "A", "--out", tmp_path / "a.x"),
+            ("verify", *_session_args(world, [_write_contribution(world, "c.x", "A", 1)],
+                                      members="A")),
+        ]:
+            self._refused(run, world, argv, named)
+        assert not (tmp_path / "B.key").exists() and not (tmp_path / "a.x").exists()
+
+    def test_dealer_writes_only_short_distinct_h0(self, run, tmp_path):
+        where = ("--board", tmp_path / "board.json")
+        dealer_file = ("--dealer", tmp_path / "dealer.json")
+        assert run("setup", "--bits", 512, *where, *dealer_file, "--seed", 6)[0] == 0
+        for i, pid in enumerate("AB"):
+            assert run("enroll", "--id", pid, *where, "--key-out", tmp_path / f"{pid}.key",
+                       "--seed", 10 + i)[0] == 0
+        for i in range(4):
+            assert run("share", "--secret", i, "--sets", "A|B", *where, *dealer_file,
+                       "--seed", 20 + i)[0] == 0
+        board = bulletin.load(tmp_path / "board.json")
+        h0s = [pkg.h0 for pkg in board.packages.values()]
+        assert len(set(h0s)) == len(h0s) == 4
+        assert all(3 <= h0 < 2**128 and h0 % 2 == 1 for h0 in h0s)
+        assert all(pkg.ps0 != board.params.g for pkg in board.packages.values())
 
 
 def _next_link(r, low):
@@ -626,9 +716,10 @@ class TestUpdates:
 
     def test_reconstruct_names_every_stale_contribution(self, run, toy_files):
         paths = [_contribute(run, toy_files, pid, f"c{pid}.json")[0] for pid in ("A", "B")]
+        # h0 = 41 (s0 = 41) exposes both; see test_stale_contribution_may_pass_on_the_toy_group
         code, _, _ = run(
             "update", "renew", "--board", toy_files["board"], "--dealer", toy_files["dealer"],
-            "--secret-id", "s1", "--secret", 44, "--seed", 2,
+            "--secret-id", "s1", "--secret", 44, script=[41, 5, 9],
         )
         assert code == 0
         # one line per cheater, from reconstruct as from verify
@@ -638,6 +729,20 @@ class TestUpdates:
         code, out, _ = run("verify", *_session_args(toy_files, paths))
         assert code == 15
         assert out.splitlines() == ["cheater: A", "cheater: B"]
+
+    def test_stale_contribution_may_pass_on_the_toy_group(self, run, toy_files):
+        # a known toy-size property, not a forgery: A's stale x = g^35 has
+        # order 12 as s_A = 5 divides ord(g) = 60, and the renewed h0 = 19
+        # (s0 = 19) has 7 * 19 = 1 mod 12, so x^19 is A's pseudo-share again
+        paths = [_contribute(run, toy_files, pid, f"c{pid}.json")[0] for pid in ("A", "B")]
+        code, _, _ = run(
+            "update", "renew", "--board", toy_files["board"], "--dealer", toy_files["dealer"],
+            "--secret-id", "s1", "--secret", 44, script=[19, 5, 9],
+        )
+        assert code == 0
+        code, out, _ = run("verify", *_session_args(toy_files, paths))
+        assert code == 15
+        assert out.splitlines() == ["ok: A", "cheater: B"]
 
     def test_remove_set_and_last_entry_guard(self, run, toy_files):
         code, _, _ = run(
@@ -807,14 +912,15 @@ class TestDealerWrite:
         ids=["share", "renew", "add-set", "remove-set", "remove-participant"],
     )
     def test_h0_not_a_unit_mod_phi(self, run, toy_files, argv):
-        # g = 25, ps0 = 5 and h0 = 2 pass the board's ps0^h0 = g check, but
-        # 2 has no inverse mod phi(143) = 120: add-set once exited 22
+        # g = 125, ps0 = 5 and h0 = 3 pass every board check on h0 and
+        # ps0^h0 = g, but 3 has no inverse mod phi(143) = 120: add-set once
+        # exited 22 on such a package
         files = {}
         for name in ("board", "dealer"):
             obj = json.loads(toy_files[name].read_text())
-            obj["packages"]["s1"].update(ps0="5", h0="2")
+            obj["packages"]["s1"].update(ps0="5", h0="3")
             if name == "board":
-                obj["params"]["g"] = "19"
+                obj["params"]["g"] = "7d"
             toy_files[name].write_text(json.dumps(obj))
             files[name] = toy_files[name].read_bytes()
         code, out, err = run(*argv, "--board", toy_files["board"], "--dealer", toy_files["dealer"])
@@ -836,7 +942,11 @@ class TestDealerWrite:
 # "packages". The setup line, board.json, dealer.json and both histories were
 # recorded again when m came with the chain that proves it prime: every draw
 # after g moved, and the board gained "m_chain"; no other output or file
-# changed. A refactor of the write path must not change a byte of it.
+# changed. The four contributions, their files, board.json, dealer.json and
+# both histories were recorded again when the dealer began to draw a short h0
+# and derive s0 from it: every package and so every x changed, while the
+# setup and enroll lines, the keys and both recovered secrets did not. A
+# refactor of the write path must not change a byte of it.
 GOLDEN_BOARD = ("--board", "board.json")
 GOLDEN_DEALER = GOLDEN_BOARD + ("--dealer", "dealer.json")
 GOLDEN_SESSION = [
@@ -863,17 +973,17 @@ GOLDEN_SESSION = [
     (("update", "remove-participant", *GOLDEN_DEALER, "--id", "C", "--seed", 25), 0,
      "renewed: s1, s2\n"),
     (("contribute", *GOLDEN_BOARD, "--key", "A.key", "--secret-id", "s1", "--set", "A,B",
-      "--out", "a.x"), 0, "85818752\n"),
+      "--out", "a.x"), 0, "1502730620\n"),
     (("contribute", *GOLDEN_BOARD, "--key", "B.key", "--secret-id", "s1", "--set", "A,B",
-      "--out", "b.x"), 0, "1847065284\n"),
+      "--out", "b.x"), 0, "985505392\n"),
     (("reconstruct", *GOLDEN_BOARD, "--secret-id", "s1", "--set", "A,B",
       "--contribution", "a.x", "--contribution", "b.x"), 0, "54321\ntag: ok\n"),
     (("verify", *GOLDEN_BOARD, "--secret-id", "s1", "--set", "A,B",
       "--contribution", "a.x", "--contribution", "b.x"), 0, "ok: A\nok: B\n"),
     (("contribute", *GOLDEN_BOARD, "--key", "B.key", "--secret-id", "s2", "--set", "B,D",
-      "--out", "b2.x"), 0, "1044877062\n"),
+      "--out", "b2.x"), 0, "1081415083\n"),
     (("contribute", *GOLDEN_BOARD, "--key", "D.key", "--secret-id", "s2", "--set", "B,D",
-      "--out", "d2.x"), 0, "1522472210\n"),
+      "--out", "d2.x"), 0, "626289511\n"),
     (("reconstruct", *GOLDEN_BOARD, "--secret-id", "s2", "--set", "B,D",
       "--contribution", "b2.x", "--contribution", "d2.x"), 0, "26729\ntag: ok\n"),
 ]
@@ -882,16 +992,16 @@ GOLDEN_SHA256 = {
     "B.key": "cb170f0f606a81037d41e210a38b4161e0078a947b044046677de439b293ecd8",
     "C.key": "c1ae0c24596fd6373098eafbb2687c9fc70aa5f5a7b7f7017fec50ae40a03421",
     "D.key": "fba2a10462e9258108084cea183fbf5f5266fc6a3cd0e0099babf7891db3f717",
-    "a.x": "5a88236453ab3e8706a314ea8e20119e1a4dc7edb1f3f1302461b4fe7ed5e7f6",
-    "b.x": "0c0f60672f2dcc71ab26d9352f335d2ab12920534d61ccfb5c6050ddd76f4b54",
-    "b2.x": "73d1f68cdef13e888ebd641558dea1d8346bc68df55dbccd73f087249612c528",
-    "board.json": "1ed6faacb1f6a91be190bbbc3d6f482392985a2b55609b6e662f66a3ffc0e98b",
+    "a.x": "2a8a96279bafc4e8589c7c1138de6e45502cf325a7fed9a3a4ea52f7a8b10dd6",
+    "b.x": "06103c46eda089c855711f5f41939b60a17360c9a09d012f47ca71dfe5014dd4",
+    "b2.x": "09909a07a3fa550c1cff7aa6ed3c46dcaefb06b891eb06918f6b0fce15566f8d",
+    "board.json": "63fe8a50f88e1c114755e33cd874ff477842ae117d8e7053a5e17d37c0a68ad0",
     "board.json.lock": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "d2.x": "ed7b783a57c5ec19d9ddb26625c843d183a7fa8a3a8c368fda9646c8a6ee1383",
-    "dealer.json": "2639e4a70a58d7472edab397d32c521aa8afb70adc9d21201e9dec2b5ed7d1af",
+    "d2.x": "678de20b91d0d0fbbb01364ec9edc0451abc52d0998b094863cfc8fe32d4937b",
+    "dealer.json": "679c12ad1f90a1f83f97e172a367c9bed5c22a57e103d24f8ba7dbf8cd7ba354",
 }
-GOLDEN_BOARD_HISTORY_SHA256 = "3184cf54d00fb7410093eee5a92423cde9426edd7403929ecd4b8609c7b64158"
-GOLDEN_DEALER_HISTORY_SHA256 = "e2ed882db2fc6c605e80feb87fd02aaa79a502a44d993f0024ae3dd3d3c47b0c"
+GOLDEN_BOARD_HISTORY_SHA256 = "810bb217420bd08017ba2926de1ebf01402518b5442d0bad6d8cb3cb6fe6ff55"
+GOLDEN_DEALER_HISTORY_SHA256 = "6465bec45d5ac8f122f6e6b709a3c65a447c40aa05fa0537cbcf3e3189c955bc"
 
 
 def test_golden_session(run, tmp_path, monkeypatch):
@@ -1048,11 +1158,13 @@ class TestSecretText:
 # `msss simulate --participants 6 --secrets 4 --cheaters 1 --bits 64 --seed <seed>`
 # Seeds 7 and 11 were recorded again when m came with its prime chain, which
 # moves every draw after g. Seed 3 kept its report: keygen's rejection
-# sampling brings its stream back to the same words.
+# sampling brings its stream back to the same words. All three were recorded
+# again when the dealer began to draw a short h0 first, which moves every
+# draw after the first share.
 GOLDEN_REPORT_SHA256 = {
-    7: "f88f78e408fda7447c474a047c14487e7025df4cc3c2b278ecde031666d0766a",
-    3: "fc938abd28d3ffa170d28ca2880c038da117093f7a80b4a4338ee92f34a80b27",
-    11: "52902485582b85586300ea15e122f0b130d62bf1017b97c6af8029258012529f",
+    7: "9cea53b2680c0933d983f26f0f56f005967dc1aa8ef1710e1240d3444c0d1a88",
+    3: "5289d70d9af74299ad908edf6b04f8da3f800fcdb69a213dc2f60c55e4871a79",
+    11: "be66c60b7b136b486576d362086aad5681ec82c6cdf27c0023ed32e5f0eca5ee",
 }
 
 

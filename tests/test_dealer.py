@@ -9,6 +9,7 @@ from msss import accessstruct, bulletin, codec, combiner, dealer, participant
 from msss.errors import (
     EmptySet,
     IndexOutOfRange,
+    InvariantViolation,
     LastEntry,
     NotAntichain,
     SecretTooLarge,
@@ -123,6 +124,56 @@ class TestShareSecret:
         assert naive_mod_exp(115, 7, 143) == 80
         assert 135 ^ 111 ^ 80 == 184
 
+    def test_h0_whose_ps0_is_g_is_drawn_again(self):
+        # h0 = 61 is its own inverse mod 120, and 15^61 = 15 mod 143 as g has
+        # order 60: ps0 would be g and every mask ps^61 the roster value ps.
+        # The board refuses such a package, so the dealer draws again
+        params, state = dealer.setup(4, ScriptedRandom(TOY_SETUP))
+        keys, roster = _enroll_three(params)
+        structure = accessstruct.validate_minimal([["A", "B"]])
+        assert pow(params.g, pow(61, -1, state.phi), params.n) == params.g
+        rng = ScriptedRandom([61, 103, 5, 7])
+        pkg = dealer.share_secret(state, params, roster, 100, structure, rng)
+        assert rng.values == []
+        assert (pkg.ps0, pkg.h0, pkg.f1) == (115, 103, 105)
+        refused = bulletin.Board(params, dict(roster), {"s1": pkg._replace(ps0=params.g, h0=61)})
+        with pytest.raises(InvariantViolation, match="s1: ps0 is g"):
+            bulletin.from_document(bulletin.to_document(refused))
+        # add-set reads back exactly the drawn s0 = 7
+        pkg = dealer.add_qualified_set(state, params, roster, "s1", ["C"], ScriptedRandom([9]))
+        entry = pkg.entry(2)
+        assert (entry.members, entry.d) == (frozenset("C"), 9)
+        assert entry.masked == ((100 + 5 * 9) % 149) ^ naive_mod_exp(roster["C"], 7, 143)
+        c = participant.contribute(params, keys["C"], pkg, 2)
+        assert combiner.reconstruct(params, pkg, 2, [c], roster) == 100
+
+    def test_h0_of_another_package_or_not_a_unit_is_drawn_again(self, toy):
+        # 103 is s1's h0 (one h0 is one s0), 105 shares 15 with phi = 120
+        structure = accessstruct.validate_minimal([["A"]])
+        rng = ScriptedRandom([103, 105, 11, 5, 7])
+        pkg = dealer.share_secret(toy.state, toy.params, toy.roster, 17, structure, rng)
+        assert rng.values == []
+        assert pkg.h0 == 11
+        assert pkg.ps0 == naive_mod_exp(15, pow(11, -1, 120), 143)
+
+    def test_toy_world_runs_out_of_h0_and_says_so(self, toy):
+        # the 31 units in [3, 120) less h0 = 61, whose ps0 is g
+        structure = accessstruct.validate_minimal([["A"]])
+        rng = random.Random(1)
+        for _ in range(29):
+            dealer.share_secret(toy.state, toy.params, toy.roster, 5, structure, rng)
+        assert len({pkg.h0 for pkg in toy.state.packages.values()}) == 30
+        with pytest.raises(ValueError, match="every h0 below phi"):
+            dealer.share_secret(toy.state, toy.params, toy.roster, 5, structure, rng)
+        assert len(toy.state.packages) == 30
+
+    def test_renew_never_keeps_its_h0(self, toy):
+        # a renew under the old h0 would keep s0 and every mask
+        rng = ScriptedRandom([103, 41, 5, 9])
+        pkg = dealer.renew_secret(toy.state, toy.params, toy.roster, "s1", 100, rng)
+        assert rng.values == []
+        assert pkg.h0 == 41
+
     def test_sequential_ids(self, toy):
         structure = accessstruct.validate_minimal([["A"]])
         pkg2 = dealer.share_secret(toy.state, toy.params, toy.roster, 5, structure, random.Random(1))
@@ -234,10 +285,11 @@ class TestRenew:
             participant.contribute(toy.params, toy.key_a, toy.package, 1),
             participant.contribute(toy.params, toy.key_b, toy.package, 1),
         ]
-        # seed chosen so the fresh s0 differs from the old one modulo ord(g);
-        # on a toy field a collision there keeps the stale values valid
+        # h0 = 41 gives s0 = 41, not congruent to the old 7 modulo ord(g) = 60,
+        # and exposes both stale values; TestToySizeCoincidences pins the
+        # draws on this toy group that do not
         new_pkg = dealer.renew_secret(
-            toy.state, toy.params, toy.roster, "s1", toy.secret, random.Random(2)
+            toy.state, toy.params, toy.roster, "s1", toy.secret, ScriptedRandom([41, 5, 9])
         )
         # the verification identity fails for stale values against fresh h0
         from msss.errors import BadContribution
@@ -265,22 +317,6 @@ class TestAddQualifiedSet:
         recovered = combiner.reconstruct(toy.params, pkg, 1, [c], toy.roster)
         assert recovered == 100
         assert combiner.verify_secret(pkg, 1, recovered, toy.params.width)
-
-    def test_exponent_read_off_the_package_may_differ_from_the_drawn_one(self):
-        # s0 = 121 > phi(n) = 120 is a valid draw (coprime to phi, at most n);
-        # h0 = 1 gives back s0 = 1, and ps**121 = ps**1 mod 143 for every ps
-        params, state = dealer.setup(4, ScriptedRandom(TOY_SETUP))
-        keys, roster = _enroll_three(params)
-        structure = accessstruct.validate_minimal([["A", "B"]])
-        rng = ScriptedRandom([121, 5, 7])
-        pkg = dealer.share_secret(state, params, roster, 100, structure, rng)
-        assert pkg.h0 == 1
-        pkg = dealer.add_qualified_set(state, params, roster, "s1", ["C"], ScriptedRandom([9]))
-        entry = pkg.entry(2)
-        assert (entry.members, entry.d) == (frozenset("C"), 9)
-        assert entry.masked == ((100 + 5 * 9) % 149) ^ naive_mod_exp(roster["C"], 121, 143)
-        c = participant.contribute(params, keys["C"], pkg, 2)
-        assert combiner.reconstruct(params, pkg, 2, [c], roster) == 100
 
     def test_incomparable_set_appended(self, toy):
         key_c = participant.keygen(toy.params, "C", ScriptedRandom([9]))
@@ -413,6 +449,43 @@ class TestRemoveParticipant:
     def test_unknown_participant(self, toy):
         with pytest.raises(UnknownParticipant):
             dealer.remove_participant(toy.state, toy.params, toy.roster, "Z", random.Random(1))
+
+
+class TestToySizeCoincidences:
+    """Known properties of the toy group (g = 15 of order 60 mod 143, one-byte
+    masks), pinned so that they show: a stale contribution may still pass
+    or open a renewed package. At real sizes, ord(g) has only huge prime
+    factors besides small ones shared by chance, and masks are as wide as m."""
+
+    def _renew(self, toy, script):
+        stale = [
+            participant.contribute(toy.params, key, toy.package, 1)
+            for key in (toy.key_a, toy.key_b)
+        ]
+        pkg = dealer.renew_secret(
+            toy.state, toy.params, toy.roster, "s1", toy.secret, ScriptedRandom(script)
+        )
+        return stale, pkg
+
+    def test_stale_contribution_passes_when_its_order_divides_out(self, toy):
+        # A's stale x = g^(7*5) has order 12, since s_A = 5 divides ord(g) = 60,
+        # and with h0 = 19 (s0 = 19), x^19 = g^(5*133) = g^5 as 133 = 1 mod 12
+        stale, pkg = self._renew(toy, [19, 5, 9])
+        assert pow(19, -1, toy.state.phi) == 19 and 7 * 19 % 12 == 1
+        verdicts = combiner.check_contributions(toy.params, pkg, 1, stale, toy.roster)
+        assert verdicts == [True, False]
+
+    def test_stale_values_can_xor_to_the_fresh_masks(self, toy):
+        # h0 = 113 gives s0 = 17: fresh masks 67 and 124, stale values 111
+        # and 80, and 67 ^ 124 = 111 ^ 80 = 63 in the one-byte width
+        stale, pkg = self._renew(toy, [113, 5, 9])
+        masks = [naive_mod_exp(toy.roster[pid], 17, 143) for pid in "AB"]
+        assert masks == [67, 124] and [c.x for c in stale] == [111, 80]
+        assert combiner.check_contributions(toy.params, pkg, 1, stale, toy.roster) == [
+            False,
+            False,
+        ]
+        assert attack_entry(toy.params, pkg, 1, [c.x for c in stale]) == (True, 100)
 
 
 def test_end_to_end_randomized_round_trips():

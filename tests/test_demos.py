@@ -18,10 +18,21 @@ ROOT = Path(__file__).resolve().parents[1]
     ],
 )
 def test_demo_runs_to_its_closing_line(demo, closing):
+    result = _run_demo(demo)
+    assert result.returncode == 0, result.stderr
+    assert re.fullmatch(closing, result.stdout.splitlines()[-1])
+
+
+def test_toy_walkthrough_prints_the_worked_package():
+    # the scripted draw is h0 = 103 itself, and s0 = 7 is derived from it
+    result = _run_demo("toy_walkthrough.py")
+    assert result.returncode == 0, result.stderr
+    assert "dealer publishes ps0 = 115, h0 = 103, f(1) = 105" in result.stdout.splitlines()
+
+
+def _run_demo(demo):
     env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"}
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
         capture_output=True, text=True, env=env, timeout=60,
     )
-    assert result.returncode == 0, result.stderr
-    assert re.fullmatch(closing, result.stdout.splitlines()[-1])
