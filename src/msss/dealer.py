@@ -195,20 +195,21 @@ def _draw_h0(dealer: DealerState, g: int, rng) -> tuple[int, int, int]:
     bound = min(1 << H0_BITS, phi)
     taken = {pkg.h0 for pkg in dealer.packages.values()}
 
-    def ps0_of(h0: int) -> int | None:
+    def s0_ps0_of(h0: int) -> tuple[int, int] | None:
         if h0 in taken or math.gcd(h0, phi) != 1:
             return None
-        ps0 = _pow_n(dealer, g, pow(h0, -1, phi))
-        return None if ps0 == g else ps0
+        s0 = pow(h0, -1, phi)
+        ps0 = _pow_n(dealer, g, s0)
+        return None if ps0 == g else (s0, ps0)
 
     # a toy phi(n) has few units: refuse once all are used, not draw forever
-    if bound <= 1 << 16 and all(ps0_of(h0) is None for h0 in range(3, bound)):
+    if bound <= 1 << 16 and all(s0_ps0_of(h0) is None for h0 in range(3, bound)):
         raise ValueError(f"every h0 below phi(n) = {phi} is used; n is too small for more")
     while True:
         h0 = rng.randrange(3, bound)
-        ps0 = ps0_of(h0)
-        if ps0 is not None:
-            return h0, pow(h0, -1, phi), ps0
+        drawn = s0_ps0_of(h0)
+        if drawn is not None:
+            return (h0, *drawn)
 
 
 def _sample_d(count: int, m: int, rng, exclude: Iterable[int] = ()) -> list[int]:

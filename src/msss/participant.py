@@ -4,6 +4,12 @@ A participant picks a private exponent s and hands only the pseudo-share
 ps = g**s mod n to the dealer; recovering s from ps is a discrete-log
 instance. During reconstruction the participant releases x = ps0**s mod n,
 which again keeps s hidden. One key serves any number of secrets.
+
+s is short: at most S_BITS bits, as Diffie-Hellman draws short exponents
+(van Oorschot & Wiener 1996), so keygen's g**s and every contribution's
+ps0**s cost a short pow. The best known attack on such an s is Pollard's
+lambda method, about 2**(S_BITS/2) steps. A key with a wider s, drawn
+before s was short, works as before.
 """
 
 from __future__ import annotations
@@ -15,6 +21,9 @@ from .dealer import PublicParams, SecretPackage
 from .errors import NotAMember
 
 _default_rng = random.SystemRandom()
+
+# the widest private exponent s that keygen draws
+S_BITS = 256
 
 
 class ParticipantKey(NamedTuple):
@@ -35,11 +44,12 @@ class Contribution(NamedTuple):
 def keygen(params: PublicParams, pid: str, rng: random.Random | None = None) -> ParticipantKey:
     """Draw a private share and derive the pseudo-share to enroll with.
 
-    s is uniform on [2, n]; two participants drawing the same value is
-    allowed (and at real sizes never happens).
+    s is uniform on [2, min(n + 1, 2**S_BITS)): below 2**S_BITS once n has
+    S_BITS bits or more, and on [2, n] for a smaller n. Two participants
+    drawing the same value is allowed (and at real sizes never happens).
     """
     rng = rng or _default_rng
-    s = rng.randrange(2, params.n + 1)
+    s = rng.randrange(2, min(params.n + 1, 1 << S_BITS))
     return ParticipantKey(pid=pid, s=s, ps=pow(params.g, s, params.n))
 
 

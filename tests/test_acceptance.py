@@ -284,15 +284,23 @@ def test_interpolation_matches_bruteforce_over_z149():
 
 
 def test_share_size_claim(small_world_pass):
-    """Private shares are no longer than n, which is no longer than m."""
+    """Private shares are no longer than min(n, 2^256), and n is no longer
+    than m."""
     reports, _ = small_world_pass
     for report in reports:
         p = report["params"]
-        assert p["max_share_bits"] <= p["n_bits"] <= p["m_bits"]
+        assert p["max_share_bits"] <= min(p["n_bits"], 256)
+        assert p["n_bits"] <= p["m_bits"]
+    # where n is wider than 2^256, the 256-bit bound is the one that holds
+    p = run_simulation(
+        SimulationConfig(participants=4, secrets=1, bits_per_prime=192, seed=192)
+    )["params"]
+    assert p["max_share_bits"] <= 256 < p["n_bits"] <= p["m_bits"]
     # direct check on explicit keys as well
     rng = random.Random(8)
     params, _ = dealer.setup(16, rng)
     for pid in ("P1", "P2", "P3"):
         key = participant.keygen(params, pid, rng)
-        assert key.s.bit_length() <= params.n.bit_length() <= params.m.bit_length()
-    _announce("share-size claim (bitlen(s) <= bitlen(n) <= bitlen(m))")
+        assert key.s.bit_length() <= min(params.n.bit_length(), 256)
+        assert params.n.bit_length() <= params.m.bit_length()
+    _announce("share-size claim (bitlen(s) <= min(bitlen(n), 256), bitlen(n) <= bitlen(m))")

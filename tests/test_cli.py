@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from msss import bulletin, cli, codec, combiner, dealer, numtheory
+from msss import bulletin, cli, codec, combiner, dealer, numtheory, participant
 from msss.cli import main
 from msss.dealer import PublicParams
 from msss.errors import MsssError
@@ -402,6 +402,41 @@ class TestBoardChecksShortH0:
         assert len(set(h0s)) == len(h0s) == 4
         assert all(3 <= h0 < 2**128 and h0 % 2 == 1 for h0 in h0s)
         assert all(pkg.ps0 != board.params.g for pkg in board.packages.values())
+
+
+class TestKeysFromBeforeShortS:
+    """A key enrolled before keygen drew a 256-bit s, with an s as wide as
+    n, still contributes and reconstructs: nothing reads the width of s."""
+
+    def test_full_width_key_contributes_and_reconstructs(self, run, tmp_path):
+        board_path = tmp_path / "board.json"
+        where = ("--board", board_path)
+        dealer_file = ("--dealer", tmp_path / "dealer.json")
+        keys = {pid: tmp_path / f"{pid}.key" for pid in "AB"}
+        assert run("setup", "--bits", 512, *where, *dealer_file, "--seed", 31)[0] == 0
+        for i, pid in enumerate("AB"):
+            assert run("enroll", "--id", pid, *where, "--key-out", keys[pid],
+                       "--seed", 32 + i)[0] == 0
+        assert bulletin.load_key(keys["A"]).s < 2**256
+
+        # B's key as keygen drew it before: s uniform on [2, n]
+        params = bulletin.load(board_path).params
+        s = random.Random(34).randrange(2, params.n + 1)
+        assert s.bit_length() > 1000
+        ps = pow(params.g, s, params.n)
+        bulletin.save_key(participant.ParticipantKey("B", s, ps), keys["B"])
+        obj = json.loads(board_path.read_text())
+        obj["roster"]["B"] = format(ps, "x")
+        board_path.write_text(json.dumps(obj))
+
+        assert run("share", "--secret", 4242, "--sets", "A,B", *where, *dealer_file,
+                   "--seed", 35)[0] == 0
+        world = {"board": board_path, "tmp": tmp_path, "keys": keys}
+        paths = [_contribute(run, world, pid, f"{pid}.x")[0] for pid in "AB"]
+        code, out, err = run("verify", *_session_args(world, paths))
+        assert (code, out.splitlines()) == (0, ["ok: A", "ok: B"]), err
+        code, out, err = run("reconstruct", *_session_args(world, paths))
+        assert (code, out.splitlines()) == (0, ["4242", "tag: ok"]), err
 
 
 def _next_link(r, low):

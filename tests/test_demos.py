@@ -1,4 +1,4 @@
-"""The demos run to their closing line."""
+"""The demos run to their closing line, and the README quickstart runs."""
 
 import re
 import subprocess
@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+_ENV = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"}
 
 
 @pytest.mark.parametrize(
@@ -30,9 +31,20 @@ def test_toy_walkthrough_prints_the_worked_package():
     assert "dealer publishes ps0 = 115, h0 = 103, f(1) = 105" in result.stdout.splitlines()
 
 
+def test_readme_quickstart_runs():
+    # the first python block under "## Library quickstart", run as written
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library quickstart\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    result = subprocess.run(
+        [sys.executable, "-B", "-c", code],
+        capture_output=True, text=True, env=_ENV, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def _run_demo(demo):
-    env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"}
     return subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_ENV, timeout=60,
     )

@@ -21,6 +21,26 @@ class TestKeygen:
             assert 2 <= key.s <= toy.params.n
             assert key.ps == pow(toy.params.g, key.s, toy.params.n)
 
+    def test_draw_is_short_at_512_bit_primes(self):
+        # n has 1023 or 1024 bits, so a draw on [2, n] would fall below
+        # 2**256 with probability about 2**-767 per key
+        rng = random.Random(6)
+        params, _ = dealer.setup(512, rng)
+        for i in range(50):
+            key = participant.keygen(params, f"P{i}", rng)
+            assert 2 <= key.s < 2**256
+            assert key.ps == pow(params.g, key.s, params.n)
+
+    def test_draw_below_256_bit_n_is_unchanged(self):
+        # a 128-bit n: the draw is the one on [2, n], so small worlds keep their keys
+        params, _ = dealer.setup(64, random.Random(64))
+        rng = random.Random(6464)
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        for pid in ("P", "Q", "R"):
+            s = twin.randrange(2, params.n + 1)
+            assert participant.keygen(params, pid, rng) == (pid, s, pow(params.g, s, params.n))
+
     def test_equal_shares_are_legitimate(self, toy):
         k1 = participant.keygen(toy.params, "P", ScriptedRandom([50]))
         k2 = participant.keygen(toy.params, "Q", ScriptedRandom([50]))
