@@ -23,6 +23,7 @@ from .errors import (
     UnmaskOutOfField,
 )
 from .linepoly import interpolate_line
+from .modexp import powmod
 from .participant import Contribution
 
 
@@ -37,7 +38,7 @@ def verify_contribution(
     """
     if not 0 <= contribution.x < params.n:
         return False
-    return pow(contribution.x, package.h0, params.n) == ps
+    return powmod(contribution.x, package.h0, params.n) == ps
 
 
 def check_contributions(

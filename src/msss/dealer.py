@@ -19,9 +19,11 @@ h0-th root mod n.
 Only the dealer knows p and q, so only the dealer can split a pow mod n by
 the Chinese remainder theorem (Quisquater & Couvreur 1982): every dealer
 pow mod n (ps0 and each mask) is one pow mod p and one mod q, each with its
-exponent reduced mod p-1 or q-1, recombined by Garner's formula. That gives
-exactly pow(x, e, n) at well under half its cost; participants, combiners
-and verifiers, who know only n, pay the full pow.
+exponent reduced mod p-1 or q-1, recombined by Garner's formula with
+q**-1 mod p from the DealerState. That gives exactly pow(x, e, n) in under
+half the time of one full-width ``modexp.powmod`` at a 1024-bit n; at a
+smaller n the fixed cost of each call narrows the gain. Participants,
+combiners and verifiers, who know only n, pay the full pow.
 
 Randomized operations draw from an optional ``rng`` (any
 ``random.Random``-alike, a secure source by default) in a fixed order, so
@@ -48,6 +50,7 @@ from .errors import (
     UnknownSecret,
 )
 from .linepoly import line_at
+from .modexp import powmod
 from .numtheory import ceil_sqrt, gen_prime, proved_prime_above
 
 _default_rng = random.SystemRandom()
@@ -113,7 +116,9 @@ class DealerState:
     """Private dealer state, never published: the factors of n and, by
     secret id s1, s2, ... in publishing order, each secret and the package
     the board publishes for it. The package copy is what exposes a lost
-    dealer write; phi(n), s0 and the slope are derived, never stored."""
+    dealer write; phi(n), s0 and the slope are derived, never stored.
+    ``q_inv`` = q**-1 mod p, Garner's constant for ``_pow_n``, is derived
+    once here and never written to the dealer file."""
 
     def __init__(
         self,
@@ -124,6 +129,7 @@ class DealerState:
     ):
         self.p = p
         self.q = q
+        self.q_inv = pow(q, -1, p)
         self.secrets = {} if secrets is None else secrets
         self.packages = {} if packages is None else packages
 
@@ -176,9 +182,9 @@ def _pow_n(dealer: DealerState, x: int, e: int) -> int:
     below n = p*q.
     """
     p, q = dealer.p, dealer.q
-    xp = pow(x % p, (e - 1) % (p - 1) + 1, p)
-    xq = pow(x % q, (e - 1) % (q - 1) + 1, q)
-    return xq + q * ((xp - xq) * pow(q, -1, p) % p)
+    xp = powmod(x % p, (e - 1) % (p - 1) + 1, p)
+    xq = powmod(x % q, (e - 1) % (q - 1) + 1, q)
+    return xq + q * ((xp - xq) * dealer.q_inv % p)
 
 
 def _draw_h0(dealer: DealerState, g: int, rng) -> tuple[int, int, int]:

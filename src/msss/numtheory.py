@@ -1,6 +1,8 @@
 """Number theory on plain Python integers: probable primes and proved
-primes. Modular exponentiation is the built-in three-argument ``pow``, a
-modular inverse is ``pow(a, -1, m)`` and the gcd is ``math.gcd``.
+primes. Modular exponentiation is ``modexp.powmod`` (OpenSSL's
+``BN_mod_exp`` where the interpreter's libcrypto can be reached, else the
+built-in ``pow``), a modular inverse is ``pow(a, -1, m)`` and the gcd is
+``math.gcd``.
 
 Probable primality is Baillie-PSW (a strong Miller-Rabin round to base 2
 and a strong Lucas test) plus RANDOM_ROUNDS Miller-Rabin rounds with random
@@ -26,6 +28,8 @@ from __future__ import annotations
 import math
 import random
 from typing import Sequence
+
+from .modexp import powmod
 
 # Random-base Miller-Rabin rounds after Baillie-PSW: a composite, even one
 # chosen to fool Baillie-PSW, survives both with probability at most 4**-2.
@@ -76,7 +80,7 @@ def _strong_mr(n: int, a: int) -> bool:
     """One strong Miller-Rabin round: is odd n > 3 a strong probable prime
     to base a, 2 <= a <= n - 2?"""
     r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**r, d odd
-    x = pow(a, (n - 1) >> r, n)
+    x = powmod(a, (n - 1) >> r, n)
     if x == 1 or x == n - 1:
         return True
     for _ in range(r - 1):
@@ -179,8 +183,8 @@ def pocklington_step(n: int, r: int) -> bool:
         and r.bit_length() <= n.bit_length() // 2 + 2
     ):
         return False
-    b = pow(2, (n - 1) // r, n)
-    return pow(b, r, n) == 1 and math.gcd(b - 1, n) == 1
+    b = powmod(2, (n - 1) // r, n)
+    return powmod(b, r, n) == 1 and math.gcd(b - 1, n) == 1
 
 
 def proves_prime(m: int, chain: Sequence[int]) -> bool:
@@ -239,4 +243,4 @@ def _passes_step(n: int, r: int) -> bool:
     search: trial division, then a base-2 Fermat test. The full-width
     pow(2, n - 1, n) rejects a composite faster than the step's two pows,
     pow(2, (n-1)/r, n) and its r-th power, and a prime passes it anyway."""
-    return _trial_division(n) is not False and pow(2, n - 1, n) == 1 and pocklington_step(n, r)
+    return _trial_division(n) is not False and powmod(2, n - 1, n) == 1 and pocklington_step(n, r)

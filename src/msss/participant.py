@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 from .dealer import PublicParams, SecretPackage
 from .errors import NotAMember
+from .modexp import powmod
 
 _default_rng = random.SystemRandom()
 
@@ -50,7 +51,7 @@ def keygen(params: PublicParams, pid: str, rng: random.Random | None = None) -> 
     """
     rng = rng or _default_rng
     s = rng.randrange(2, min(params.n + 1, 1 << S_BITS))
-    return ParticipantKey(pid=pid, s=s, ps=pow(params.g, s, params.n))
+    return ParticipantKey(pid=pid, s=s, ps=powmod(params.g, s, params.n))
 
 
 def contribute(
@@ -66,5 +67,5 @@ def contribute(
         pid=key.pid,
         secret_id=package.secret_id,
         set_index=set_index,
-        x=pow(package.ps0, key.s, params.n),
+        x=powmod(package.ps0, key.s, params.n),
     )

@@ -18,6 +18,7 @@ from typing import NamedTuple
 from . import combiner, dealer, participant
 from .accessstruct import AccessStructure
 from .errors import BadContribution, UnmaskOutOfField
+from .modexp import powmod
 
 _default_rng = random.SystemRandom()
 
@@ -179,7 +180,7 @@ def run_simulation(config: SimulationConfig) -> dict:
             if coalition is None:
                 break
             for pid in coalition - xs_of.keys():
-                xs_of[pid] = pow(pkg.ps0, keys[pid].s, params.n)
+                xs_of[pid] = powmod(pkg.ps0, keys[pid].s, params.n)
             xs = [xs_of[pid] for pid in sorted(coalition)]
             for j in range(1, pkg.set_count + 1):
                 accepted, _ = attack_entry(params, pkg, j, xs)

@@ -198,7 +198,7 @@ class TestValidation:
         obj = json.loads(to_document(_toy_board(toy)))
         obj["packages"]["s1"]["h0"] = format(h0, "x")
         # refused before any pow
-        monkeypatch.setattr(bulletin, "pow", _no_pow, raising=False)
+        monkeypatch.setattr(bulletin, "powmod", _no_pow)
         monkeypatch.setattr(bulletin, "proves_prime", _no_pow)
         with pytest.raises(InvariantViolation, match=f"s1: {rule}") as raised:
             from_document(json.dumps(obj))

@@ -60,6 +60,11 @@ class TestCrtPow:
         e = data.draw(st.integers(1, 2 * n), label="e")
         assert dealer._pow_n(state, x, e) == pow(x, e, n)
 
+    def test_garner_constant_is_derived_with_the_state(self):
+        # q**-1 mod p is set when the state is made, not on each _pow_n call
+        assert _DEALER_64.q_inv == pow(_DEALER_64.q, -1, _DEALER_64.p)
+        assert dealer.DealerState(11, 13).q_inv == 6
+
 
 class TestSetup:
     def test_toy_parameters(self):

@@ -3,7 +3,9 @@
 Every msss command is a fresh process, so each module the CLI imports is
 paid again on every protocol step. ``dataclasses`` (which pulls in
 ``inspect``, ``ast`` and ``dis``) and ``msss.simulate`` are never needed by
-a command other than ``simulate``.
+a command other than ``simulate``. ``ctypes.util`` is never loaded either:
+its ``find_library`` runs ``ldconfig`` or a compiler, and ``msss.modexp``
+finds OpenSSL through ``_hashlib`` instead.
 
 The check runs ``SNIPPET`` in a fresh interpreter without ``site``, as
 ``PYTHONPATH=src python -S -c "$SNIPPET"`` would.
@@ -20,7 +22,7 @@ import sys
 
 import msss.cli
 
-loaded = [m for m in ("dataclasses", "inspect", "msss.simulate") if m in sys.modules]
+loaded = [m for m in ("dataclasses", "inspect", "msss.simulate", "ctypes.util") if m in sys.modules]
 assert not loaded, f"import msss.cli loaded {loaded}"
 
 import msss

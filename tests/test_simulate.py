@@ -46,12 +46,12 @@ def test_probes_raise_each_x_at_most_once_per_secret(monkeypatch):
         contributed.add((package.ps0, key.s))
         return contribute(params, key, package, set_index)
 
-    def recording_pow(base, exp, mod=None):
+    def recording_powmod(base, exp, mod):
         raised.append((base, exp))
         return pow(base, exp, mod)
 
     monkeypatch.setattr(participant, "contribute", recording_contribute)
-    monkeypatch.setattr(simulate, "pow", recording_pow, raising=False)
+    monkeypatch.setattr(simulate, "powmod", recording_powmod)
     config = SimulationConfig(participants=8, secrets=4, unauthorized_probes=4, seed=7)
     report = run_simulation(config)
     assert report["summary"]["unauthorized_accepted"] == 0
