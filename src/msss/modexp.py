@@ -6,8 +6,10 @@ already loads OpenSSL's libcrypto for ``hashlib``; ctypes opens the
 so no library is searched for or installed. ``BN_mod_exp`` multiplies in
 Montgomery form (Montgomery 1985, "Modular multiplication without trial
 division") with assembly kernels, where ``pow`` divides by the modulus at
-every step. Where ``_hashlib`` or a symbol is missing, as on a build
-without a shared OpenSSL, ``powmod`` uses the built-in ``pow``.
+every step. Up to a 64-bit modulus the built-in ``pow`` is faster, since
+a call's fixed cost outweighs the saving, so ``powmod`` uses ``pow``
+there. Where ``_hashlib`` or a symbol is missing, as on a build without a
+shared OpenSSL, ``powmod`` uses the built-in ``pow`` throughout.
 ``BACKEND`` names the one in use.
 
 Each call makes its own BIGNUMs and BN_CTX and frees them before it
@@ -42,6 +44,13 @@ except (ImportError, OSError, AttributeError):
 
 BACKEND = "pow" if _lib is None else f"BN_mod_exp via {_hashlib.__file__}"
 
+# Median CPU time of one call on a 2-vCPU Intel Xeon (Python 3.11.7,
+# OpenSSL 3.0.19): at a 64-bit m the built-in pow took 12, 25 and 44 us
+# for 32-, 64- and 128-bit exponents against 32, 39 and 53 us by
+# BN_mod_exp; from 66 bits on BN_mod_exp wins at a 128-bit exponent, and
+# from about 96 bits at a full-width one.
+POW_BELOW = 1 << 64
+
 
 def _set(bn, v: int):
     """Load v >= 0 into the BIGNUM bn; bn, or NULL on failure."""
@@ -50,8 +59,8 @@ def _set(bn, v: int):
 
 
 def powmod(x: int, e: int, m: int) -> int:
-    """pow(x, e, m): by BN_mod_exp for e >= 0 and m >= 2, else by pow."""
-    if _lib is None or e < 0 or m < 2:
+    """pow(x, e, m): by BN_mod_exp for e >= 0 and m >= POW_BELOW, else by pow."""
+    if _lib is None or e < 0 or m < POW_BELOW:
         return pow(x, e, m)
     size = (m.bit_length() + 7) // 8
     ctx, bns = None, []

@@ -102,8 +102,9 @@ def run_simulation(config: SimulationConfig) -> dict:
     n. Each session asks its members for fresh contributions, as independent
     sessions would. The attack probes reuse the x = ps0**s mod n those
     sessions released for the same secret and raise only the missing ones,
-    each at most once per secret. Neither shortcut changes a value or a
-    draw, so a seed still fixes the report.
+    each at most once per secret, and every probe of an entry reuses the
+    inverse of its public d - 1 mod m (see ``msss.linepoly``). None of these
+    shortcuts changes a value or a draw, so a seed still fixes the report.
     """
     config.validate()
     rng = random.Random(config.seed) if config.seed is not None else _default_rng

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from msss import participant, simulate
+from msss import linepoly, participant, simulate
 from msss.simulate import SimulationConfig, run_simulation
 
 
@@ -58,6 +58,25 @@ def test_probes_raise_each_x_at_most_once_per_secret(monkeypatch):
     assert raised
     assert len(raised) == len(set(raised))
     assert contributed.isdisjoint(raised)
+
+
+def test_each_line_inverse_is_taken_once(monkeypatch):
+    # every probe of an entry reads the secret off the same line, so the
+    # inverse of its public d - 1 mod m is taken once, not once per probe
+    inverted = []
+
+    def recording_pow(base, exp, mod):
+        if exp == -1:
+            inverted.append((base, mod))
+        return pow(base, exp, mod)
+
+    linepoly._inverse.cache_clear()
+    monkeypatch.setattr(linepoly, "pow", recording_pow, raising=False)
+    config = SimulationConfig(participants=8, secrets=4, unauthorized_probes=4, seed=7)
+    summary = run_simulation(config)["summary"]
+    assert summary["recovered"] == summary["sessions"] > 0
+    assert inverted
+    assert len(inverted) == len(set(inverted))
 
 
 def test_report_is_json_serializable_and_shaped():
