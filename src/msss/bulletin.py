@@ -135,11 +135,17 @@ class Board:
             raise InvariantViolation("g shares a factor with n")
         if self.revision < 0:
             raise InvariantViolation("negative revision")
+        # two members with one pseudo-share have equal masks, which cancel in
+        # the XOR of any set that holds both
+        holder = {}
         for pid, ps in self.roster.items():
             if not isinstance(pid, str) or not pid:
                 raise InvariantViolation("empty participant id on the roster")
             if not 0 <= ps < p.n or math.gcd(ps, p.n) != 1:
                 raise InvariantViolation(f"pseudo-share of {pid} is not a reduced unit mod n")
+            if ps in holder:
+                raise InvariantViolation(f"{pid} holds the pseudo-share of {holder[ps]}")
+            holder[ps] = pid
         for sid, pkg in self.packages.items():
             if pkg.secret_id != sid:
                 raise InvariantViolation(f"package keyed {sid} carries id {pkg.secret_id}")

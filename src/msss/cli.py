@@ -150,6 +150,10 @@ def cmd_enroll(args) -> int:
         if args.id in board.roster:
             raise DuplicateParticipant(f"{args.id} is already enrolled")
         key = participant.keygen(board.params, args.id, _rng(args))
+        # a repeated pseudo-share cancels its holders' masks (Board.validate)
+        for pid, ps in board.roster.items():
+            if ps == key.ps:
+                raise DuplicateParticipant(f"the pseudo-share drawn for {args.id} is {pid}'s")
         bulletin.save_key(key, args.key_out)
         board.roster[key.pid] = key.ps
         board.revision += 1

@@ -146,13 +146,16 @@ def setup(
 ) -> tuple[PublicParams, DealerState]:
     """Generate system parameters and fresh private dealer state.
 
-    n = p*q for two distinct primes of ``bits_per_prime`` bits each; g is
-    drawn from [ceil(sqrt(n)), n] and resampled until it shares no factor
-    with n (which in particular rules out p and q). After them, m > n is
-    grown with the prime chain that proves it (``numtheory.proved_prime_above``):
-    the smallest prime above n while n is below ``numtheory.TRIAL_LIMIT``,
-    otherwise the first prime above n of the form 2*k*N1 + 1 over the chain's
-    top link N1, about half as wide as n; either way the mask width stays
+    Every prime is proved, each grown with its Pocklington chain as in
+    Maurer 1995 and FIPS 186-4, Appendix B.3.2 (``numtheory``). n = p*q for
+    two distinct proved primes of ``bits_per_prime`` bits each
+    (``numtheory.gen_prime``), whose chains are discarded; g is drawn from
+    [ceil(sqrt(n)), n] and resampled until it shares no factor with n (which
+    in particular rules out p and q). After them, m > n comes with the chain
+    the board carries for it (``numtheory.proved_prime_above``): the smallest
+    prime above n while n is below ``numtheory.TRIAL_LIMIT``, otherwise the
+    first prime above n of the form 2*k*N1 + 1 over the chain's top link N1,
+    about half as wide as n; either way the mask width stays
     ``codec.mask_width(m)``.
     """
     if bits_per_prime < 4:

@@ -46,8 +46,9 @@ def keygen(params: PublicParams, pid: str, rng: random.Random | None = None) -> 
     """Draw a private share and derive the pseudo-share to enroll with.
 
     s is uniform on [2, min(n + 1, 2**S_BITS)): below 2**S_BITS once n has
-    S_BITS bits or more, and on [2, n] for a smaller n. Two participants
-    drawing the same value is allowed (and at real sizes never happens).
+    S_BITS bits or more, and on [2, n] for a smaller n. A draw may repeat a
+    pseudo-share already on the roster (at real sizes it never does):
+    ``msss enroll`` and ``Board.validate`` refuse it, as equal masks cancel.
     """
     rng = rng or _default_rng
     s = rng.randrange(2, min(params.n + 1, 1 << S_BITS))

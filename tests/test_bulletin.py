@@ -15,6 +15,7 @@ from msss.errors import (
     MalformedDocument,
     MsssError,
 )
+from msss.linepoly import interpolate_line
 
 from conftest import TOY_WIDE_H0, full_width_draw
 
@@ -110,6 +111,20 @@ class TestValidation:
         save(Board(params), tmp_path / "board.json")
         monkeypatch.setattr(numtheory, "_default_rng", NoDraws())
         assert load(tmp_path / "board.json").params == params
+
+    def test_repeated_pseudo_share_rejected(self):
+        # B enrolls a copy of A's pseudo-share: their masks cancel, so the
+        # board alone opens a set that holds both
+        params, state = dealer.setup(64, random.Random(5))
+        ps = participant.keygen(params, "A", random.Random(6)).ps
+        roster = {"A": ps, "B": ps}
+        structure = validate_minimal([frozenset("AB")])
+        pkg = dealer.share_secret(state, params, roster, 12345, structure, random.Random(7))
+        entry = pkg.entry(1)
+        assert interpolate_line(pkg.f1, entry.d, entry.masked, params.m) == 12345
+        board = Board(params=params, roster=roster, packages={pkg.secret_id: pkg})
+        with pytest.raises(InvariantViolation, match="B holds the pseudo-share of A"):
+            from_document(to_document(board))
 
     def test_not_json(self):
         with pytest.raises(MalformedDocument):
@@ -353,7 +368,10 @@ def _apply(op, state, roster, rng) -> None:
     if kind == "enroll":
         if args[0] in roster:
             raise DuplicateParticipant(args[0])
-        roster[args[0]] = participant.keygen(_PARAMS, args[0], rng).ps
+        ps = participant.keygen(_PARAMS, args[0], rng).ps
+        if ps in roster.values():
+            raise DuplicateParticipant(args[0])
+        roster[args[0]] = ps
     elif kind == "share":
         structure = validate_minimal([frozenset(members) for members in args[0]])
         dealer.share_secret(state, _PARAMS, roster, args[1], structure, rng)

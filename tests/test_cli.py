@@ -1109,6 +1109,22 @@ class TestExitCodes:
         )
         assert code == 4
 
+    def test_enroll_refuses_a_pseudo_share_already_on_the_roster(self, run, tmp_path):
+        # at --bits 4 (n = 143) seeds 3 and 4 draw different s with one g^s
+        board, state = tmp_path / "b.json", tmp_path / "d.json"
+        assert run("setup", "--bits", 4, "--board", board, "--dealer", state,
+                   "--seed", 1)[0] == 0
+        assert run("enroll", "--id", "A", "--board", board, "--key-out", tmp_path / "A.key",
+                   "--seed", 3)[0] == 0
+        before = board.read_bytes(), state.read_bytes()
+        key = tmp_path / "B.key"
+        code, out, err = run("enroll", "--id", "B", "--board", board, "--key-out", key,
+                             "--seed", 4)
+        assert (code, out) == (4, "")
+        assert "A's" in err
+        assert not key.exists()
+        assert (board.read_bytes(), state.read_bytes()) == before
+
     @pytest.mark.parametrize(
         "pid", ["", " ", "C,D", "C|D", " C"], ids=["empty", "blank", "comma", "bar", "padded"]
     )
@@ -1195,11 +1211,12 @@ class TestSecretText:
 # moves every draw after g. Seed 3 kept its report: keygen's rejection
 # sampling brings its stream back to the same words. All three were recorded
 # again when the dealer began to draw a short h0 first, which moves every
-# draw after the first share.
+# draw after the first share, and again when p and q came with prime chains
+# of their own, which moves n and every draw after it.
 GOLDEN_REPORT_SHA256 = {
-    7: "9cea53b2680c0933d983f26f0f56f005967dc1aa8ef1710e1240d3444c0d1a88",
-    3: "5289d70d9af74299ad908edf6b04f8da3f800fcdb69a213dc2f60c55e4871a79",
-    11: "be66c60b7b136b486576d362086aad5681ec82c6cdf27c0023ed32e5f0eca5ee",
+    7: "819bddc281b3724f63ec8ca805d6ee066c1d4479ed9343277ed8eb5063909b66",
+    3: "eeeadae71de08e2c8738a3f8ce29d41a2a9babe1391d0e2a3625d3d54ee0fc7e",
+    11: "8925d5805f15004eba549c0f95829e8e6080f49e5ea830d11e06fc643195fdb2",
 }
 
 

@@ -17,7 +17,7 @@ from msss.errors import (
     UnknownParticipant,
     UnknownSecret,
 )
-from msss.numtheory import is_probable_prime, proves_prime
+from msss.numtheory import proves_prime
 from msss.simulate import attack_entry
 
 from conftest import TOY_SETUP, make_toy_world
@@ -93,7 +93,8 @@ class TestSetup:
         assert state.p * state.q == params.n
         assert (state.p - 1) * (state.q - 1) == state.phi
         assert params.m > params.n
-        assert is_probable_prime(params.m)
+        oracle = random.Random(5)
+        assert all(miller_rabin(x, oracle) for x in (state.p, state.q, params.m))
         assert math.gcd(params.g, params.n) == 1
         assert params.g * params.g >= params.n  # g >= sqrt(n)
         assert params.n.bit_length() in (31, 32)

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from msss.numtheory import (
     TRIAL_LIMIT,
-    _strong_lucas,
-    _strong_mr,
+    _proved_prime,
     gen_prime,
-    is_probable_prime,
     pocklington_step,
     proved_prime_above,
     proves_prime,
@@ -95,72 +93,27 @@ class TestGenPrime:
             for small in range(2, 1000):
                 assert p % small != 0
 
+    def test_every_width_across_the_start_of_the_chain(self):
+        # up to 19 bits a prime is drawn whole; from 20 bits on it is 2*k*r + 1
+        for bits in range(2, 65):
+            chain = _proved_prime(bits, random.Random(bits))
+            assert chain[0] == gen_prime(bits, random.Random(bits))
+            assert chain[0].bit_length() == bits
+            assert miller_rabin(chain[0], random.Random(bits))
+            assert proves_prime(chain[0], chain[1:])
+            if bits >= 20:
+                # p - 1 = 2*k*r with r prime and about half as wide: no smooth p - 1
+                assert chain[1].bit_length() == bits // 2 + 2
+            else:
+                assert chain[1:] == ()
 
-class TestPrimalityHelpers:
-    def test_known_values(self):
-        assert is_probable_prime(149)
-        assert not is_probable_prime(143)
-        assert is_probable_prime(2)
-        assert not is_probable_prime(1)
-        # a 61-bit Mersenne prime, beyond the trial-division range
-        assert is_probable_prime(2**61 - 1)
-        assert not is_probable_prime((2**31 - 1) * (2**61 - 1))
-
-
-class TestBailliePSW:
-    """Each half of Baillie-PSW rejects the pseudoprimes of the other."""
-
-    @pytest.mark.parametrize("n", [2047, 3277, 4033, 4681, 8321, 15841])  # OEIS A001262
-    def test_lucas_rejects_strong_base_2_pseudoprimes(self, n):
-        assert _strong_mr(n, 2)
-        assert not _strong_lucas(n)
-
-    @pytest.mark.parametrize("n", [5459, 5777, 10877, 16109, 18971])  # OEIS A217255
-    def test_base_2_rejects_strong_lucas_pseudoprimes(self, n):
-        assert _strong_lucas(n)
-        assert not _strong_mr(n, 2)
-
-    @pytest.mark.parametrize(
-        "n",
-        [
-            1093**2,  # Wieferich squares: Lucas rejects them by its square guard
-            3511**2,
-            3825123056546413051,
-            318665857834031151167461,
-        ],
-    )
-    def test_composites_past_trial_division_and_base_2(self, n):
-        assert trial_division_factor(n, 1000) is None
-        assert _strong_mr(n, 2)
-        assert not is_probable_prime(n, random.Random(0))
-
-    def test_lucas_rejects_a_square_before_the_search(self):
-        # (D/n) is never -1 on a square, and the first D with (D/n) = 0 has |D| = 2**61 - 1
-        assert not _strong_lucas((2**61 - 1) ** 2)
-
-    @given(
-        bits=st.integers(min_value=20, max_value=512),
-        kind=st.sampled_from(["odd", "prime", "two-primes"]),
-        seed=st.integers(min_value=0, max_value=2**32),
-    )
+    @given(bits=st.integers(min_value=20, max_value=512), seed=st.integers(0, 2**32))
     @settings(max_examples=30, deadline=None)
-    def test_agrees_with_40_round_reference(self, bits, kind, seed):
+    def test_agrees_with_40_round_reference(self, bits, seed):
         rng = random.Random(seed)
-
-        def reference_prime(k):
-            n = rng.getrandbits(k) | (1 << (k - 1)) | 1
-            # the gcd skips most composites before a pow: 223092870 = 2*3*...*23
-            while math.gcd(n, 223092870) != 1 or not miller_rabin(n, rng):
-                n += 2
-            return n
-
-        if kind == "odd":
-            n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        elif kind == "prime":
-            n = reference_prime(bits)
-        else:
-            n = reference_prime(bits // 2) * reference_prime(bits - bits // 2)
-        assert is_probable_prime(n, rng) == miller_rabin(n, rng)
+        p = gen_prime(bits, rng)
+        assert p.bit_length() == bits
+        assert miller_rabin(p, rng)
 
 
 def _prime_factors(n: int) -> list[int]:

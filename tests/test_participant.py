@@ -42,6 +42,7 @@ class TestKeygen:
             assert participant.keygen(params, pid, rng) == (pid, s, pow(params.g, s, params.n))
 
     def test_equal_shares_are_legitimate(self, toy):
+        # keygen is a plain draw; `msss enroll` and Board.validate refuse the repeat
         k1 = participant.keygen(toy.params, "P", ScriptedRandom([50]))
         k2 = participant.keygen(toy.params, "Q", ScriptedRandom([50]))
         assert k1.s == k2.s
