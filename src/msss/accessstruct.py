@@ -62,7 +62,9 @@ def is_authorized(structure: AccessStructure, coalition: Iterable[ParticipantId]
     return any(minimal <= members for minimal in structure.minimal_sets)
 
 
-def matching_set_index(structure: AccessStructure, coalition: Iterable[ParticipantId]) -> int | None:
+def matching_set_index(
+    structure: AccessStructure, coalition: Iterable[ParticipantId]
+) -> int | None:
     """The 1-based index of the minimal set equal to ``coalition``, if any.
 
     Exact match only: a coalition that merely contains a minimal set has to

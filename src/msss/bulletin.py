@@ -37,11 +37,14 @@ or is caught later by the tag check; saving only serializes, as the system
 writes no board that breaks one (see ``Board.validate``).
 
 The private dealer state, participant key files and contribution files go
-through the same writer and reader, in the same JSON style: every file is
-written atomically, and every file read is checked for its exact key set,
-lowercase hex integers with no leading zeros and exact JSON types, so a
-malformed one raises MalformedDocument. ``load_dealer`` accepts a dealer file only for the board
-it serves.
+through the same writer and reader, in the same JSON style, and every file
+is written atomically. Each record read (the document and its params, each
+package and entry, a dealer, key or contribution file) is one table of
+named fields, read by ``_fields``: exactly those keys, lowercase hex
+integers with no leading zeros and exact JSON types. A malformed record
+raises MalformedDocument naming the field by its path, as in ``document
+packages s1 entries 1 d`` or ``dealer.json p``. ``load_dealer`` accepts a
+dealer file only for the board it serves.
 """
 
 from __future__ import annotations
@@ -54,14 +57,7 @@ import re
 from . import codec
 from .accessstruct import validate_minimal
 from .dealer import H0_BITS, DealerState, PackageEntry, PublicParams, SecretPackage
-from .errors import (
-    BoardIOError,
-    EmptySet,
-    EmptyStructure,
-    InvariantViolation,
-    MalformedDocument,
-    NotAntichain,
-)
+from .errors import BoardIOError, InvariantViolation, MalformedDocument, NotAntichain
 from .modexp import powmod
 from .numtheory import ceil_sqrt, proves_prime
 from .participant import Contribution, ParticipantKey
@@ -139,7 +135,7 @@ class Board:
         # the XOR of any set that holds both
         holder = {}
         for pid, ps in self.roster.items():
-            if not isinstance(pid, str) or not pid:
+            if not pid:
                 raise InvariantViolation("empty participant id on the roster")
             if not 0 <= ps < p.n or math.gcd(ps, p.n) != 1:
                 raise InvariantViolation(f"pseudo-share of {pid} is not a reduced unit mod n")
@@ -147,8 +143,6 @@ class Board:
                 raise InvariantViolation(f"{pid} holds the pseudo-share of {holder[ps]}")
             holder[ps] = pid
         for sid, pkg in self.packages.items():
-            if pkg.secret_id != sid:
-                raise InvariantViolation(f"package keyed {sid} carries id {pkg.secret_id}")
             if not pkg.entries:
                 raise InvariantViolation(f"{sid}: no qualified sets")
             if not 0 <= pkg.ps0 < p.n or math.gcd(pkg.ps0, p.n) != 1:
@@ -170,14 +164,12 @@ class Board:
                     raise InvariantViolation(f"{sid}: d {e.d} outside [2, m - 1]")
                 if not 0 <= e.masked < 256**p.width:
                     raise InvariantViolation(f"{sid}: masked value wider than {p.width} bytes")
-                if len(e.tag) != codec.TAG_BYTES:
-                    raise InvariantViolation(f"{sid}: tag must be {codec.TAG_BYTES} bytes")
                 for pid in e.members:
                     if pid not in self.roster:
                         raise InvariantViolation(f"{sid}: member {pid} is not on the roster")
             try:
                 validate_minimal([e.members for e in pkg.entries])
-            except (NotAntichain, EmptySet, EmptyStructure) as exc:
+            except NotAntichain as exc:
                 raise InvariantViolation(f"{sid}: {exc}") from exc
 
 
@@ -198,19 +190,17 @@ def package_to_obj(pkg: SecretPackage) -> dict:
     }
 
 
-def _require_keys(obj, keys, where: str) -> None:
+def _fields(obj, where: str, /, **readers) -> dict:
+    """The fields of one file record: ``obj`` must have exactly the keys of
+    ``readers``, and each value is read as ``reader(value, f"{where} {key}")``,
+    which raises MalformedDocument naming that field."""
     if not isinstance(obj, dict):
         raise MalformedDocument(f"{where}: expected an object")
-    missing = [k for k in keys if k not in obj]
-    extra = [k for k in obj if k not in keys]
-    if missing or extra:
+    if obj.keys() != readers.keys():
+        missing = [k for k in readers if k not in obj]
+        extra = [k for k in obj if k not in readers]
         raise MalformedDocument(f"{where}: missing keys {missing}, unexpected keys {extra}")
-
-
-def _require_map(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise MalformedDocument(f"{where} must be an object")
-    return value
+    return {key: read(obj[key], f"{where} {key}") for key, read in readers.items()}
 
 
 def _require_int(value, where: str) -> int:
@@ -226,48 +216,74 @@ def _require_id(value, where: str) -> str:
     return value
 
 
-def package_from_obj(secret_id: str, obj, where: str) -> SecretPackage:
-    _require_keys(obj, ("ps0", "h0", "f1", "entries"), where)
-    if not isinstance(obj["entries"], list):
-        raise MalformedDocument(f"{where}: entries must be a list")
-    entries = []
-    for k, raw in enumerate(obj["entries"]):
-        ewhere = f"{where} entry {k + 1}"
-        _require_keys(raw, ("members", "d", "masked", "tag"), ewhere)
-        members = raw["members"]
-        if (
-            not isinstance(members, list)
-            or not members
-            or not all(isinstance(pid, str) and pid for pid in members)
-        ):
-            raise MalformedDocument(f"{ewhere}: members must be a non-empty list of ids")
-        if len(set(members)) != len(members):
-            raise MalformedDocument(f"{ewhere}: duplicate member ids")
-        tag_hex = raw["tag"]
-        if not isinstance(tag_hex, str) or not _TAG_HEX.fullmatch(tag_hex):
-            raise MalformedDocument(f"{ewhere}: tag must be 64 lowercase hex chars")
-        entries.append(
-            PackageEntry(
-                members=frozenset(members),
-                d=hex_to_int(raw["d"], f"{ewhere} d"),
-                masked=hex_to_int(raw["masked"], f"{ewhere} masked"),
-                tag=bytes.fromhex(tag_hex),
-            )
+def _require_map(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise MalformedDocument(f"{where} must be an object")
+    return value
+
+
+def _require_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise MalformedDocument(f"{where} must be a list")
+    return value
+
+
+def _hex_map(value, where: str) -> dict[str, int]:
+    """An object of hex integers: the roster, or the dealer's secrets."""
+    return {k: hex_to_int(raw, f"{where} {k}") for k, raw in _require_map(value, where).items()}
+
+
+def _members(value, where: str) -> frozenset[str]:
+    if not (
+        isinstance(value, list) and value and all(isinstance(pid, str) and pid for pid in value)
+    ):
+        raise MalformedDocument(f"{where} must be a non-empty list of ids")
+    if len(set(value)) != len(value):
+        raise MalformedDocument(f"{where}: duplicate member ids")
+    return frozenset(value)
+
+
+def _tag(value, where: str) -> bytes:
+    if not isinstance(value, str) or not _TAG_HEX.fullmatch(value):
+        raise MalformedDocument(f"{where} must be 64 lowercase hex chars")
+    return bytes.fromhex(value)
+
+
+def _chain(value, where: str) -> tuple[int, ...]:
+    links = _require_list(value, where)
+    return tuple(hex_to_int(link, f"{where} link {i}") for i, link in enumerate(links, 1))
+
+
+def _params(value, where: str) -> PublicParams:
+    if isinstance(value, dict) and "m_chain" not in value:
+        raise MalformedDocument(
+            f"{where}: no m_chain, the chain that proves m prime: the board predates it"
+            " and cannot be converted; run `msss setup` again"
         )
-    return SecretPackage(
-        secret_id=secret_id,
-        ps0=hex_to_int(obj["ps0"], f"{where} ps0"),
-        h0=hex_to_int(obj["h0"], f"{where} h0"),
-        f1=hex_to_int(obj["f1"], f"{where} f1"),
-        entries=tuple(entries),
+    return PublicParams(
+        **_fields(value, where, g=hex_to_int, n=hex_to_int, m=hex_to_int, width=_require_int,
+                  m_chain=_chain)
     )
 
 
-def packages_from_obj(value, prefix: str = "") -> dict[str, SecretPackage]:
-    """The ``packages`` of a board or dealer file; ``prefix`` names the file."""
+def _entries(value, where: str) -> tuple[PackageEntry, ...]:
+    return tuple(
+        PackageEntry(
+            **_fields(raw, f"{where} {k}", members=_members, d=hex_to_int, masked=hex_to_int,
+                      tag=_tag)
+        )
+        for k, raw in enumerate(_require_list(value, where), 1)
+    )
+
+
+def packages_from_obj(value, where: str) -> dict[str, SecretPackage]:
+    """The ``packages`` of a board or dealer file, named ``where`` in errors."""
     return {
-        sid: package_from_obj(sid, obj, f"{prefix}package {sid}")
-        for sid, obj in _require_map(value, f"{prefix}packages").items()
+        sid: SecretPackage(
+            sid, **_fields(obj, f"{where} {sid}", ps0=hex_to_int, h0=hex_to_int, f1=hex_to_int,
+                           entries=_entries)
+        )
+        for sid, obj in _require_map(value, where).items()
     }
 
 
@@ -294,32 +310,10 @@ def from_document(text: str) -> Board:
     Raises MalformedDocument for syntax or shape problems and
     InvariantViolation (naming the rule) for semantic ones.
     """
-    obj = _parse(text, ("revision", "params", "roster", "packages"), "document")
-    revision = _require_int(obj["revision"], "revision")
-    praw = obj["params"]
-    if isinstance(praw, dict) and "m_chain" not in praw:
-        raise MalformedDocument(
-            "params: no m_chain, the chain that proves m prime: the board predates it"
-            " and cannot be converted; run `msss setup` again"
-        )
-    _require_keys(praw, ("g", "n", "m", "width", "m_chain"), "params")
-    if not isinstance(praw["m_chain"], list):
-        raise MalformedDocument("params m_chain must be a list")
-    params = PublicParams(
-        g=hex_to_int(praw["g"], "params g"),
-        n=hex_to_int(praw["n"], "params n"),
-        m=hex_to_int(praw["m"], "params m"),
-        width=_require_int(praw["width"], "params width"),
-        m_chain=tuple(
-            hex_to_int(link, f"params m_chain link {i}")
-            for i, link in enumerate(praw["m_chain"], 1)
-        ),
+    board = Board(
+        **_parse(text, "document", revision=_require_int, params=_params, roster=_hex_map,
+                 packages=packages_from_obj)
     )
-    roster = {}
-    for pid, raw in _require_map(obj["roster"], "roster").items():
-        roster[pid] = hex_to_int(raw, f"roster {pid}")
-    packages = packages_from_obj(obj["packages"])
-    board = Board(params=params, roster=roster, packages=packages, revision=revision)
     board.validate()
     return board
 
@@ -359,17 +353,13 @@ def load_dealer(path, board: Board) -> DealerState:
     back a package, or add an entry that no qualified set can open.
     """
     where = os.fspath(path)
-    obj = _parse(_read(path), ("p", "q", "secrets", "packages"), where)
-    secrets = {
-        sid: hex_to_int(raw, f"{where} secret {sid}")
-        for sid, raw in _require_map(obj["secrets"], f"{where} secrets").items()
-    }
-    packages = packages_from_obj(obj["packages"], f"{where} ")
+    p, q, secrets, packages = _parse(
+        _read(path), where, p=hex_to_int, q=hex_to_int, secrets=_hex_map, packages=packages_from_obj
+    ).values()
     # share_secret numbers secrets s1, s2, ... and no operation drops one
     if not list(secrets) == list(packages) == [f"s{i}" for i in range(1, len(secrets) + 1)]:
         ids = f"secrets [{', '.join(secrets)}] and packages [{', '.join(packages)}]"
         raise MalformedDocument(f"{where} {ids} are not both s1 ... s<k>")
-    p, q = hex_to_int(obj["p"], f"{where} p"), hex_to_int(obj["q"], f"{where} q")
     if not (p > 1 and q > 1 and p * q == board.params.n):
         raise InvariantViolation(f"{where} is not the dealer file of this board: p*q is not n")
     if p == q:
@@ -398,13 +388,8 @@ def save_key(key: ParticipantKey, path) -> None:
 
 
 def load_key(path) -> ParticipantKey:
-    where = os.fspath(path)
-    obj = _parse(_read(path), ("id", "s", "ps"), where)
-    return ParticipantKey(
-        pid=_require_id(obj["id"], f"{where} id"),
-        s=hex_to_int(obj["s"], f"{where} s"),
-        ps=hex_to_int(obj["ps"], f"{where} ps"),
-    )
+    key = _parse(_read(path), os.fspath(path), id=_require_id, s=hex_to_int, ps=hex_to_int)
+    return ParticipantKey(*key.values())
 
 
 def save_contribution(c: Contribution, path) -> None:
@@ -413,13 +398,9 @@ def save_contribution(c: Contribution, path) -> None:
 
 
 def load_contribution(path) -> Contribution:
-    where = os.fspath(path)
-    obj = _parse(_read(path), ("pid", "secret_id", "set_index", "x"), where)
     return Contribution(
-        pid=_require_id(obj["pid"], f"{where} pid"),
-        secret_id=_require_id(obj["secret_id"], f"{where} secret_id"),
-        set_index=_require_int(obj["set_index"], f"{where} set_index"),
-        x=hex_to_int(obj["x"], f"{where} x"),
+        **_parse(_read(path), os.fspath(path), pid=_require_id, secret_id=_require_id,
+                 set_index=_require_int, x=hex_to_int)
     )
 
 
@@ -427,13 +408,13 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _parse(text: str, keys, where: str) -> dict:
+def _parse(text: str, where: str, /, **readers) -> dict:
+    """The fields of a whole file (see ``_fields``)."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"{where}: not valid JSON: {exc}") from exc
-    _require_keys(obj, keys, where)
-    return obj
+    return _fields(obj, where, **readers)
 
 
 def _write(text: str, path) -> None:

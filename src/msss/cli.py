@@ -233,16 +233,7 @@ def cmd_update(args) -> int:
 def cmd_simulate(args) -> int:
     from .simulate import SimulationConfig, run_simulation
 
-    config = SimulationConfig(
-        participants=args.participants,
-        secrets=args.secrets,
-        bits_per_prime=args.bits,
-        max_minimal_sets=args.max_sets,
-        max_set_size=args.max_set_size,
-        cheaters_per_session=args.cheaters,
-        unauthorized_probes=args.probes,
-        seed=args.seed,
-    )
+    config = SimulationConfig(**{name: getattr(args, name) for name in SimulationConfig._fields})
     started = time.monotonic()
     report = run_simulation(config)
     elapsed = time.monotonic() - started
@@ -256,6 +247,35 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+# Every option that more than one command takes, declared once with its help.
+_SHARED = {
+    "--board": {"required": True, "help": "path of the public board file"},
+    "--dealer": {"required": True, "help": "path of the private dealer state file"},
+    "--seed": {"type": int, "help": "deterministic randomness (testing)"},
+    "--force": {"action": "store_true", "help": "replace existing output files"},
+    "--id": {"required": True, "help": "participant id"},
+    "--secret-id": {"required": True, "help": "id of a secret on the board, e.g. s1"},
+    "--set": {"required": True, "help": "members of one qualified set, e.g. 'A,B'"},
+    "--contribution": {
+        "action": "append", "required": True, "help": "contribution file, once per member"
+    },
+    "--secret": {"help": "secret value, decimal or 0x-hex"},
+    "--secret-text": {"help": "secret as text, encoded big-endian"},
+}
+
+
+def _shared(parser, *flags) -> None:
+    """Add the named ``_SHARED`` options; "--secret" adds the group of
+    --secret and --secret-text, exactly one of which is required."""
+    for flag in flags:
+        if flag == "--secret":
+            group = parser.add_mutually_exclusive_group(required=True)
+            for name in ("--secret", "--secret-text"):
+                group.add_argument(name, **_SHARED[name])
+        else:
+            parser.add_argument(flag, **_SHARED[flag])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="msss",
@@ -266,99 +286,68 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("setup", help="generate parameters and an empty board")
     p.add_argument("--bits", type=int, default=512, help="bits per prime factor of n")
-    p.add_argument("--board", required=True, help="path of the public board file")
-    p.add_argument("--dealer", required=True, help="path for the private dealer state")
-    p.add_argument("--seed", type=int, help="deterministic randomness (testing)")
-    p.add_argument("--force", action="store_true", help="replace existing files")
+    _shared(p, "--board", "--dealer", "--seed", "--force")
     p.set_defaults(func=cmd_setup)
 
     p = sub.add_parser("enroll", help="create a participant key and register it")
-    p.add_argument("--id", required=True, help="participant id")
-    p.add_argument("--board", required=True)
+    _shared(p, "--id", "--board")
     p.add_argument("--key-out", required=True, help="path for the private key file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--force", action="store_true")
+    _shared(p, "--seed", "--force")
     p.set_defaults(func=cmd_enroll)
 
     p = sub.add_parser("share", help="publish a new secret")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--secret", help="secret value, decimal or 0x-hex")
-    group.add_argument("--secret-text", help="secret as text, encoded big-endian")
+    _shared(p, "--secret")
     p.add_argument("--sets", required=True, help="qualified sets, e.g. 'A,B|B,C'")
-    p.add_argument("--board", required=True)
-    p.add_argument("--dealer", required=True)
-    p.add_argument("--seed", type=int)
+    _shared(p, "--board", "--dealer", "--seed")
     p.set_defaults(func=cmd_share)
 
     p = sub.add_parser("contribute", help="compute one member's reconstruction value")
-    p.add_argument("--board", required=True)
+    _shared(p, "--board")
     p.add_argument("--key", required=True, help="participant key file")
-    p.add_argument("--secret-id", required=True)
-    p.add_argument("--set", required=True, help="the qualified set acted as, e.g. 'A,B'")
+    _shared(p, "--secret-id", "--set")
     p.add_argument("--out", required=True, help="path for the contribution file")
-    p.add_argument("--force", action="store_true")
+    _shared(p, "--force")
     p.set_defaults(func=cmd_contribute)
 
     p = sub.add_parser("reconstruct", help="recover a secret from contribution files")
-    p.add_argument("--board", required=True)
-    p.add_argument("--secret-id", required=True)
-    p.add_argument("--set", required=True)
-    p.add_argument(
-        "--contribution", action="append", required=True, help="repeat once per member"
-    )
+    _shared(p, "--board", "--secret-id", "--set", "--contribution")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("verify", help="check contribution files without reconstructing")
-    p.add_argument("--board", required=True)
-    p.add_argument("--secret-id", required=True)
-    p.add_argument("--set", required=True)
-    p.add_argument("--contribution", action="append", required=True)
+    _shared(p, "--board", "--secret-id", "--set", "--contribution")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("update", help="dynamic updates to published secrets")
     usub = p.add_subparsers(dest="action", required=True)
+    p.set_defaults(func=cmd_update)
 
     u = usub.add_parser("renew", help="re-share a secret id with a fresh value")
-    u.add_argument("--board", required=True)
-    u.add_argument("--dealer", required=True)
-    u.add_argument("--secret-id", required=True)
-    group = u.add_mutually_exclusive_group(required=True)
-    group.add_argument("--secret")
-    group.add_argument("--secret-text")
-    u.add_argument("--seed", type=int)
-    u.set_defaults(func=cmd_update)
+    _shared(u, "--board", "--dealer", "--secret-id", "--secret", "--seed")
 
     u = usub.add_parser("add-set", help="grant access to one more qualified set")
-    u.add_argument("--board", required=True)
-    u.add_argument("--dealer", required=True)
-    u.add_argument("--secret-id", required=True)
-    u.add_argument("--set", required=True, help="members, e.g. 'C,D'")
-    u.add_argument("--seed", type=int)
-    u.set_defaults(func=cmd_update)
+    _shared(u, "--board", "--dealer", "--secret-id", "--set", "--seed")
 
     u = usub.add_parser("remove-set", help="revoke one qualified set")
-    u.add_argument("--board", required=True)
-    u.add_argument("--dealer", required=True)
-    u.add_argument("--secret-id", required=True)
+    _shared(u, "--board", "--dealer", "--secret-id")
     u.add_argument("--index", type=int, required=True, help="1-based set index")
-    u.set_defaults(func=cmd_update)
 
     u = usub.add_parser("remove-participant", help="drop a participant and renew their secrets")
-    u.add_argument("--board", required=True)
-    u.add_argument("--dealer", required=True)
-    u.add_argument("--id", required=True)
-    u.add_argument("--seed", type=int)
-    u.set_defaults(func=cmd_update)
+    _shared(u, "--board", "--dealer", "--id", "--seed")
 
+    # dest names are the SimulationConfig fields that cmd_simulate fills
     p = sub.add_parser("simulate", help="run an in-memory deployment and print a JSON report")
     p.add_argument("--participants", type=int, required=True)
     p.add_argument("--secrets", type=int, required=True)
-    p.add_argument("--bits", type=int, default=16, help="bits per prime factor")
-    p.add_argument("--max-sets", type=int, default=4)
+    p.add_argument("--bits", type=int, default=16, dest="bits_per_prime", metavar="BITS",
+                   help="bits per prime factor")
+    p.add_argument("--max-sets", type=int, default=4, dest="max_minimal_sets",
+                   metavar="MAX_SETS")
     p.add_argument("--max-set-size", type=int, default=4)
-    p.add_argument("--cheaters", type=int, default=0, help="cheaters injected per session")
-    p.add_argument("--probes", type=int, default=2, help="non-covering coalitions per secret")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--cheaters", type=int, default=0, dest="cheaters_per_session",
+                   metavar="CHEATERS", help="cheaters injected per session")
+    p.add_argument("--probes", type=int, default=2, dest="unauthorized_probes", metavar="PROBES",
+                   help="non-covering coalitions per secret")
+    _shared(p, "--seed")
     p.set_defaults(func=cmd_simulate)
 
     return parser

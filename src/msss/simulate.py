@@ -16,7 +16,7 @@ import random
 from typing import NamedTuple
 
 from . import combiner, dealer, participant
-from .accessstruct import AccessStructure
+from .accessstruct import AccessStructure, is_authorized
 from .errors import BadContribution, UnmaskOutOfField
 from .modexp import powmod
 
@@ -83,13 +83,13 @@ def _corrupt(rng, honest_x: int, n: int) -> int:
             return candidate
 
 
-def _non_covering_coalition(rng, pids, minimal_sets, attempts: int = 30):
-    """A random coalition containing no minimal set, if one can be found."""
+def _non_covering_coalition(rng, pids, structure, attempts: int = 30):
+    """A random coalition that ``structure`` does not authorize, if one can be found."""
     pool = sorted(pids)
     for _ in range(attempts):
         size = rng.randint(1, max(1, len(pool) - 1))
         candidate = frozenset(rng.sample(pool, size))
-        if not any(s <= candidate for s in minimal_sets):
+        if not is_authorized(structure, candidate):
             return candidate
     return None
 
@@ -175,9 +175,9 @@ def run_simulation(config: SimulationConfig) -> dict:
                         }
                     )
 
-        minimal_sets = [e.members for e in pkg.entries]
+        structure = pkg.structure()
         for _ in range(config.unauthorized_probes):
-            coalition = _non_covering_coalition(rng, pids, minimal_sets)
+            coalition = _non_covering_coalition(rng, pids, structure)
             if coalition is None:
                 break
             for pid in coalition - xs_of.keys():

@@ -17,7 +17,7 @@ from msss.errors import (
 )
 from msss.linepoly import interpolate_line
 
-from conftest import TOY_WIDE_H0, full_width_draw
+from conftest import TOY_WIDE_H0, full_width_draw, make_toy_world
 
 
 def _no_pow(*args):
@@ -259,6 +259,77 @@ class TestValidation:
         board = Board(params=toy.params, roster=dict(toy.roster), packages={"s1": pkg})
         with pytest.raises(InvariantViolation, match="outside"):
             from_document(to_document(board))
+
+
+# Each record of the four files: the file, the keys that lead to it, how its
+# errors name it ("{path}" is the file's own path), and a value of the wrong
+# JSON type for each of its fields.
+RECORDS = {
+    "params": ("board", ["params"], "document params",
+               {"g": 15, "n": 143, "m": None, "width": "1", "m_chain": {}}),
+    "package": ("board", ["packages", "s1"], "document packages s1",
+                {"ps0": 115, "h0": [], "f1": ["69"], "entries": {}}),
+    "entry": ("board", ["packages", "s1", "entries", 0], "document packages s1 entries 1",
+              {"members": "A", "d": 7, "masked": True, "tag": 64}),
+    "dealer file": ("dealer", [], "{path}", {"p": 11, "q": 13.0, "secrets": [], "packages": []}),
+    "key": ("key", [], "{path}", {"id": ["A"], "s": 5, "ps": {"hex": "2d"}}),
+    "contribution": ("contribution", [], "{path}",
+                     {"pid": 1, "secret_id": None, "set_index": "1", "x": 1.5}),
+}
+FAULTS = [
+    (record, fault, field)
+    for record, (*_, wrong) in RECORDS.items()
+    for field in wrong
+    for fault in ("missing", "wrong type")
+] + [(record, "extra", "note") for record in RECORDS]
+
+
+@pytest.fixture(scope="module")
+def toy_file_texts(tmp_path_factory):
+    """The toy board, and the text of each of the four files it goes with."""
+    toy = make_toy_world()
+    board = _toy_board(toy)
+    tmp = tmp_path_factory.mktemp("files")
+    save(board, tmp / "board")
+    bulletin.save_dealer(toy.state, tmp / "dealer")
+    bulletin.save_key(toy.key_a, tmp / "key")
+    c = participant.contribute(toy.params, toy.key_a, toy.package, 1)
+    bulletin.save_contribution(c, tmp / "contribution")
+    files = ("board", "dealer", "key", "contribution")
+    return board, {file: (tmp / file).read_text() for file in files}
+
+
+@pytest.mark.parametrize("record, fault, field", FAULTS)
+def test_every_record_field_is_read_strictly(toy_file_texts, tmp_path, record, fault, field):
+    board, texts = toy_file_texts
+    readers = {
+        "board": load,
+        "dealer": lambda path: bulletin.load_dealer(path, board),
+        "key": bulletin.load_key,
+        "contribution": bulletin.load_contribution,
+    }
+    file, keys, where, wrong = RECORDS[record]
+    path = tmp_path / f"{file}.json"
+    where = where.format(path=path)
+    obj = json.loads(texts[file])
+    target = obj
+    for key in keys:
+        target = target[key]
+    if fault == "missing":
+        del target[field]
+    else:
+        target[field] = wrong.get(field)
+    path.write_text(json.dumps(obj))
+    with pytest.raises(MalformedDocument) as raised:
+        readers[file](path)
+    assert raised.value.exit_code == 18
+    message = str(raised.value)
+    if fault == "missing":
+        assert message.startswith(f"{where}: ") and field in message
+    elif fault == "extra":
+        assert message == f"{where}: missing keys [], unexpected keys ['note']"
+    else:
+        assert message.startswith((f"{where} {field} ", f"{where} {field}:"))
 
 
 HANDWRITTEN_TOY_DOC = """\

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -1269,3 +1270,43 @@ def test_module_entry_point_runs_in_subprocess(tmp_path):
     assert result.returncode == 0, result.stderr
     assert "n = 143" in result.stdout  # 11 and 13 are the only 4-bit primes
     assert (tmp_path / "b.json").exists()
+
+
+def _commands(parser, names=()):
+    """(names, parser) of every command, update's by both of their names."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _commands(sub, (*names, name))
+            return
+    yield names, parser
+
+
+COMMANDS = dict(_commands(cli.build_parser()))
+SHARED_OPTIONS = ("--board", "--dealer", "--seed", "--force", "--id", "--secret-id", "--set",
+                  "--contribution", "--secret", "--secret-text")
+
+
+def test_there_are_eleven_commands():
+    assert len(COMMANDS) == 11
+
+
+@pytest.mark.parametrize("option", SHARED_OPTIONS)
+def test_shared_option_has_one_help_and_one_required(option):
+    taken = {
+        names: (action.help, action.required)
+        for names, parser in COMMANDS.items()
+        for action in parser._actions
+        if option in action.option_strings
+    }
+    assert len(taken) > 1
+    assert len(set(taken.values())) == 1, taken
+    assert next(iter(taken.values()))[0]
+
+
+@pytest.mark.parametrize("names", COMMANDS, ids=" ".join)
+def test_every_command_has_help(capsys, names):
+    with pytest.raises(SystemExit) as raised:
+        main([*names, "--help"])
+    assert raised.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: msss {' '.join(names)} ")

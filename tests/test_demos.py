@@ -1,11 +1,15 @@
-"""The demos run to their closing line, and the README quickstart runs."""
+"""The demos run to their closing line, and the README quickstart and CLI
+session run."""
 
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from msss import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 _ENV = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"}
@@ -41,6 +45,31 @@ def test_readme_quickstart_runs():
         capture_output=True, text=True, env=_ENV, timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_cli_session_runs(tmp_path, monkeypatch, capsys):
+    # the sh block under "## CLI session", run as written: every command exits
+    # 0 and prints exactly the lines its "# ->" comment shows
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## CLI session\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    steps = []  # (argv, file stdout is redirected to or "", expected stdout lines)
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("msss "):
+            command, _, target = line.partition(" > ")
+            steps.append((shlex.split(command)[1:], target.strip(), []))
+        elif line.startswith(("# -> ", "#    ")):
+            steps[-1][2].append(line[5:])
+    monkeypatch.chdir(tmp_path)
+    for argv, target, expected in steps:
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 0, (argv, err)
+        if target:
+            (tmp_path / target).write_text(out)
+        if expected:
+            assert out.splitlines() == expected, argv
+    assert any(expected for _, _, expected in steps)
 
 
 def _run_demo(demo):
