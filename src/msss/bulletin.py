@@ -37,14 +37,14 @@ or is caught later by the tag check; saving only serializes, as the system
 writes no board that breaks one (see ``Board.validate``).
 
 The private dealer state, participant key files and contribution files go
-through the same writer and reader, in the same JSON style, and every file
-is written atomically. Each record read (the document and its params, each
-package and entry, a dealer, key or contribution file) is one table of
-named fields, read by ``_fields``: exactly those keys, lowercase hex
-integers with no leading zeros and exact JSON types. A malformed record
-raises MalformedDocument naming the field by its path, as in ``document
-packages s1 entries 1 d`` or ``dealer.json p``. ``load_dealer`` accepts a
-dealer file only for the board it serves.
+through the same codec, and every file is written atomically. Each record
+(the document and its params, each package and entry, a dealer, key or
+contribution file) is one table of named fields, both read from and written
+by it: ``_obj`` writes the keys in table order, and ``_fields`` reads
+exactly those keys, lowercase hex integers with no leading zeros and exact
+JSON types. A malformed record raises MalformedDocument naming the field by
+its path, as in ``document packages s1 entries 1 d`` or ``dealer.json p``.
+``load_dealer`` accepts a dealer file only for the board it serves.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ import json
 import math
 import os
 import re
+from typing import Callable, NamedTuple
 
 from . import codec
 from .accessstruct import validate_minimal
@@ -173,34 +174,37 @@ class Board:
                 raise InvariantViolation(f"{sid}: {exc}") from exc
 
 
-def package_to_obj(pkg: SecretPackage) -> dict:
-    return {
-        "ps0": int_to_hex(pkg.ps0),
-        "h0": int_to_hex(pkg.h0),
-        "f1": int_to_hex(pkg.f1),
-        "entries": [
-            {
-                "members": sorted(e.members),
-                "d": int_to_hex(e.d),
-                "masked": int_to_hex(e.masked),
-                "tag": e.tag.hex(),
-            }
-            for e in pkg.entries
-        ],
-    }
+class _Field(NamedTuple):
+    """One key of a file record, both ways: ``read(value, where)`` turns its
+    JSON value into the record's attribute ``attr`` (the key itself if empty)
+    or raises MalformedDocument naming ``where``; ``write`` turns the
+    attribute back (the identity by default). A record that lacks the key
+    fails with the ``missing`` note, if any: its file predates the key."""
+
+    read: Callable
+    write: Callable = lambda value: value
+    attr: str = ""
+    missing: str = ""
 
 
-def _fields(obj, where: str, /, **readers) -> dict:
-    """The fields of one file record: ``obj`` must have exactly the keys of
-    ``readers``, and each value is read as ``reader(value, f"{where} {key}")``,
-    which raises MalformedDocument naming that field."""
+def _fields(obj, where: str, table: dict[str, _Field]) -> dict:
+    """The attributes of one file record: ``obj`` must have exactly the keys
+    of ``table``, and each value is read as ``read(value, f"{where} {key}")``."""
     if not isinstance(obj, dict):
         raise MalformedDocument(f"{where}: expected an object")
-    if obj.keys() != readers.keys():
-        missing = [k for k in readers if k not in obj]
-        extra = [k for k in obj if k not in readers]
+    if obj.keys() != table.keys():
+        missing = [k for k in table if k not in obj]
+        for key in missing:
+            if table[key].missing:
+                raise MalformedDocument(f"{where}: no {key}, {table[key].missing}")
+        extra = [k for k in obj if k not in table]
         raise MalformedDocument(f"{where}: missing keys {missing}, unexpected keys {extra}")
-    return {key: read(obj[key], f"{where} {key}") for key, read in readers.items()}
+    return {f.attr or key: f.read(obj[key], f"{where} {key}") for key, f in table.items()}
+
+
+def _obj(table: dict[str, _Field], value) -> dict:
+    """The JSON object of one record, keys in ``table`` order: the reverse of ``_fields``."""
+    return {key: f.write(getattr(value, f.attr or key)) for key, f in table.items()}
 
 
 def _require_int(value, where: str) -> int:
@@ -255,23 +259,12 @@ def _chain(value, where: str) -> tuple[int, ...]:
 
 
 def _params(value, where: str) -> PublicParams:
-    if isinstance(value, dict) and "m_chain" not in value:
-        raise MalformedDocument(
-            f"{where}: no m_chain, the chain that proves m prime: the board predates it"
-            " and cannot be converted; run `msss setup` again"
-        )
-    return PublicParams(
-        **_fields(value, where, g=hex_to_int, n=hex_to_int, m=hex_to_int, width=_require_int,
-                  m_chain=_chain)
-    )
+    return PublicParams(**_fields(value, where, _PARAMS))
 
 
 def _entries(value, where: str) -> tuple[PackageEntry, ...]:
     return tuple(
-        PackageEntry(
-            **_fields(raw, f"{where} {k}", members=_members, d=hex_to_int, masked=hex_to_int,
-                      tag=_tag)
-        )
+        PackageEntry(**_fields(raw, f"{where} {k}", _ENTRY))
         for k, raw in enumerate(_require_list(value, where), 1)
     )
 
@@ -279,29 +272,50 @@ def _entries(value, where: str) -> tuple[PackageEntry, ...]:
 def packages_from_obj(value, where: str) -> dict[str, SecretPackage]:
     """The ``packages`` of a board or dealer file, named ``where`` in errors."""
     return {
-        sid: SecretPackage(
-            sid, **_fields(obj, f"{where} {sid}", ps0=hex_to_int, h0=hex_to_int, f1=hex_to_int,
-                           entries=_entries)
-        )
+        sid: SecretPackage(sid, **_fields(obj, f"{where} {sid}", _PACKAGE))
         for sid, obj in _require_map(value, where).items()
     }
 
 
+def package_to_obj(pkg: SecretPackage) -> dict:
+    return _obj(_PACKAGE, pkg)
+
+
+# The seven records, one table each, keys in file order: the document (a
+# board), its params, each package and entry, and the dealer, key and
+# contribution files.
+_BIG = _Field(hex_to_int, int_to_hex)
+_INT = _Field(_require_int)
+_ID = _Field(_require_id)
+_HEX_MAP = _Field(_hex_map, lambda values: {k: int_to_hex(v) for k, v in values.items()})
+_CHAIN = _Field(
+    _chain, lambda links: [int_to_hex(link) for link in links],
+    missing="the chain that proves m prime: the board predates it and cannot be converted;"
+    " run `msss setup` again",
+)
+_PARAMS = {"g": _BIG, "n": _BIG, "m": _BIG, "width": _INT, "m_chain": _CHAIN}
+_ENTRY = {
+    "members": _Field(_members, sorted), "d": _BIG, "masked": _BIG, "tag": _Field(_tag, bytes.hex)
+}
+_PACKAGE = {
+    "ps0": _BIG, "h0": _BIG, "f1": _BIG,
+    "entries": _Field(_entries, lambda entries: [_obj(_ENTRY, e) for e in entries]),
+}
+_PACKAGES = _Field(
+    packages_from_obj, lambda packages: {sid: package_to_obj(p) for sid, p in packages.items()}
+)
+_DOCUMENT = {
+    "revision": _INT, "params": _Field(_params, lambda params: _obj(_PARAMS, params)),
+    "roster": _HEX_MAP, "packages": _PACKAGES,
+}
+_DEALER = {"p": _BIG, "q": _BIG, "secrets": _HEX_MAP, "packages": _PACKAGES}
+_KEY = {"id": _ID._replace(attr="pid"), "s": _BIG, "ps": _BIG}
+_CONTRIBUTION = {"pid": _ID, "secret_id": _ID, "set_index": _INT, "x": _BIG}
+
+
 def to_document(board: Board) -> str:
     """Canonical serialization, no checks; identical boards give identical bytes."""
-    obj = {
-        "revision": board.revision,
-        "params": {
-            "g": int_to_hex(board.params.g),
-            "n": int_to_hex(board.params.n),
-            "m": int_to_hex(board.params.m),
-            "width": board.params.width,
-            "m_chain": [int_to_hex(link) for link in board.params.m_chain],
-        },
-        "roster": {pid: int_to_hex(ps) for pid, ps in board.roster.items()},
-        "packages": {sid: package_to_obj(pkg) for sid, pkg in board.packages.items()},
-    }
-    return _dump(obj)
+    return _dump(_obj(_DOCUMENT, board))
 
 
 def from_document(text: str) -> Board:
@@ -310,10 +324,7 @@ def from_document(text: str) -> Board:
     Raises MalformedDocument for syntax or shape problems and
     InvariantViolation (naming the rule) for semantic ones.
     """
-    board = Board(
-        **_parse(text, "document", revision=_require_int, params=_params, roster=_hex_map,
-                 packages=packages_from_obj)
-    )
+    board = Board(**_parse(text, "document", _DOCUMENT))
     board.validate()
     return board
 
@@ -330,15 +341,8 @@ def load(path) -> Board:
 
 
 def save_dealer(state: DealerState, path) -> None:
-    """Write the private dealer state: the factors of n, each secret, and
-    each package as the board publishes it."""
-    obj = {
-        "p": int_to_hex(state.p),
-        "q": int_to_hex(state.q),
-        "secrets": {sid: int_to_hex(secret) for sid, secret in state.secrets.items()},
-        "packages": {sid: package_to_obj(pkg) for sid, pkg in state.packages.items()},
-    }
-    _write(_dump(obj), path)
+    """Write the private dealer state: n's factors, each secret and its package."""
+    _write(_dump(_obj(_DEALER, state)), path)
 
 
 def load_dealer(path, board: Board) -> DealerState:
@@ -353,9 +357,7 @@ def load_dealer(path, board: Board) -> DealerState:
     back a package, or add an entry that no qualified set can open.
     """
     where = os.fspath(path)
-    p, q, secrets, packages = _parse(
-        _read(path), where, p=hex_to_int, q=hex_to_int, secrets=_hex_map, packages=packages_from_obj
-    ).values()
+    p, q, secrets, packages = _parse(_read(path), where, _DEALER).values()
     # share_secret numbers secrets s1, s2, ... and no operation drops one
     if not list(secrets) == list(packages) == [f"s{i}" for i in range(1, len(secrets) + 1)]:
         ids = f"secrets [{', '.join(secrets)}] and packages [{', '.join(packages)}]"
@@ -384,37 +386,32 @@ def load_dealer(path, board: Board) -> DealerState:
 
 
 def save_key(key: ParticipantKey, path) -> None:
-    _write(_dump({"id": key.pid, "s": int_to_hex(key.s), "ps": int_to_hex(key.ps)}), path)
+    _write(_dump(_obj(_KEY, key)), path)
 
 
 def load_key(path) -> ParticipantKey:
-    key = _parse(_read(path), os.fspath(path), id=_require_id, s=hex_to_int, ps=hex_to_int)
-    return ParticipantKey(*key.values())
+    return ParticipantKey(**_parse(_read(path), os.fspath(path), _KEY))
 
 
 def save_contribution(c: Contribution, path) -> None:
-    obj = {"pid": c.pid, "secret_id": c.secret_id, "set_index": c.set_index, "x": int_to_hex(c.x)}
-    _write(_dump(obj), path)
+    _write(_dump(_obj(_CONTRIBUTION, c)), path)
 
 
 def load_contribution(path) -> Contribution:
-    return Contribution(
-        **_parse(_read(path), os.fspath(path), pid=_require_id, secret_id=_require_id,
-                 set_index=_require_int, x=hex_to_int)
-    )
+    return Contribution(**_parse(_read(path), os.fspath(path), _CONTRIBUTION))
 
 
 def _dump(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _parse(text: str, where: str, /, **readers) -> dict:
-    """The fields of a whole file (see ``_fields``)."""
+def _parse(text: str, where: str, table: dict[str, _Field]) -> dict:
+    """The attributes of a whole file (see ``_fields``)."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"{where}: not valid JSON: {exc}") from exc
-    return _fields(obj, where, **readers)
+    return _fields(obj, where, table)
 
 
 def _write(text: str, path) -> None:

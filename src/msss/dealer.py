@@ -223,6 +223,9 @@ def _draw_h0(dealer: DealerState, g: int, rng) -> tuple[int, int, int]:
 
 def _sample_d(count: int, m: int, rng, exclude: Iterable[int] = ()) -> list[int]:
     taken = set(exclude)
+    left = m - 2 - len(taken)
+    if count > left:  # a toy m has few abscissas: refuse, not draw forever
+        raise ValueError(f"m = {m} is too small: {left} d left in [2, m - 1], {count} needed")
     out: list[int] = []
     while len(out) < count:
         d = rng.randrange(2, m)
@@ -419,8 +422,7 @@ def remove_participant(
     lose its last qualified set; remove those secrets first.
     """
     rng = rng or _default_rng
-    if pid not in roster:
-        raise UnknownParticipant(f"{pid} is not enrolled")
+    _check_enrolled([pid], roster)
     plans: dict[str, AccessStructure] = {}
     emptied = []
     for sid, package in dealer.packages.items():

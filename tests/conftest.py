@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -20,6 +21,11 @@ TOY_SHARE = (103, 5, 7)
 # the least h0 = 103 + 60k of 129 bits: it opens the toy ps0 = 115 (of order
 # 60) to g as 103 does, so on the toy board it breaks only the width rule
 TOY_WIDE_H0 = 103 + 60 * -(-(2**128 - 103) // 60)
+# ten members whose pseudo-shares are distinct units mod the toy n = 143, and
+# their 252 five-member sets: more than the 147 abscissas d in [2, m - 1]
+# that the toy m = 149 has
+TEN_ROSTER = {f"P{i}": ps for i, ps in enumerate((2, 3, 4, 5, 6, 7, 8, 9, 10, 12))}
+FIVE_SETS = [frozenset(c) for c in itertools.combinations(TEN_ROSTER, 5)]
 
 
 @dataclass

@@ -1,4 +1,6 @@
-"""A stand-in for random.Random that answers from a script."""
+"""Stand-ins for random.Random that answer from a script or a fixed number of draws."""
+
+import random
 
 
 class ScriptedRandom:
@@ -28,3 +30,25 @@ class ScriptedRandom:
 
     def getrandbits(self, k):
         return self._next(0, 1 << k)
+
+
+class LimitedRandom:
+    """A seeded random.Random with a fixed number of draws: past ``draws``
+    draws (randrange and getrandbits alike) it fails, so an operation that
+    would draw forever fails fast instead."""
+
+    def __init__(self, seed, draws):
+        self.rng = random.Random(seed)
+        self.left = draws
+
+    def _spend(self):
+        assert self.left > 0, "draws used up"
+        self.left -= 1
+
+    def randrange(self, *args):
+        self._spend()
+        return self.rng.randrange(*args)
+
+    def getrandbits(self, k):
+        self._spend()
+        return self.rng.getrandbits(k)

@@ -1,8 +1,9 @@
 import json
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msss import bulletin, combiner, dealer, numtheory, participant
@@ -330,6 +331,107 @@ def test_every_record_field_is_read_strictly(toy_file_texts, tmp_path, record, f
         assert message == f"{where}: missing keys [], unexpected keys ['note']"
     else:
         assert message.startswith((f"{where} {field} ", f"{where} {field}:"))
+
+
+# Every record as written and read through its one table: the table, how its
+# value is built from the attributes read, and a strategy for its values.
+_BIG = st.integers(0, 2**200)
+_IDS = st.text(min_size=1, max_size=3)
+_ENTRIES = st.builds(
+    dealer.PackageEntry,
+    members=st.frozensets(_IDS, min_size=1, max_size=4),
+    d=_BIG,
+    masked=_BIG,
+    tag=st.binary(min_size=32, max_size=32),
+)
+_PACKAGES = st.builds(
+    dealer.SecretPackage,
+    secret_id=st.just("s1"),
+    ps0=_BIG,
+    h0=_BIG,
+    f1=_BIG,
+    entries=st.lists(_ENTRIES, max_size=3).map(tuple),
+)
+_PACKAGE_MAPS = st.lists(_PACKAGES, max_size=3).map(
+    lambda pkgs: {f"s{i}": pkg._replace(secret_id=f"s{i}") for i, pkg in enumerate(pkgs, 1)}
+)
+_PARAMS_VALUES = st.builds(
+    dealer.PublicParams,
+    g=_BIG,
+    n=_BIG,
+    m=_BIG,
+    width=st.integers(),
+    m_chain=st.lists(_BIG, max_size=3).map(tuple),
+)
+_BOARDS = st.builds(
+    Board,
+    params=_PARAMS_VALUES,
+    roster=st.dictionaries(_IDS, _BIG, max_size=3),
+    packages=_PACKAGE_MAPS,
+    revision=st.integers(),
+)
+_DEALERS = st.builds(
+    lambda pq, secrets, packages: dealer.DealerState(*pq, secrets, packages),
+    # DealerState takes q^-1 mod p
+    st.tuples(st.integers(1, 2**128), st.integers(1, 2**128)).filter(lambda pq: math.gcd(*pq) == 1),
+    st.dictionaries(_IDS, _BIG, max_size=3),
+    _PACKAGE_MAPS,
+)
+_KEYS = st.builds(participant.ParticipantKey, pid=_IDS, s=_BIG, ps=_BIG)
+_CONTRIBUTIONS = st.builds(
+    participant.Contribution, pid=_IDS, secret_id=_IDS, set_index=st.integers(), x=_BIG
+)
+ROUND_TRIPS = {
+    "document": (bulletin._DOCUMENT, Board, _BOARDS),
+    "params": (bulletin._PARAMS, dealer.PublicParams, _PARAMS_VALUES),
+    "package": (bulletin._PACKAGE, lambda **f: dealer.SecretPackage("s1", **f), _PACKAGES),
+    "entry": (bulletin._ENTRY, dealer.PackageEntry, _ENTRIES),
+    "dealer": (bulletin._DEALER, dealer.DealerState, _DEALERS),
+    "key": (bulletin._KEY, participant.ParticipantKey, _KEYS),
+    "contribution": (bulletin._CONTRIBUTION, participant.Contribution, _CONTRIBUTIONS),
+}
+# edge values: "0", an empty and a non-empty m_chain, three members
+_ZERO_PARAMS = dealer.PublicParams(0, 0, 0, 0, ())
+_ZERO_ENTRY = dealer.PackageEntry(frozenset("ACB"), 0, 0, bytes(32))
+_ZERO_PACKAGE = dealer.SecretPackage("s1", 0, 0, 0, (_ZERO_ENTRY,))
+
+
+def _members_reversed(obj):
+    """``obj`` with every list of members in reverse order: out of order, as
+    the writer sorts them."""
+    if isinstance(obj, list):
+        return [_members_reversed(item) for item in obj]
+    if isinstance(obj, dict):
+        return {
+            k: v[::-1] if k == "members" else _members_reversed(v) for k, v in obj.items()
+        }
+    return obj
+
+
+@given(case=st.one_of(
+    [st.tuples(st.just(record), values) for record, (*_, values) in ROUND_TRIPS.items()]
+))
+@example(case=("document", Board(_ZERO_PARAMS, {"A": 0}, {"s1": _ZERO_PACKAGE}, 0)))
+@example(case=("params", _ZERO_PARAMS))
+@example(case=("params", dealer.PublicParams(15, 143, 149, 1, (1009, 7))))
+@example(case=("package", _ZERO_PACKAGE))
+@example(case=("entry", _ZERO_ENTRY))
+@example(case=("dealer", dealer.DealerState(11, 13, {"s1": 0}, {"s1": _ZERO_PACKAGE})))
+@example(case=("key", participant.ParticipantKey("A", 0, 0)))
+@example(case=("contribution", participant.Contribution("A", "s1", 0, 0)))
+@settings(max_examples=100, deadline=None)
+def test_every_record_round_trips(case):
+    """Reading what the writer wrote gives an equal value, and writing what
+    the reader read gives the same bytes; members out of order on input
+    read as the same set."""
+    record, value = case
+    table, build, _ = ROUND_TRIPS[record]
+    text = bulletin._dump(bulletin._obj(table, value))
+    read = build(**bulletin._fields(json.loads(text), record, table))
+    assert read == value
+    assert bulletin._dump(bulletin._obj(table, read)) == text
+    shuffled = _members_reversed(json.loads(text))
+    assert build(**bulletin._fields(shuffled, record, table)) == value
 
 
 HANDWRITTEN_TOY_DOC = """\

@@ -10,13 +10,14 @@ from pathlib import Path
 import pytest
 
 from msss import bulletin, cli, codec, combiner, dealer, numtheory, participant
+from msss.accessstruct import validate_minimal
 from msss.cli import main
 from msss.dealer import PublicParams
 from msss.errors import MsssError
 
-from conftest import TOY_SETUP, TOY_SHARE, TOY_WIDE_H0, full_width_draw
+from conftest import FIVE_SETS, TEN_ROSTER, TOY_SETUP, TOY_SHARE, TOY_WIDE_H0, full_width_draw
 from oracles import miller_rabin, trial_division_factor
-from scripted import ScriptedRandom
+from scripted import LimitedRandom, ScriptedRandom
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -803,6 +804,26 @@ class TestUpdates:
         assert code == 0
         board = bulletin.load(toy_files["board"])
         assert [sorted(e.members) for e in board.packages["s1"].entries] == [["B"]]
+
+    def test_add_set_refuses_when_no_d_is_left(self, run, tmp_path, monkeypatch):
+        # s1's 147 sets take every d in [2, m - 1] = [2, 148]: one more set is
+        # refused before a d is drawn, where a draw loop would never end (the
+        # limited draws make it fail fast), and no file changes
+        params, state = dealer.setup(4, random.Random(1))
+        structure = validate_minimal(FIVE_SETS[:147])
+        dealer.share_secret(state, params, TEN_ROSTER, 5, structure, random.Random(1))
+        board, dealer_file = tmp_path / "board.json", tmp_path / "dealer.json"
+        bulletin.save(bulletin.Board(params, dict(TEN_ROSTER), dict(state.packages), 1), board)
+        bulletin.save_dealer(state, dealer_file)
+        before = board.read_bytes(), dealer_file.read_bytes()
+        monkeypatch.setattr(cli, "_rng", lambda args: LimitedRandom(1, draws=1000))
+        code, _, err = run(
+            "update", "add-set", "--board", board, "--dealer", dealer_file, "--secret-id", "s1",
+            "--set", ",".join(sorted(FIVE_SETS[147])),
+        )
+        assert code == 25
+        assert "m = 149 is too small: 0 d left in [2, m - 1], 1 needed" in err
+        assert (board.read_bytes(), dealer_file.read_bytes()) == before
 
     def test_remove_participant_reports_renewed_ids(self, run, toy_files):
         run("enroll", "--id", "C", "--board", toy_files["board"], "--key-out",

@@ -20,9 +20,9 @@ from msss.errors import (
 from msss.numtheory import proves_prime
 from msss.simulate import attack_entry
 
-from conftest import TOY_SETUP, make_toy_world
+from conftest import FIVE_SETS, TEN_ROSTER, TOY_SETUP, make_toy_world
 from oracles import miller_rabin, naive_mod_exp
-from scripted import ScriptedRandom
+from scripted import LimitedRandom, ScriptedRandom
 
 
 def _enroll_three(params):
@@ -172,6 +172,21 @@ class TestShareSecret:
         with pytest.raises(ValueError, match="every h0 below phi"):
             dealer.share_secret(toy.state, toy.params, toy.roster, 5, structure, rng)
         assert len(toy.state.packages) == 30
+
+    def test_toy_world_runs_out_of_d_and_says_so(self, toy):
+        # 147 sets fit in [2, 148] and take every d; 148 are refused before a
+        # d is drawn, where a draw loop would never end (the limited draws
+        # make it fail fast)
+        roster = dict(TEN_ROSTER)
+        structure = accessstruct.validate_minimal(FIVE_SETS[:148])
+        with pytest.raises(ValueError, match=r"147 d left in \[2, m - 1\], 148 needed"):
+            dealer.share_secret(
+                toy.state, toy.params, roster, 5, structure, LimitedRandom(1, draws=1000)
+            )
+        assert list(toy.state.packages) == list(toy.state.secrets) == ["s1"]
+        structure = accessstruct.validate_minimal(FIVE_SETS[:147])
+        pkg = dealer.share_secret(toy.state, toy.params, roster, 5, structure, random.Random(1))
+        assert sorted(e.d for e in pkg.entries) == list(range(2, 149))
 
     def test_renew_never_keeps_its_h0(self, toy):
         # a renew under the old h0 would keep s0 and every mask
