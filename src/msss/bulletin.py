@@ -44,15 +44,19 @@ by it: ``_obj`` writes the keys in table order, and ``_fields`` reads
 exactly those keys, lowercase hex integers with no leading zeros and exact
 JSON types. A malformed record raises MalformedDocument naming the field by
 its path, as in ``document packages s1 entries 1 d`` or ``dealer.json p``.
-``load_dealer`` accepts a dealer file only for the board it serves.
+Each package lives on the board alone: the dealer file holds p, q, the
+secrets and one SHA-256 per package (``_digest``), and ``load_dealer``
+accepts it only for the board it serves.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
 import re
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import codec
@@ -232,11 +236,6 @@ def _require_list(value, where: str) -> list:
     return value
 
 
-def _hex_map(value, where: str) -> dict[str, int]:
-    """An object of hex integers: the roster, or the dealer's secrets."""
-    return {k: hex_to_int(raw, f"{where} {k}") for k, raw in _require_map(value, where).items()}
-
-
 def _members(value, where: str) -> frozenset[str]:
     if not (
         isinstance(value, list) and value and all(isinstance(pid, str) and pid for pid in value)
@@ -269,8 +268,7 @@ def _entries(value, where: str) -> tuple[PackageEntry, ...]:
     )
 
 
-def packages_from_obj(value, where: str) -> dict[str, SecretPackage]:
-    """The ``packages`` of a board or dealer file, named ``where`` in errors."""
+def _packages(value, where: str) -> dict[str, SecretPackage]:
     return {
         sid: SecretPackage(sid, **_fields(obj, f"{where} {sid}", _PACKAGE))
         for sid, obj in _require_map(value, where).items()
@@ -281,34 +279,54 @@ def package_to_obj(pkg: SecretPackage) -> dict:
     return _obj(_PACKAGE, pkg)
 
 
+def _digest(pkg: SecretPackage) -> bytes:
+    """SHA-256 of the package's record as the board writes it, serialized
+    on its own: the dealer file's one check on each package of the board."""
+    return hashlib.sha256(_dump(package_to_obj(pkg)).encode()).digest()
+
+
+def _map_of(field: _Field, **options) -> _Field:
+    """An object of ``field`` values: the roster, or the dealer's secrets or digests."""
+
+    def read(value, where: str) -> dict:
+        return {k: field.read(raw, f"{where} {k}") for k, raw in _require_map(value, where).items()}
+
+    return _Field(read, lambda values: {k: field.write(v) for k, v in values.items()}, **options)
+
+
 # The seven records, one table each, keys in file order: the document (a
 # board), its params, each package and entry, and the dealer, key and
 # contribution files.
 _BIG = _Field(hex_to_int, int_to_hex)
 _INT = _Field(_require_int)
 _ID = _Field(_require_id)
-_HEX_MAP = _Field(_hex_map, lambda values: {k: int_to_hex(v) for k, v in values.items()})
+_TAG = _Field(_tag, bytes.hex)
+_HEX_MAP = _map_of(_BIG)
 _CHAIN = _Field(
     _chain, lambda links: [int_to_hex(link) for link in links],
     missing="the chain that proves m prime: the board predates it and cannot be converted;"
     " run `msss setup` again",
 )
 _PARAMS = {"g": _BIG, "n": _BIG, "m": _BIG, "width": _INT, "m_chain": _CHAIN}
-_ENTRY = {
-    "members": _Field(_members, sorted), "d": _BIG, "masked": _BIG, "tag": _Field(_tag, bytes.hex)
-}
+_ENTRY = {"members": _Field(_members, sorted), "d": _BIG, "masked": _BIG, "tag": _TAG}
 _PACKAGE = {
     "ps0": _BIG, "h0": _BIG, "f1": _BIG,
     "entries": _Field(_entries, lambda entries: [_obj(_ENTRY, e) for e in entries]),
 }
-_PACKAGES = _Field(
-    packages_from_obj, lambda packages: {sid: package_to_obj(p) for sid, p in packages.items()}
-)
 _DOCUMENT = {
     "revision": _INT, "params": _Field(_params, lambda params: _obj(_PARAMS, params)),
-    "roster": _HEX_MAP, "packages": _PACKAGES,
+    "roster": _HEX_MAP,
+    "packages": _Field(
+        _packages, lambda packages: {sid: package_to_obj(p) for sid, p in packages.items()}
+    ),
 }
-_DEALER = {"p": _BIG, "q": _BIG, "secrets": _HEX_MAP, "packages": _PACKAGES}
+_DEALER = {
+    "p": _BIG, "q": _BIG, "secrets": _HEX_MAP,
+    "digests": _map_of(
+        _TAG, missing="the SHA-256 of each package: the file predates them and holds whole"
+        " packages; replace them by their digests as the README says",
+    ),
+}
 _KEY = {"id": _ID._replace(attr="pid"), "s": _BIG, "ps": _BIG}
 _CONTRIBUTION = {"pid": _ID, "secret_id": _ID, "set_index": _INT, "x": _BIG}
 
@@ -341,26 +359,31 @@ def load(path) -> Board:
 
 
 def save_dealer(state: DealerState, path) -> None:
-    """Write the private dealer state: n's factors, each secret and its package."""
-    _write(_dump(_obj(_DEALER, state)), path)
+    """Write the private dealer state: n's factors, each secret, and the
+    SHA-256 of each package as the board writes it (``_digest``)."""
+    digests = {sid: _digest(pkg) for sid, pkg in state.packages.items()}
+    record = SimpleNamespace(p=state.p, q=state.q, secrets=state.secrets, digests=digests)
+    _write(_dump(_obj(_DEALER, record)), path)
 
 
 def load_dealer(path, board: Board) -> DealerState:
-    """The private dealer state of ``board``; the one reader of a dealer file.
+    """The private dealer state of ``board``, whose packages it works on in
+    place; the one reader of a dealer file.
 
-    MalformedDocument unless the secrets and the packages are both named
+    MalformedDocument unless the secrets and the digests are both named
     exactly s1 ... sk, then InvariantViolation unless p, q > 1 with p*q the
-    board's n and p != q, every h0 is a unit mod phi(n), the packages are
-    the board's, and each secret is below m and matches every tag of its
-    package: publishing from any other file would sign under a wrong
-    phi(n), derive no s0 = h0**-1 mod phi(n) for add-set, overwrite or roll
-    back a package, or add an entry that no qualified set can open.
+    board's n and p != q, every h0 is a unit mod phi(n), the board's
+    packages are exactly those the digests name and hash to them, and each
+    secret is below m and matches every tag of its package: publishing
+    from any other file would sign under a wrong phi(n), derive no
+    s0 = h0**-1 mod phi(n) for add-set, overwrite a package or build on a
+    rolled-back one, or add an entry that no qualified set can open.
     """
     where = os.fspath(path)
-    p, q, secrets, packages = _parse(_read(path), where, _DEALER).values()
+    p, q, secrets, digests = _parse(_read(path), where, _DEALER).values()
     # share_secret numbers secrets s1, s2, ... and no operation drops one
-    if not list(secrets) == list(packages) == [f"s{i}" for i in range(1, len(secrets) + 1)]:
-        ids = f"secrets [{', '.join(secrets)}] and packages [{', '.join(packages)}]"
+    if not list(secrets) == list(digests) == [f"s{i}" for i in range(1, len(secrets) + 1)]:
+        ids = f"secrets [{', '.join(secrets)}] and digests [{', '.join(digests)}]"
         raise MalformedDocument(f"{where} {ids} are not both s1 ... s<k>")
     if not (p > 1 and q > 1 and p * q == board.params.n):
         raise InvariantViolation(f"{where} is not the dealer file of this board: p*q is not n")
@@ -368,6 +391,7 @@ def load_dealer(path, board: Board) -> DealerState:
         # n = p*p has phi(n) = p*(p-1), not (p-1)**2, and no CRT split
         raise InvariantViolation(f"{where} has p = q: n must have two distinct prime factors")
     phi = (p - 1) * (q - 1)
+    packages = board.packages
     for sid, pkg in packages.items():
         # ps0^h0 = g on the board does not make h0 the inverse of an s0
         if math.gcd(pkg.h0, phi) != 1:
@@ -375,8 +399,9 @@ def load_dealer(path, board: Board) -> DealerState:
     m, width = board.params.m, board.params.width
     diverged = [
         sid
-        for sid in {**board.packages, **packages}
-        if board.packages.get(sid) != packages.get(sid)
+        for sid in {**packages, **digests}
+        if sid not in packages
+        or digests.get(sid) != _digest(packages[sid])
         or secrets[sid] >= m
         or any(e.tag != codec.tag(secrets[sid], e.d, width) for e in packages[sid].entries)
     ]

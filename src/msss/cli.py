@@ -89,17 +89,17 @@ def _dealer_write(args):
     """The one write path of the dealer commands.
 
     Under the board lock, loads the board and its dealer file (which
-    ``bulletin.load_dealer`` refuses unless it serves this board, holds
-    exactly its packages and secrets that match their tags) and yields
-    (board, state) to the command; once it returns, publishes the dealer's
-    packages as the next revision and saves the board, then the dealer
-    file. A command that raises writes nothing.
+    ``bulletin.load_dealer`` refuses unless it serves this board, holds the
+    digest of exactly its packages and secrets that match their tags) and
+    yields (board, state) to the command, whose dealer operations change
+    the board's packages in place; once it returns, saves the board as the
+    next revision, then the dealer file with the new digests. A command
+    that raises writes nothing.
     """
     with _board_lock(args.board):
         board = bulletin.load(args.board)
         state = bulletin.load_dealer(args.dealer, board)
         yield board, state
-        board.packages = state.packages
         board.revision += 1
         bulletin.save(board, args.board)
         bulletin.save_dealer(state, args.dealer)

@@ -115,10 +115,12 @@ class SecretPackage(NamedTuple):
 class DealerState:
     """Private dealer state, never published: the factors of n and, by
     secret id s1, s2, ... in publishing order, each secret and the package
-    the board publishes for it. The package copy is what exposes a lost
-    dealer write; phi(n), s0 and the slope are derived, never stored.
-    ``q_inv`` = q**-1 mod p, Garner's constant for ``_pow_n``, is derived
-    once here and never written to the dealer file."""
+    the board publishes for it, which the dealer operations change in
+    place. ``bulletin.load_dealer`` hands it the board's own packages: the
+    dealer file stores only a SHA-256 of each, which is what exposes a lost
+    dealer write or a rolled-back board. phi(n), s0 and the slope are
+    derived, never stored. ``q_inv`` = q**-1 mod p, Garner's constant for
+    ``_pow_n``, is derived once here and never written to the dealer file."""
 
     def __init__(
         self,

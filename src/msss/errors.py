@@ -105,14 +105,15 @@ class UnmaskOutOfField(MsssError):
 
 class MalformedDocument(MsssError):
     """A protocol file failed to parse, or a dealer file's secrets and
-    packages are not both named s1 ... sk."""
+    digests are not both named s1 ... sk."""
     exit_code = 18
 
 
 class InvariantViolation(MsssError):
     """A board violates a protocol invariant, a dealer file is not this
-    board's (p*q is not n, or its packages or secrets do not match the
-    board), or a key file's pseudo-share is not the board's."""
+    board's (p*q is not n, p = q, an h0 has no inverse mod phi(n), or its
+    package digests or secrets do not match the board), or a key file's
+    pseudo-share is not the board's."""
     exit_code = 19
 
 

@@ -62,6 +62,24 @@ def random_antichain(rng, pids, max_sets: int, max_set_size: int) -> AccessStruc
     return AccessStructure(tuple(sets))
 
 
+def _distinct_keys(rng, params, pids, attempts: int = 30) -> dict:
+    """A key for each id, no two with one pseudo-share: ``msss enroll`` and
+    ``Board.validate`` refuse a repeated one, as equal masks cancel, so it
+    is drawn again, at most ``attempts`` times per member."""
+    keys, taken = {}, set()
+    for pid in pids:
+        for _ in range(attempts):
+            key = participant.keygen(params, pid, rng)
+            if key.ps not in taken:
+                break
+        else:
+            raise ValueError(f"g = {params.g} has too few powers mod n = {params.n}"
+                             f" for {len(pids)} distinct pseudo-shares")
+        taken.add(key.ps)
+        keys[pid] = key
+    return keys
+
+
 def attack_entry(params, package, set_index: int, xs) -> tuple[bool, int | None]:
     """What a coalition can do with one entry and whatever x values it has:
     XOR them into the masked value, interpolate, and hope the tag matches.
@@ -111,7 +129,7 @@ def run_simulation(config: SimulationConfig) -> dict:
 
     params, state = dealer.setup(config.bits_per_prime, rng)
     pids = [f"P{i}" for i in range(1, config.participants + 1)]
-    keys = {pid: participant.keygen(params, pid, rng) for pid in pids}
+    keys = _distinct_keys(rng, params, pids)
     roster = {pid: keys[pid].ps for pid in pids}
 
     for _ in range(config.secrets):

@@ -1,6 +1,6 @@
 import json
-import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -272,7 +272,7 @@ RECORDS = {
                 {"ps0": 115, "h0": [], "f1": ["69"], "entries": {}}),
     "entry": ("board", ["packages", "s1", "entries", 0], "document packages s1 entries 1",
               {"members": "A", "d": 7, "masked": True, "tag": 64}),
-    "dealer file": ("dealer", [], "{path}", {"p": 11, "q": 13.0, "secrets": [], "packages": []}),
+    "dealer file": ("dealer", [], "{path}", {"p": 11, "q": 13.0, "secrets": [], "digests": []}),
     "key": ("key", [], "{path}", {"id": ["A"], "s": 5, "ps": {"hex": "2d"}}),
     "contribution": ("contribution", [], "{path}",
                      {"pid": 1, "secret_id": None, "set_index": "1", "x": 1.5}),
@@ -371,11 +371,11 @@ _BOARDS = st.builds(
     revision=st.integers(),
 )
 _DEALERS = st.builds(
-    lambda pq, secrets, packages: dealer.DealerState(*pq, secrets, packages),
-    # DealerState takes q^-1 mod p
-    st.tuples(st.integers(1, 2**128), st.integers(1, 2**128)).filter(lambda pq: math.gcd(*pq) == 1),
-    st.dictionaries(_IDS, _BIG, max_size=3),
-    _PACKAGE_MAPS,
+    SimpleNamespace,
+    p=_BIG,
+    q=_BIG,
+    secrets=st.dictionaries(_IDS, _BIG, max_size=3),
+    digests=st.dictionaries(_IDS, st.binary(min_size=32, max_size=32), max_size=3),
 )
 _KEYS = st.builds(participant.ParticipantKey, pid=_IDS, s=_BIG, ps=_BIG)
 _CONTRIBUTIONS = st.builds(
@@ -386,7 +386,7 @@ ROUND_TRIPS = {
     "params": (bulletin._PARAMS, dealer.PublicParams, _PARAMS_VALUES),
     "package": (bulletin._PACKAGE, lambda **f: dealer.SecretPackage("s1", **f), _PACKAGES),
     "entry": (bulletin._ENTRY, dealer.PackageEntry, _ENTRIES),
-    "dealer": (bulletin._DEALER, dealer.DealerState, _DEALERS),
+    "dealer": (bulletin._DEALER, SimpleNamespace, _DEALERS),
     "key": (bulletin._KEY, participant.ParticipantKey, _KEYS),
     "contribution": (bulletin._CONTRIBUTION, participant.Contribution, _CONTRIBUTIONS),
 }
@@ -416,7 +416,7 @@ def _members_reversed(obj):
 @example(case=("params", dealer.PublicParams(15, 143, 149, 1, (1009, 7))))
 @example(case=("package", _ZERO_PACKAGE))
 @example(case=("entry", _ZERO_ENTRY))
-@example(case=("dealer", dealer.DealerState(11, 13, {"s1": 0}, {"s1": _ZERO_PACKAGE})))
+@example(case=("dealer", SimpleNamespace(p=11, q=13, secrets={"s1": 0}, digests={"s1": bytes(32)})))
 @example(case=("key", participant.ParticipantKey("A", 0, 0)))
 @example(case=("contribution", participant.Contribution("A", "s1", 0, 0)))
 @settings(max_examples=100, deadline=None)

@@ -164,11 +164,19 @@ class TestScriptedToySession:
 
     def test_dealer_file_holds_only_what_cannot_be_derived(self, toy_files):
         # phi(n) and the next secret id follow from p, q and the secrets, and
-        # s0 and the slope from each package, written as the board writes it
+        # s0 and the slope from each package, which lives on the board alone:
+        # the dealer file keeps the SHA-256 of its record, not a copy
         obj = json.loads(toy_files["dealer"].read_text())
-        assert list(obj) == ["p", "q", "secrets", "packages"]
+        assert list(obj) == ["p", "q", "secrets", "digests"]
         assert (obj["p"], obj["q"], obj["secrets"]) == ("b", "d", {"s1": "64"})
-        assert obj["packages"] == json.loads(toy_files["board"].read_text())["packages"]
+        packages = json.loads(toy_files["board"].read_text())["packages"]
+        assert obj["digests"] == {sid: _package_digest(pkg) for sid, pkg in packages.items()}
+
+
+def _package_digest(package: dict) -> str:
+    """The dealer file's digest of a package record read off a board: the
+    SHA-256 of the record serialized on its own, as the board writes it."""
+    return hashlib.sha256((json.dumps(package, indent=2) + "\n").encode()).hexdigest()
 
 
 def _write_contribution(world, name, pid, x, secret_id="s1"):
@@ -588,22 +596,29 @@ class TestStrictFiles:
             # share names the next secret s<k+1>, which would be s2 again
             pytest.param(
                 lambda obj: obj.update(
-                    secrets={"s2": obj["secrets"]["s1"]}, packages={"s2": obj["packages"]["s1"]}
+                    secrets={"s2": obj["secrets"]["s1"]}, digests={"s2": obj["digests"]["s1"]}
                 ),
                 ["s2"],
                 id="only-record-s2",
             ),
-            # written while the dealer file stored s0 and the slope; convert it
-            # by moving each record's secret and package out of "records"
+            # written while the dealer file stored s0 and the slope (the package
+            # record is elided here); the note on the missing digests says how
+            # to convert it
             pytest.param(
-                lambda obj: obj.update(
+                lambda obj: (obj.pop("digests"), obj.update(
                     records={
                         "s1": {"s0": "7", "slope": "5", "secret": obj.pop("secrets")["s1"],
-                               "package": obj.pop("packages")["s1"]},
+                               "package": {}},
                     }
-                ),
-                ["records"],
+                )),
+                ["digests", "README"],
                 id="records-with-s0-and-slope",
+            ),
+            # written while the dealer file kept a copy of every package
+            pytest.param(
+                lambda obj: (obj.pop("digests"), obj.update(packages={"s1": {}})),
+                ["digests", "README"],
+                id="packages-not-digests",
             ),
             # written before phi(n) and the next index were derived; once
             # trusted, a wrong phi made every honest member a cheater
@@ -850,8 +865,9 @@ class TestUpdates:
 
 
 class TestDealerWrite:
-    """A dealer file that lost its last write, or that serves another board,
-    does not match the board: the next dealer command exits 19 and writes
+    """A dealer file that lost its last write, a board rolled back on its
+    own, or a dealer file that serves another board: the dealer file does
+    not match the board, and the next dealer command exits 19 and writes
     nothing."""
 
     def _lose_next_dealer_write(self, run, world, *argv):
@@ -878,9 +894,36 @@ class TestDealerWrite:
             run, toy_files, files, "s2", "share", "--secret", 6, "--sets", "B", "--seed", 2
         )
 
+    @pytest.mark.parametrize(
+        "update",
+        [
+            ("add-set", "--secret-id", "s1", "--set", "C", "--seed", 3),
+            ("remove-participant", "--id", "C", "--seed", 4),
+        ],
+        ids=["add-set", "remove-participant"],
+    )
+    def test_board_rolled_back_alone(self, run, toy_files, update):
+        # an older board.json put back under the newer dealer.json: every
+        # stale entry still matches its tag, as remove-participant renews s1
+        # under its same value, so only the digest tells the boards apart
+        paths = ("--board", toy_files["board"], "--dealer", toy_files["dealer"])
+        assert run("enroll", "--id", "C", "--board", toy_files["board"],
+                   "--key-out", toy_files["tmp"] / "kc.json", script=[9])[0] == 0
+        if update[0] == "remove-participant":
+            assert run("update", "add-set", *paths, "--secret-id", "s1", "--set", "C",
+                       "--seed", 3)[0] == 0
+        before = toy_files["board"].read_bytes()
+        assert run("update", *update, *paths)[0] == 0
+        toy_files["board"].write_bytes(before)
+        self._assert_refused(
+            run, toy_files, (before, toy_files["dealer"].read_bytes()), "s1",
+            "share", "--secret", 5, "--sets", "A", "--seed", 5,
+        )
+
     def test_lost_write_after_renew(self, run, toy_files):
-        # the dealer file still holds the old s1, which add-set would put
-        # back on the board with one more entry
+        # the dealer file still holds the old secret of s1 and the digest of
+        # its old package, so add-set would extend the new package with an
+        # entry for the old secret
         files = self._lose_next_dealer_write(
             run, toy_files, "update", "renew", "--secret-id", "s1", "--secret", 44, "--seed", 2
         )
@@ -900,8 +943,8 @@ class TestDealerWrite:
             # the tags accept m = 149, which is no field element
             obj["secrets"]["s1"] = "95"
             board = json.loads(toy_files["board"].read_text())
-            for doc in (obj, board):
-                doc["packages"]["s1"]["entries"][0]["tag"] = codec.tag(149, 7, 1).hex()
+            board["packages"]["s1"]["entries"][0]["tag"] = codec.tag(149, 7, 1).hex()
+            obj["digests"]["s1"] = _package_digest(board["packages"]["s1"])
             toy_files["board"].write_text(json.dumps(board))
         toy_files["dealer"].write_text(json.dumps(obj))
         files = (toy_files["board"].read_bytes(), toy_files["dealer"].read_bytes())
@@ -926,7 +969,7 @@ class TestDealerWrite:
             assert run("setup", "--bits", 16, "--board", tmp_path / "other-board.json",
                        "--dealer", dealer, "--seed", 2)[0] == 0
         else:
-            dealer.write_text(json.dumps({"p": "1", "q": "8f", "secrets": {}, "packages": {}}))
+            dealer.write_text(json.dumps({"p": "1", "q": "8f", "secrets": {}, "digests": {}}))
         files = (board.read_bytes(), dealer.read_bytes())
         code, out, err = run("share", "--secret", 5, "--sets", "A,B", "--board", board,
                              "--dealer", dealer, "--seed", 3)
@@ -948,7 +991,7 @@ class TestDealerWrite:
         for pid, seed in (("A", 5), ("B", 7)):
             assert run("enroll", "--id", pid, "--board", board,
                        "--key-out", tmp_path / f"{pid}.key", "--seed", seed)[0] == 0
-        dealer.write_text(json.dumps({"p": f"{p:x}", "q": f"{p:x}", "secrets": {}, "packages": {}}))
+        dealer.write_text(json.dumps({"p": f"{p:x}", "q": f"{p:x}", "secrets": {}, "digests": {}}))
         files = (board.read_bytes(), dealer.read_bytes())
         code, out, err = run("share", "--secret", 5, "--sets", "A,B", "--board", board,
                              "--dealer", dealer, "--seed", 3)
@@ -971,14 +1014,15 @@ class TestDealerWrite:
     def test_h0_not_a_unit_mod_phi(self, run, toy_files, argv):
         # g = 125, ps0 = 5 and h0 = 3 pass every board check on h0 and
         # ps0^h0 = g, but 3 has no inverse mod phi(143) = 120: add-set once
-        # exited 22 on such a package
+        # exited 22 on such a package; the dealer file's digest matches it
+        board = json.loads(toy_files["board"].read_text())
+        board["packages"]["s1"].update(ps0="5", h0="3")
+        board["params"]["g"] = "7d"
+        obj = json.loads(toy_files["dealer"].read_text())
+        obj["digests"]["s1"] = _package_digest(board["packages"]["s1"])
         files = {}
-        for name in ("board", "dealer"):
-            obj = json.loads(toy_files[name].read_text())
-            obj["packages"]["s1"].update(ps0="5", h0="3")
-            if name == "board":
-                obj["params"]["g"] = "7d"
-            toy_files[name].write_text(json.dumps(obj))
+        for name, doc in (("board", board), ("dealer", obj)):
+            toy_files[name].write_text(json.dumps(doc))
             files[name] = toy_files[name].read_bytes()
         code, out, err = run(*argv, "--board", toy_files["board"], "--dealer", toy_files["dealer"])
         assert code == 19
@@ -1002,8 +1046,12 @@ class TestDealerWrite:
 # changed. The four contributions, their files, board.json, dealer.json and
 # both histories were recorded again when the dealer began to draw a short h0
 # and derive s0 from it: every package and so every x changed, while the
-# setup and enroll lines, the keys and both recovered secrets did not. A
-# refactor of the write path must not change a byte of it.
+# setup and enroll lines, the keys and both recovered secrets did not.
+# dealer.json and its history were recorded again when the dealer file
+# replaced its copy of each package by the package's SHA-256: at every step
+# it is the earlier file with "packages" replaced by "digests"; every output,
+# board.json and the board history stayed byte-identical. A refactor of the
+# write path must not change a byte of it.
 GOLDEN_BOARD = ("--board", "board.json")
 GOLDEN_DEALER = GOLDEN_BOARD + ("--dealer", "dealer.json")
 GOLDEN_SESSION = [
@@ -1055,10 +1103,10 @@ GOLDEN_SHA256 = {
     "board.json": "63fe8a50f88e1c114755e33cd874ff477842ae117d8e7053a5e17d37c0a68ad0",
     "board.json.lock": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "d2.x": "678de20b91d0d0fbbb01364ec9edc0451abc52d0998b094863cfc8fe32d4937b",
-    "dealer.json": "679c12ad1f90a1f83f97e172a367c9bed5c22a57e103d24f8ba7dbf8cd7ba354",
+    "dealer.json": "67623aeb89f5a2ecbf3e4b7fe035d1b29270b479b762f902a6dfac9e1bf79581",
 }
 GOLDEN_BOARD_HISTORY_SHA256 = "810bb217420bd08017ba2926de1ebf01402518b5442d0bad6d8cb3cb6fe6ff55"
-GOLDEN_DEALER_HISTORY_SHA256 = "6465bec45d5ac8f122f6e6b709a3c65a447c40aa05fa0537cbcf3e3189c955bc"
+GOLDEN_DEALER_HISTORY_SHA256 = "92e9a180e7a367c93c2da2d58a7b383c7614bd30c5db4b598bc63ee1ecca6ea1"
 
 
 def test_golden_session(run, tmp_path, monkeypatch):
@@ -1260,6 +1308,15 @@ class TestSimulateCommand:
                            "--bits", 64, "--seed", seed)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORT_SHA256[seed]
+
+    def test_too_few_powers_of_g_for_distinct_pseudo_shares(self, run):
+        # seed 3 draws g = 133, of order 3 mod 143: 12 members cannot all
+        # hold a pseudo-share of their own, and the redraw gives up
+        code, out, err = run("simulate", "--participants", 12, "--secrets", 1, "--bits", 4,
+                             "--seed", 3)
+        assert code == 25
+        assert out == ""
+        assert "g = 133 has too few powers mod n = 143" in err
 
     def test_timing_goes_to_stderr_not_the_report(self, run):
         code, out, err = run("simulate", "--participants", 3, "--secrets", 1, "--seed", 2)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from msss import accessstruct, combiner, dealer, participant
+from msss import accessstruct, codec, combiner, dealer, participant
 from msss.errors import (
     BadContribution,
     ExtraContribution,
@@ -165,3 +165,34 @@ class TestSoundness:
             xs = [pow(pkg.ps0, keys[pid].s, params.n) for pid in subset]
             accepted, _ = attack_entry(params, pkg, 1, xs)
             assert not accepted
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 1: every entry masks a member with the same x = ps0^s, so"
+        " XORing two entries cancels the masks of the members they share",
+    )
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_no_coalition_cancels_masks_across_entries(self, seed):
+        # under {A, B} and {A, C}, {B, C} covers no qualified set, yet
+        # H1 ^ H2 ^ x_B ^ x_C = f(d1) ^ f(d2) with f(d) = f1 + a*(d - 1) mod m;
+        # a search over the slope a, checked against the tag, must not find
+        # the secret f1 - a
+        rng = random.Random(seed)
+        params, state = dealer.setup(8, rng)
+        keys = {pid: participant.keygen(params, pid, rng) for pid in ("A", "B", "C")}
+        roster = {pid: k.ps for pid, k in keys.items()}
+        structure = accessstruct.validate_minimal([["A", "B"], ["A", "C"]])
+        secret = rng.randrange(params.m)
+        pkg = dealer.share_secret(state, params, roster, secret, structure, rng)
+        m, f1 = params.m, pkg.f1
+        (d1, h1, tag1), (d2, h2, _) = ((e.d, e.masked, e.tag) for e in pkg.entries)
+        x_b, x_c = (pow(pkg.ps0, keys[pid].s, params.n) for pid in ("B", "C"))
+        c = h1 ^ h2 ^ x_b ^ x_c
+        found = [
+            (f1 - a) % m
+            for a in range(1, m)
+            if (f1 + a * (d1 - 1)) % m ^ (f1 + a * (d2 - 1)) % m == c
+            and codec.tag((f1 - a) % m, d1, params.width) == tag1
+        ]
+        assert secret not in found

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from msss import linepoly, participant, simulate
+from msss import dealer, linepoly, participant, simulate
 from msss.simulate import SimulationConfig, run_simulation
 
 
@@ -77,6 +77,25 @@ def test_each_line_inverse_is_taken_once(monkeypatch):
     assert summary["recovered"] == summary["sessions"] > 0
     assert inverted
     assert len(inverted) == len(set(inverted))
+
+
+def test_every_roster_holds_distinct_pseudo_shares(monkeypatch):
+    # at 4-bit primes, 12 members drew a repeated pseudo-share in 25 of 30
+    # seeds, a roster that `msss enroll` and Board.validate refuse, as the
+    # equal masks cancel; 8 of those runs reported accepted unauthorized probes
+    rosters = []
+    share_secret = dealer.share_secret
+
+    def recording_share_secret(state, params, roster, *args):
+        rosters.append(dict(roster))
+        return share_secret(state, params, roster, *args)
+
+    monkeypatch.setattr(dealer, "share_secret", recording_share_secret)
+    seeds = (0, 1, 4, 7, 9, 10, 12, 13)
+    for seed in seeds:
+        run_simulation(SimulationConfig(participants=12, secrets=1, bits_per_prime=4, seed=seed))
+    assert len(rosters) == len(seeds)
+    assert all(len(set(roster.values())) == len(roster) == 12 for roster in rosters)
 
 
 def test_report_is_json_serializable_and_shaped():
