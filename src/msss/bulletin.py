@@ -157,7 +157,7 @@ class Board:
                 raise InvariantViolation(f"{sid}: ps0 is g, so every mask is public")
             # ps0 = g^s0 and h0 = s0^-1 mod phi(n): this identity is what lets an
             # honest contribution x = ps0^s pass x^h0 == g^s
-            if powmod(pkg.ps0, pkg.h0, p.n) != p.g:
+            if powmod(pkg.ps0, pkg.h0, p.n, public=True) != p.g:
                 raise InvariantViolation(f"{sid}: ps0^h0 is not g mod n")
             if not 0 <= pkg.f1 < p.m:
                 raise InvariantViolation(f"{sid}: f1 not a field element")

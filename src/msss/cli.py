@@ -276,7 +276,10 @@ def _shared(parser, *flags) -> None:
             parser.add_argument(flag, **_SHARED[flag])
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The msss parser. It names every command, but given a command only
+    that command gets its options, which is all it takes to parse a
+    command line that starts with it."""
     parser = argparse.ArgumentParser(
         prog="msss",
         description="Multi-secret sharing over generalized access structures "
@@ -284,77 +287,79 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("setup", help="generate parameters and an empty board")
-    p.add_argument("--bits", type=int, default=512, help="bits per prime factor of n")
-    _shared(p, "--board", "--dealer", "--seed", "--force")
-    p.set_defaults(func=cmd_setup)
+    def add(name: str, help_text: str, func):
+        """The subparser of name, or None if only another command is built."""
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        return p if command in (None, name) else None
 
-    p = sub.add_parser("enroll", help="create a participant key and register it")
-    _shared(p, "--id", "--board")
-    p.add_argument("--key-out", required=True, help="path for the private key file")
-    _shared(p, "--seed", "--force")
-    p.set_defaults(func=cmd_enroll)
+    if p := add("setup", "generate parameters and an empty board", cmd_setup):
+        p.add_argument("--bits", type=int, default=512, help="bits per prime factor of n")
+        _shared(p, "--board", "--dealer", "--seed", "--force")
 
-    p = sub.add_parser("share", help="publish a new secret")
-    _shared(p, "--secret")
-    p.add_argument("--sets", required=True, help="qualified sets, e.g. 'A,B|B,C'")
-    _shared(p, "--board", "--dealer", "--seed")
-    p.set_defaults(func=cmd_share)
+    if p := add("enroll", "create a participant key and register it", cmd_enroll):
+        _shared(p, "--id", "--board")
+        p.add_argument("--key-out", required=True, help="path for the private key file")
+        _shared(p, "--seed", "--force")
 
-    p = sub.add_parser("contribute", help="compute one member's reconstruction value")
-    _shared(p, "--board")
-    p.add_argument("--key", required=True, help="participant key file")
-    _shared(p, "--secret-id", "--set")
-    p.add_argument("--out", required=True, help="path for the contribution file")
-    _shared(p, "--force")
-    p.set_defaults(func=cmd_contribute)
+    if p := add("share", "publish a new secret", cmd_share):
+        _shared(p, "--secret")
+        p.add_argument("--sets", required=True, help="qualified sets, e.g. 'A,B|B,C'")
+        _shared(p, "--board", "--dealer", "--seed")
 
-    p = sub.add_parser("reconstruct", help="recover a secret from contribution files")
-    _shared(p, "--board", "--secret-id", "--set", "--contribution")
-    p.set_defaults(func=cmd_reconstruct)
+    if p := add("contribute", "compute one member's reconstruction value", cmd_contribute):
+        _shared(p, "--board")
+        p.add_argument("--key", required=True, help="participant key file")
+        _shared(p, "--secret-id", "--set")
+        p.add_argument("--out", required=True, help="path for the contribution file")
+        _shared(p, "--force")
 
-    p = sub.add_parser("verify", help="check contribution files without reconstructing")
-    _shared(p, "--board", "--secret-id", "--set", "--contribution")
-    p.set_defaults(func=cmd_verify)
+    if p := add("reconstruct", "recover a secret from contribution files", cmd_reconstruct):
+        _shared(p, "--board", "--secret-id", "--set", "--contribution")
 
-    p = sub.add_parser("update", help="dynamic updates to published secrets")
-    usub = p.add_subparsers(dest="action", required=True)
-    p.set_defaults(func=cmd_update)
+    if p := add("verify", "check contribution files without reconstructing", cmd_verify):
+        _shared(p, "--board", "--secret-id", "--set", "--contribution")
 
-    u = usub.add_parser("renew", help="re-share a secret id with a fresh value")
-    _shared(u, "--board", "--dealer", "--secret-id", "--secret", "--seed")
+    if p := add("update", "dynamic updates to published secrets", cmd_update):
+        usub = p.add_subparsers(dest="action", required=True)
 
-    u = usub.add_parser("add-set", help="grant access to one more qualified set")
-    _shared(u, "--board", "--dealer", "--secret-id", "--set", "--seed")
+        u = usub.add_parser("renew", help="re-share a secret id with a fresh value")
+        _shared(u, "--board", "--dealer", "--secret-id", "--secret", "--seed")
 
-    u = usub.add_parser("remove-set", help="revoke one qualified set")
-    _shared(u, "--board", "--dealer", "--secret-id")
-    u.add_argument("--index", type=int, required=True, help="1-based set index")
+        u = usub.add_parser("add-set", help="grant access to one more qualified set")
+        _shared(u, "--board", "--dealer", "--secret-id", "--set", "--seed")
 
-    u = usub.add_parser("remove-participant", help="drop a participant and renew their secrets")
-    _shared(u, "--board", "--dealer", "--id", "--seed")
+        u = usub.add_parser("remove-set", help="revoke one qualified set")
+        _shared(u, "--board", "--dealer", "--secret-id")
+        u.add_argument("--index", type=int, required=True, help="1-based set index")
+
+        u = usub.add_parser("remove-participant",
+                            help="drop a participant and renew their secrets")
+        _shared(u, "--board", "--dealer", "--id", "--seed")
 
     # dest names are the SimulationConfig fields that cmd_simulate fills
-    p = sub.add_parser("simulate", help="run an in-memory deployment and print a JSON report")
-    p.add_argument("--participants", type=int, required=True)
-    p.add_argument("--secrets", type=int, required=True)
-    p.add_argument("--bits", type=int, default=16, dest="bits_per_prime", metavar="BITS",
-                   help="bits per prime factor")
-    p.add_argument("--max-sets", type=int, default=4, dest="max_minimal_sets",
-                   metavar="MAX_SETS")
-    p.add_argument("--max-set-size", type=int, default=4)
-    p.add_argument("--cheaters", type=int, default=0, dest="cheaters_per_session",
-                   metavar="CHEATERS", help="cheaters injected per session")
-    p.add_argument("--probes", type=int, default=2, dest="unauthorized_probes", metavar="PROBES",
-                   help="non-covering coalitions per secret")
-    _shared(p, "--seed")
-    p.set_defaults(func=cmd_simulate)
+    if p := add("simulate", "run an in-memory deployment and print a JSON report", cmd_simulate):
+        p.add_argument("--participants", type=int, required=True)
+        p.add_argument("--secrets", type=int, required=True)
+        p.add_argument("--bits", type=int, default=16, dest="bits_per_prime", metavar="BITS",
+                       help="bits per prime factor")
+        p.add_argument("--max-sets", type=int, default=4, dest="max_minimal_sets",
+                       metavar="MAX_SETS")
+        p.add_argument("--max-set-size", type=int, default=4)
+        p.add_argument("--cheaters", type=int, default=0, dest="cheaters_per_session",
+                       metavar="CHEATERS", help="cheaters injected per session")
+        p.add_argument("--probes", type=int, default=2, dest="unauthorized_probes",
+                       metavar="PROBES", help="non-covering coalitions per secret")
+        _shared(p, "--seed")
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the command is the first word; the top-level parser, which names
+    # every command, answers a first word that is none of them by itself
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except BadContribution as exc:

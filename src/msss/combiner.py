@@ -38,7 +38,7 @@ def verify_contribution(
     """
     if not 0 <= contribution.x < params.n:
         return False
-    return powmod(contribution.x, package.h0, params.n) == ps
+    return powmod(contribution.x, package.h0, params.n, public=True) == ps
 
 
 def check_contributions(

@@ -52,7 +52,7 @@ def keygen(params: PublicParams, pid: str, rng: random.Random | None = None) -> 
     """
     rng = rng or _default_rng
     s = rng.randrange(2, min(params.n + 1, 1 << S_BITS))
-    return ParticipantKey(pid=pid, s=s, ps=powmod(params.g, s, params.n))
+    return ParticipantKey(pid=pid, s=s, ps=powmod(params.g, s, params.n, public=True))
 
 
 def contribute(
@@ -68,5 +68,5 @@ def contribute(
         pid=key.pid,
         secret_id=package.secret_id,
         set_index=set_index,
-        x=powmod(package.ps0, key.s, params.n),
+        x=powmod(package.ps0, key.s, params.n, public=True),
     )

@@ -199,7 +199,7 @@ def run_simulation(config: SimulationConfig) -> dict:
             if coalition is None:
                 break
             for pid in coalition - xs_of.keys():
-                xs_of[pid] = powmod(pkg.ps0, keys[pid].s, params.n)
+                xs_of[pid] = powmod(pkg.ps0, keys[pid].s, params.n, public=True)
             xs = [xs_of[pid] for pid in sorted(coalition)]
             for j in range(1, pkg.set_count + 1):
                 accepted, _ = attack_entry(params, pkg, j, xs)

@@ -1388,3 +1388,22 @@ def test_every_command_has_help(capsys, names):
         main([*names, "--help"])
     assert raised.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: msss {' '.join(names)} ")
+
+
+@pytest.mark.parametrize("names", COMMANDS, ids=" ".join)
+def test_the_named_command_alone_gets_its_options(names):
+    # main builds the parser for the command its first word names
+    alone = dict(_commands(cli.build_parser(names[0])))
+    assert alone[names].format_help() == COMMANDS[names].format_help()
+    filled = {n for n, parser in alone.items() if len(parser._actions) > 1}
+    assert filled == {n for n in COMMANDS if n[0] == names[0]}
+
+
+def test_a_top_level_error_still_names_every_command(capsys):
+    argv = ["verify", "--board", "b", "--secret-id", "s1", "--set", "A", "--contribution", "c"]
+    with pytest.raises(SystemExit) as raised:
+        main([*argv, "extra"])
+    assert raised.value.code == 2
+    assert capsys.readouterr().err == (
+        cli.build_parser().format_usage() + "msss: error: unrecognized arguments: extra\n"
+    )

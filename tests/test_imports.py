@@ -5,7 +5,9 @@ paid again on every protocol step. ``dataclasses`` (which pulls in
 ``inspect``, ``ast`` and ``dis``) and ``msss.simulate`` are never needed by
 a command other than ``simulate``. ``ctypes.util`` is never loaded either:
 its ``find_library`` runs ``ldconfig`` or a compiler, and ``msss.modexp``
-finds OpenSSL through ``_hashlib`` instead.
+finds OpenSSL through ``_hashlib`` instead. Nor is ``threading``, which
+costs milliseconds to import: ``msss.modexp`` keeps its per-thread state in
+a ``_thread._local``.
 
 The check runs ``SNIPPET`` in a fresh interpreter without ``site``, as
 ``PYTHONPATH=src python -S -c "$SNIPPET"`` would.
@@ -22,7 +24,8 @@ import sys
 
 import msss.cli
 
-loaded = [m for m in ("dataclasses", "inspect", "msss.simulate", "ctypes.util") if m in sys.modules]
+never = ("dataclasses", "inspect", "msss.simulate", "ctypes.util", "threading")
+loaded = [m for m in never if m in sys.modules]
 assert not loaded, f"import msss.cli loaded {loaded}"
 
 import msss

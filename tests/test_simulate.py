@@ -46,7 +46,7 @@ def test_probes_raise_each_x_at_most_once_per_secret(monkeypatch):
         contributed.add((package.ps0, key.s))
         return contribute(params, key, package, set_index)
 
-    def recording_powmod(base, exp, mod):
+    def recording_powmod(base, exp, mod, public=False):
         raised.append((base, exp))
         return pow(base, exp, mod)
 
