@@ -69,7 +69,7 @@ session(pkg, 1, ["alice", "bob"])
 print("\ngrant {dave} solo access; {carol, dave} stops being minimal:")
 pkg = add_qualified_set(state, params, roster, pkg.secret_id, {"dave"}, rng)
 print(f"  structure is now {[sorted(e.members) for e in pkg.entries]}")
-session(pkg, pkg.set_count, ["dave"])
+session(pkg, len(pkg.entries), ["dave"])
 
 print("\nrevoke dave's solo set again:")
 pkg = remove_qualified_set(state, pkg.secret_id, 2)

@@ -10,7 +10,6 @@ private share.
 """
 
 from .accessstruct import (
-    AccessStructure,
     ParticipantId,
     is_authorized,
     matching_set_index,
@@ -37,7 +36,6 @@ from .participant import Contribution, ParticipantKey, contribute, keygen
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccessStructure",
     "Board",
     "Contribution",
     "DealerState",

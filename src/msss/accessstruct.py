@@ -1,15 +1,19 @@
 """Monotone access structures, represented by their minimal qualified sets.
 
-A valid representation is an antichain: no minimal set contains another.
-A coalition is authorized exactly when it contains at least one minimal
-set (monotone closure). Reconstruction always acts as one *named* minimal
-set, because the published masking data is per-set; a larger coalition
-must designate which minimal set it is acting as.
+A structure is the tuple of its minimal sets, each a frozenset of
+participant ids, in publishing order: the members of a package's entries.
+A valid one is an antichain, no minimal set containing another.
+``validate_minimal`` is the one check of that rule: the dealer runs it on
+every structure it publishes or extends, ``Board.validate`` on every
+package it reads. A coalition is authorized exactly when it contains at
+least one minimal set (monotone closure). Reconstruction always acts as
+one *named* minimal set, because the published masking data is per-set; a
+larger coalition must designate which minimal set it is acting as.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import EmptySet, EmptyStructure, NotAntichain
 
@@ -20,17 +24,9 @@ def _fmt(members: frozenset) -> str:
     return "{" + ", ".join(sorted(members)) + "}"
 
 
-class AccessStructure(NamedTuple):
-    """A validated antichain of minimal qualified sets, in input order."""
-
-    minimal_sets: tuple[frozenset[ParticipantId], ...]
-
-    @property
-    def set_count(self) -> int:
-        return len(self.minimal_sets)
-
-
-def validate_minimal(sets: Iterable[Iterable[ParticipantId]]) -> AccessStructure:
+def validate_minimal(
+    sets: Iterable[Iterable[ParticipantId]],
+) -> tuple[frozenset[ParticipantId], ...]:
     """Check and freeze a list of minimal qualified sets.
 
     Each set is normalized to a frozenset (members de-duplicated); the list
@@ -53,17 +49,19 @@ def validate_minimal(sets: Iterable[Iterable[ParticipantId]]) -> AccessStructure
                 raise NotAntichain(
                     f"set {i + 1} {_fmt(a)} is contained in set {j + 1} {_fmt(b)}"
                 )
-    return AccessStructure(tuple(normalized))
+    return tuple(normalized)
 
 
-def is_authorized(structure: AccessStructure, coalition: Iterable[ParticipantId]) -> bool:
+def is_authorized(
+    structure: tuple[frozenset[ParticipantId], ...], coalition: Iterable[ParticipantId]
+) -> bool:
     """True iff the coalition contains some minimal qualified set."""
     members = frozenset(coalition)
-    return any(minimal <= members for minimal in structure.minimal_sets)
+    return any(minimal <= members for minimal in structure)
 
 
 def matching_set_index(
-    structure: AccessStructure, coalition: Iterable[ParticipantId]
+    structure: tuple[frozenset[ParticipantId], ...], coalition: Iterable[ParticipantId]
 ) -> int | None:
     """The 1-based index of the minimal set equal to ``coalition``, if any.
 
@@ -71,7 +69,7 @@ def matching_set_index(
     name the set it acts as, since each set has its own published values.
     """
     members = frozenset(coalition)
-    for j, minimal in enumerate(structure.minimal_sets, start=1):
+    for j, minimal in enumerate(structure, start=1):
         if minimal == members:
             return j
     return None

@@ -2,11 +2,11 @@
 reconstruction sessions against a file-backed bulletin board.
 
 Every failure mode maps to its own exit code (success is 0, argparse usage
-errors are 2): each error class carries its ``exit_code``, and the CLI's
-own refusals use the EXIT_* constants below. Reports and protocol verdicts
-go to stdout, diagnostics to stderr. Every file is read and written
-through the strict codec in ``bulletin``; the dealer commands write both
-of theirs through ``_dealer_write``.
+errors are 2): each error class carries its ``exit_code``; only a tag
+mismatch (16) and a bad parameter value (25) use the EXIT_* constants
+below. Reports and protocol verdicts go to stdout, diagnostics to stderr.
+Every file is read and written through the strict codec in ``bulletin``;
+the dealer commands write both of theirs through ``_dealer_write``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 import time
 
 from . import bulletin, combiner, dealer, participant
-from .accessstruct import matching_set_index, validate_minimal
+from .accessstruct import matching_set_index
 from .bulletin import Board, int_to_hex
 from .errors import (
     BadContribution,
@@ -30,10 +30,10 @@ from .errors import (
     InvariantViolation,
     MsssError,
     NoSuchSet,
+    OutputExists,
     UnknownSecret,
 )
 
-EXIT_FILE_EXISTS = 3
 EXIT_TAG_MISMATCH = 16
 EXIT_BAD_PARAMETER = 25
 
@@ -61,11 +61,9 @@ def _rng(args):
     return random.Random(seed) if seed is not None else random.SystemRandom()
 
 
-def _refuse_existing(path: str, force: bool) -> bool:
+def _refuse_existing(path: str, force: bool) -> None:
     if os.path.exists(path) and not force:
-        print(f"error: {path} already exists (use --force to replace it)", file=sys.stderr)
-        return True
-    return False
+        raise OutputExists(f"{path} already exists (use --force to replace it)")
 
 
 @contextlib.contextmanager
@@ -128,8 +126,8 @@ def _session(args) -> tuple[Board, dealer.SecretPackage, int]:
 
 
 def cmd_setup(args) -> int:
-    if _refuse_existing(args.board, args.force) or _refuse_existing(args.dealer, args.force):
-        return EXIT_FILE_EXISTS
+    _refuse_existing(args.board, args.force)
+    _refuse_existing(args.dealer, args.force)
     params, state = dealer.setup(args.bits, _rng(args))
     with _board_lock(args.board):
         bulletin.save(Board(params=params), args.board)
@@ -143,8 +141,7 @@ def cmd_setup(args) -> int:
 def cmd_enroll(args) -> int:
     if _parse_sets(args.id) != [{args.id}]:
         raise ValueError(f"participant id {args.id!r} cannot be named in --sets")
-    if _refuse_existing(args.key_out, args.force):
-        return EXIT_FILE_EXISTS
+    _refuse_existing(args.key_out, args.force)
     with _board_lock(args.board):
         board = bulletin.load(args.board)
         if args.id in board.roster:
@@ -163,17 +160,17 @@ def cmd_enroll(args) -> int:
 
 
 def cmd_share(args) -> int:
-    structure = validate_minimal(_parse_sets(args.sets))
     secret = _secret_value(args)
     with _dealer_write(args) as (board, state):
-        pkg = dealer.share_secret(state, board.params, board.roster, secret, structure, _rng(args))
+        pkg = dealer.share_secret(
+            state, board.params, board.roster, secret, _parse_sets(args.sets), _rng(args)
+        )
     print(pkg.secret_id)
     return 0
 
 
 def cmd_contribute(args) -> int:
-    if _refuse_existing(args.out, args.force):
-        return EXIT_FILE_EXISTS
+    _refuse_existing(args.out, args.force)
     board, pkg, j = _session(args)
     key = bulletin.load_key(args.key)
     c = participant.contribute(board.params, key, pkg, j)

@@ -37,13 +37,10 @@ import random
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import codec
-from .accessstruct import AccessStructure, ParticipantId
+from .accessstruct import ParticipantId, validate_minimal
 from .errors import (
-    EmptySet,
-    EmptyStructure,
     IndexOutOfRange,
     LastEntry,
-    NotAntichain,
     SecretTooLarge,
     StructureBecameEmpty,
     UnknownParticipant,
@@ -96,10 +93,6 @@ class SecretPackage(NamedTuple):
     f1: int  # f(1), the public point of the sharing line
     entries: tuple[PackageEntry, ...]
 
-    @property
-    def set_count(self) -> int:
-        return len(self.entries)
-
     def entry(self, set_index: int) -> PackageEntry:
         """1-based accessor, matching the published numbering of the sets."""
         if not 1 <= set_index <= len(self.entries):
@@ -108,8 +101,8 @@ class SecretPackage(NamedTuple):
             )
         return self.entries[set_index - 1]
 
-    def structure(self) -> AccessStructure:
-        return AccessStructure(tuple(e.members for e in self.entries))
+    def structure(self) -> tuple[frozenset[ParticipantId], ...]:
+        return tuple(e.members for e in self.entries)
 
 
 class DealerState:
@@ -277,26 +270,25 @@ def _publish(
     params: PublicParams,
     secret_id: str,
     secret: int,
-    structure: AccessStructure,
+    sets: Iterable[Iterable[ParticipantId]],
     roster: Roster,
     rng,
 ) -> SecretPackage:
     """Build a complete package under fresh randomness and store it and
     the secret under ``secret_id``. Shared by share_secret, renew_secret,
-    and remove_participant."""
+    and remove_participant; ``validate_minimal`` checks the sets first."""
     m = params.m
-    if not structure.minimal_sets:
-        raise EmptyStructure("cannot share under an empty access structure")
+    structure = validate_minimal(sets)
     if secret < 0:
         raise ValueError(f"secret must be non-negative, got {secret}")
     if secret >= m:
         raise SecretTooLarge(f"secret must be below m = {m}, got {secret}")
-    for members in structure.minimal_sets:
+    for members in structure:
         _check_enrolled(members, roster)
     h0, s0, ps0 = _draw_h0(dealer, params.g, rng)
     slope = rng.randrange(1, m)
-    ds = _sample_d(structure.set_count, m, rng)
-    entries = _entries(dealer, params, roster, s0, secret, slope, structure.minimal_sets, ds)
+    ds = _sample_d(len(structure), m, rng)
+    entries = _entries(dealer, params, roster, s0, secret, slope, structure, ds)
     f1 = line_at(secret, slope, 1, m)
     package = SecretPackage(secret_id=secret_id, ps0=ps0, h0=h0, f1=f1, entries=entries)
     dealer.secrets[secret_id] = secret
@@ -316,10 +308,11 @@ def share_secret(
     params: PublicParams,
     roster: Roster,
     secret: int,
-    structure: AccessStructure,
+    structure: Iterable[Iterable[ParticipantId]],
     rng: random.Random | None = None,
 ) -> SecretPackage:
-    """Publish a new secret under the given access structure.
+    """Publish a new secret under the access structure given by its minimal
+    qualified sets, which must form an antichain (``validate_minimal``).
 
     Draws a fresh short exponent h0 (see ``_draw_h0``) and derives s0 =
     h0**-1 mod phi(n) from it, then a fresh slope and one fresh abscissa per
@@ -371,18 +364,10 @@ def add_qualified_set(
     rng = rng or _default_rng
     package = _require_package(dealer, secret_id)
     members = frozenset(new_set)
-    if not members:
-        raise EmptySet("the new qualified set is empty")
     _check_enrolled(members, roster)
     entries = package.entries
-    for e in entries:
-        if e.members <= members:
-            detail = "duplicates" if e.members == members else "already contains"
-            raise NotAntichain(
-                f"{{{', '.join(sorted(members))}}} {detail} qualified set "
-                f"{{{', '.join(sorted(e.members))}}}"
-            )
     kept = tuple(e for e in entries if not members < e.members)
+    validate_minimal([*(e.members for e in kept), members])
     ds = _sample_d(1, params.m, rng, exclude={e.d for e in entries})
     secret = dealer.secrets[secret_id]
     slope = (package.f1 - secret) % params.m
@@ -425,7 +410,7 @@ def remove_participant(
     """
     rng = rng or _default_rng
     _check_enrolled([pid], roster)
-    plans: dict[str, AccessStructure] = {}
+    plans: dict[str, tuple[frozenset[ParticipantId], ...]] = {}
     emptied = []
     for sid, package in dealer.packages.items():
         sets = [e.members for e in package.entries]
@@ -434,7 +419,7 @@ def remove_participant(
         kept = tuple(members for members in sets if pid not in members)
         if not kept:
             emptied.append(sid)
-        plans[sid] = AccessStructure(kept)
+        plans[sid] = kept
     if emptied:
         raise StructureBecameEmpty(emptied)
     del roster[pid]

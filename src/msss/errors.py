@@ -3,7 +3,7 @@
 Everything raised on purpose derives from MsssError so callers can catch
 protocol failures without masking bugs. Each class carries the exit code
 the CLI returns for it; success is 0, argparse usage errors are 2, and the
-CLI's own 3, 16 and 25 live in ``cli``. Codes 22 and 23 are retired and
+CLI's own 16 and 25 live in ``cli``. Codes 22 and 23 are retired and
 not reused.
 """
 
@@ -11,6 +11,11 @@ not reused.
 class MsssError(Exception):
     """Base class for all errors raised by this package."""
     exit_code = 1
+
+
+class OutputExists(MsssError):
+    """An output file already exists and --force was not given."""
+    exit_code = 3
 
 
 class EmptyStructure(MsssError):

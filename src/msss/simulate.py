@@ -16,7 +16,7 @@ import random
 from typing import NamedTuple
 
 from . import combiner, dealer, participant
-from .accessstruct import AccessStructure, is_authorized
+from .accessstruct import is_authorized
 from .errors import BadContribution, UnmaskOutOfField
 from .modexp import powmod
 
@@ -46,7 +46,7 @@ class SimulationConfig(NamedTuple):
             raise ValueError("counts must be non-negative")
 
 
-def random_antichain(rng, pids, max_sets: int, max_set_size: int) -> AccessStructure:
+def random_antichain(rng, pids, max_sets: int, max_set_size: int) -> tuple[frozenset[str], ...]:
     """A random antichain of 1..max_sets minimal sets over the given ids."""
     pool = sorted(pids)
     target = rng.randint(1, max_sets)
@@ -59,7 +59,7 @@ def random_antichain(rng, pids, max_sets: int, max_set_size: int) -> AccessStruc
         if any(candidate <= s or s <= candidate for s in sets):
             continue
         sets.append(candidate)
-    return AccessStructure(tuple(sets))
+    return tuple(sets)
 
 
 def _distinct_keys(rng, params, pids, attempts: int = 30) -> dict:
@@ -141,7 +141,7 @@ def run_simulation(config: SimulationConfig) -> dict:
     probes = []
     for sid, pkg in state.packages.items():
         xs_of = {}  # pid -> x = ps0**s mod n for this secret
-        for j in range(1, pkg.set_count + 1):
+        for j in range(1, len(pkg.entries) + 1):
             members = sorted(pkg.entry(j).members)
             honest = {
                 pid: participant.contribute(params, keys[pid], pkg, j) for pid in members
@@ -201,7 +201,7 @@ def run_simulation(config: SimulationConfig) -> dict:
             for pid in coalition - xs_of.keys():
                 xs_of[pid] = powmod(pkg.ps0, keys[pid].s, params.n, public=True)
             xs = [xs_of[pid] for pid in sorted(coalition)]
-            for j in range(1, pkg.set_count + 1):
+            for j in range(1, len(pkg.entries) + 1):
                 accepted, _ = attack_entry(params, pkg, j, xs)
                 probes.append(
                     {

@@ -29,8 +29,7 @@ antichain_strategy = st.lists(
 
 def test_accepts_simple_antichain():
     s = validate_minimal([{"A", "B"}, {"B", "C"}])
-    assert s.set_count == 2
-    assert s.minimal_sets == (frozenset("AB"), frozenset("BC"))
+    assert s == (frozenset("AB"), frozenset("BC"))
 
 
 def test_rejects_nested_sets():
@@ -55,12 +54,12 @@ def test_rejects_empty_member_set():
 
 def test_preserves_input_order():
     s = validate_minimal([["C"], ["A", "B"]])
-    assert s.minimal_sets == (frozenset("C"), frozenset("AB"))
+    assert s == (frozenset("C"), frozenset("AB"))
 
 
 def test_member_lists_are_deduplicated():
     s = validate_minimal([["A", "A", "B"], ["C"]])
-    assert s.minimal_sets[0] == frozenset("AB")
+    assert s[0] == frozenset("AB")
     with pytest.raises(NotAntichain):
         validate_minimal([["A", "A"], ["A"]])  # same set twice once normalized
 
@@ -91,7 +90,7 @@ def test_matching_set_index_is_exact_and_one_based():
 def test_validation_matches_bruteforce_oracle(sets):
     well_formed = bool(sets) and all(sets) and is_antichain_bruteforce(sets)
     if well_formed:
-        assert validate_minimal(sets).set_count == len(sets)
+        assert len(validate_minimal(sets)) == len(sets)
     else:
         with pytest.raises((EmptyStructure, EmptySet, NotAntichain)):
             validate_minimal(sets)
@@ -101,8 +100,8 @@ def test_validation_matches_bruteforce_oracle(sets):
 @settings(max_examples=100, deadline=None)
 def test_monotone_closure_over_the_roster(sets):
     structure = validate_minimal(sets)
-    others = [p for p in PIDS if p not in frozenset().union(*structure.minimal_sets)]
-    for minimal in structure.minimal_sets:
+    others = [p for p in PIDS if p not in frozenset().union(*structure)]
+    for minimal in structure:
         for extra in range(len(others) + 1):
             for added in itertools.combinations(others, extra):
                 assert is_authorized(structure, minimal | frozenset(added))
@@ -112,9 +111,9 @@ def test_monotone_closure_over_the_roster(sets):
 @settings(max_examples=100, deadline=None)
 def test_strict_subsets_not_authorized(sets):
     structure = validate_minimal(sets)
-    for minimal in structure.minimal_sets:
+    for minimal in structure:
         for size in range(len(minimal)):
             for sub in itertools.combinations(sorted(minimal), size):
-                contains_other = any(g <= frozenset(sub) for g in structure.minimal_sets)
+                contains_other = any(g <= frozenset(sub) for g in structure)
                 if not contains_other:
                     assert not is_authorized(structure, sub)

@@ -12,9 +12,11 @@ from msss.bulletin import Board, from_document, hex_to_int, load, save, to_docum
 from msss.errors import (
     BoardIOError,
     DuplicateParticipant,
+    EmptySet,
     InvariantViolation,
     MalformedDocument,
     MsssError,
+    NotAntichain,
 )
 from msss.linepoly import interpolate_line
 
@@ -546,8 +548,7 @@ def _apply(op, state, roster, rng) -> None:
             raise DuplicateParticipant(args[0])
         roster[args[0]] = ps
     elif kind == "share":
-        structure = validate_minimal([frozenset(members) for members in args[0]])
-        dealer.share_secret(state, _PARAMS, roster, args[1], structure, rng)
+        dealer.share_secret(state, _PARAMS, roster, args[1], args[0], rng)
     elif kind == "renew":
         dealer.renew_secret(state, _PARAMS, roster, *args, rng)
     elif kind == "add-set":
@@ -579,3 +580,35 @@ def test_every_board_the_operations_build_passes_the_reader(ops, seed):
         board.packages = dict(state.packages)
         board.revision += 1
         assert from_document(to_document(board)) == board, op
+
+
+# every antichain over ABCD, as the distinct minimal sets of a drawn list
+_ANTICHAINS = st.lists(st.frozensets(_PIDS, min_size=1), min_size=1, max_size=4).map(
+    lambda sets: [a for a in dict.fromkeys(sets) if not any(b < a for b in sets)]
+)
+_ROSTER = {pid: participant.keygen(_PARAMS, pid, random.Random(ord(pid))).ps for pid in "ABCD"}
+
+
+@given(structure=_ANTICHAINS, new=st.frozensets(_PIDS), seed=st.integers(0, 2**32))
+@settings(max_examples=50, deadline=None)
+def test_add_qualified_set_drops_strict_supersets_and_keeps_every_other_entry(
+    structure, new, seed
+):
+    """A new set that contains a published one is refused, changing
+    nothing; otherwise the sets it strictly contains go, and every other
+    entry stays exactly as published."""
+    rng = random.Random(seed)
+    state = dealer.DealerState(_STATE.p, _STATE.q)
+    roster = dict(_ROSTER)
+    old = dealer.share_secret(state, _PARAMS, roster, 7, structure, rng)
+    before = (dict(state.secrets), dict(state.packages))
+    if not new or any(a <= new for a in structure):
+        with pytest.raises(EmptySet if not new else NotAntichain):
+            dealer.add_qualified_set(state, _PARAMS, roster, "s1", new, rng)
+        assert (state.secrets, state.packages) == before
+        return
+    pkg = dealer.add_qualified_set(state, _PARAMS, roster, "s1", new, rng)
+    assert [e.members for e in pkg.entries] == [a for a in structure if not new < a] + [new]
+    assert list(pkg.entries[:-1]) == [e for e in old.entries if not new < e.members]
+    assert pkg._replace(entries=old.entries) == old
+    assert state.packages == {"s1": pkg}

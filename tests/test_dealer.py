@@ -384,7 +384,7 @@ class TestRemoveQualifiedSet:
     def test_remove_first_of_two(self, toy):
         before = self._two_entry_package(toy)
         pkg = dealer.remove_qualified_set(toy.state, "s1", 1)
-        assert pkg.set_count == 1
+        assert len(pkg.entries) == 1
         assert pkg.entries == before.entries[1:]
 
     def test_remove_only_entry(self, toy):
@@ -519,7 +519,7 @@ def test_end_to_end_randomized_round_trips():
         structure = accessstruct.validate_minimal([["P1", "P2"], ["P2", "P3"], ["P4"]])
         value = rng.randrange(0, params.m)
         pkg = dealer.share_secret(state, params, roster, value, structure, rng)
-        for j in range(1, pkg.set_count + 1):
+        for j in range(1, len(pkg.entries) + 1):
             contribs = [
                 participant.contribute(params, keys[pid], pkg, j)
                 for pid in sorted(pkg.entry(j).members)

@@ -5,7 +5,6 @@ dict between instances."""
 
 import pytest
 
-from msss.accessstruct import AccessStructure
 from msss.bulletin import Board
 from msss.dealer import DealerState, PackageEntry, PublicParams, SecretPackage
 from msss.participant import Contribution, ParticipantKey
@@ -25,7 +24,6 @@ VALUES = [
     (SecretPackage, PACKAGE_FIELDS, "entries", (ENTRY, PackageEntry(**{**ENTRY_FIELDS, "d": 9}))),
     (ParticipantKey, dict(pid="A", s=5, ps=45), "s", 6),
     (Contribution, dict(pid="A", secret_id="s1", set_index=1, x=112), "x", 113),
-    (AccessStructure, dict(minimal_sets=(frozenset({"A", "B"}),)), "minimal_sets", ()),
     (SimulationConfig, dict(participants=3, secrets=2, seed=1), "seed", 2),
 ]
 
