@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import EmptySet, EmptyStructure, NotAntichain
+from .errors import BadParameter, EmptySet, EmptyStructure, NotAntichain
 
 ParticipantId = str
 
@@ -42,7 +42,7 @@ def validate_minimal(
             raise EmptySet(f"qualified set {pos} is empty")
         for pid in members:
             if not isinstance(pid, str) or not pid:
-                raise ValueError(f"participant ids must be non-empty strings, got {pid!r}")
+                raise BadParameter(f"participant ids must be non-empty strings, got {pid!r}")
     for i, a in enumerate(normalized):
         for j, b in enumerate(normalized):
             if i != j and a <= b:

@@ -434,7 +434,7 @@ def _parse(text: str, where: str, table: dict[str, _Field]) -> dict:
     """The attributes of a whole file (see ``_fields``)."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise MalformedDocument(f"{where}: not valid JSON: {exc}") from exc
     return _fields(obj, where, table)
 
@@ -459,3 +459,5 @@ def _read(path) -> str:
             return fh.read()
     except OSError as exc:
         raise BoardIOError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"{path}: not UTF-8: {exc}") from exc

@@ -2,9 +2,8 @@
 reconstruction sessions against a file-backed bulletin board.
 
 Every failure mode maps to its own exit code (success is 0, argparse usage
-errors are 2): each error class carries its ``exit_code``; only a tag
-mismatch (16) and a bad parameter value (25) use the EXIT_* constants
-below. Reports and protocol verdicts go to stdout, diagnostics to stderr.
+errors are 2): each error class in ``errors`` carries its ``exit_code``.
+Reports and protocol verdicts go to stdout, diagnostics to stderr.
 Every file is read and written through the strict codec in ``bulletin``;
 the dealer commands write both of theirs through ``_dealer_write``.
 """
@@ -25,17 +24,16 @@ from .accessstruct import matching_set_index
 from .bulletin import Board, int_to_hex
 from .errors import (
     BadContribution,
+    BadParameter,
     BoardIOError,
     DuplicateParticipant,
     InvariantViolation,
     MsssError,
     NoSuchSet,
     OutputExists,
+    TagMismatch,
     UnknownSecret,
 )
-
-EXIT_TAG_MISMATCH = 16
-EXIT_BAD_PARAMETER = 25
 
 
 def _parse_int(text: str) -> int:
@@ -43,7 +41,7 @@ def _parse_int(text: str) -> int:
     try:
         return int(t[2:], 16) if t.startswith("0x") else int(t, 10)
     except ValueError:
-        raise ValueError(f"not an integer: {text!r}") from None
+        raise BadParameter(f"not an integer: {text!r}") from None
 
 
 def _parse_members(text: str) -> frozenset[str]:
@@ -105,7 +103,11 @@ def _dealer_write(args):
 
 def _secret_value(args) -> int:
     if getattr(args, "secret_text", None) is not None:
-        return int.from_bytes(args.secret_text.encode("utf-8"), "big")
+        try:
+            return int.from_bytes(args.secret_text.encode("utf-8"), "big")
+        except UnicodeEncodeError:
+            # an argv byte that is not UTF-8 arrives as a lone surrogate
+            raise BadParameter("--secret-text is not valid UTF-8") from None
     return _parse_int(args.secret)
 
 
@@ -140,7 +142,7 @@ def cmd_setup(args) -> int:
 
 def cmd_enroll(args) -> int:
     if _parse_sets(args.id) != [{args.id}]:
-        raise ValueError(f"participant id {args.id!r} cannot be named in --sets")
+        raise BadParameter(f"participant id {args.id!r} cannot be named in --sets")
     _refuse_existing(args.key_out, args.force)
     with _board_lock(args.board):
         board = bulletin.load(args.board)
@@ -195,7 +197,7 @@ def cmd_reconstruct(args) -> int:
         print("tag: ok")
         return 0
     print("tag: mismatch")
-    return EXIT_TAG_MISMATCH
+    return TagMismatch.exit_code
 
 
 def cmd_verify(args) -> int:
@@ -366,9 +368,6 @@ def main(argv=None) -> int:
     except MsssError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMETER
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from . import codec
 from .accessstruct import ParticipantId, validate_minimal
 from .errors import (
+    BadParameter,
     IndexOutOfRange,
     LastEntry,
     SecretTooLarge,
@@ -154,7 +155,7 @@ def setup(
     ``codec.mask_width(m)``.
     """
     if bits_per_prime < 4:
-        raise ValueError(f"bits_per_prime must be >= 4, got {bits_per_prime}")
+        raise BadParameter(f"bits_per_prime must be >= 4, got {bits_per_prime}")
     rng = rng or _default_rng
     p = gen_prime(bits_per_prime, rng)
     q = gen_prime(bits_per_prime, rng)
@@ -208,7 +209,7 @@ def _draw_h0(dealer: DealerState, g: int, rng) -> tuple[int, int, int]:
 
     # a toy phi(n) has few units: refuse once all are used, not draw forever
     if bound <= 1 << 16 and all(s0_ps0_of(h0) is None for h0 in range(3, bound)):
-        raise ValueError(f"every h0 below phi(n) = {phi} is used; n is too small for more")
+        raise BadParameter(f"every h0 below phi(n) = {phi} is used; n is too small for more")
     while True:
         h0 = rng.randrange(3, bound)
         drawn = s0_ps0_of(h0)
@@ -220,7 +221,7 @@ def _sample_d(count: int, m: int, rng, exclude: Iterable[int] = ()) -> list[int]
     taken = set(exclude)
     left = m - 2 - len(taken)
     if count > left:  # a toy m has few abscissas: refuse, not draw forever
-        raise ValueError(f"m = {m} is too small: {left} d left in [2, m - 1], {count} needed")
+        raise BadParameter(f"m = {m} is too small: {left} d left in [2, m - 1], {count} needed")
     out: list[int] = []
     while len(out) < count:
         d = rng.randrange(2, m)
@@ -280,7 +281,7 @@ def _publish(
     m = params.m
     structure = validate_minimal(sets)
     if secret < 0:
-        raise ValueError(f"secret must be non-negative, got {secret}")
+        raise BadParameter(f"secret must be non-negative, got {secret}")
     if secret >= m:
         raise SecretTooLarge(f"secret must be below m = {m}, got {secret}")
     for members in structure:

@@ -2,9 +2,9 @@
 
 Everything raised on purpose derives from MsssError so callers can catch
 protocol failures without masking bugs. Each class carries the exit code
-the CLI returns for it; success is 0, argparse usage errors are 2, and the
-CLI's own 16 and 25 live in ``cli``. Codes 22 and 23 are retired and
-not reused.
+the CLI returns for it, so this module is the one table of exit codes;
+success is 0 and argparse usage errors are 2. Codes 22 and 23 are retired
+and not reused.
 """
 
 
@@ -103,6 +103,11 @@ class BadContribution(MsssError):
         super().__init__(f"contribution from {', '.join(self.pids)} failed verification")
 
 
+class TagMismatch(MsssError):
+    """The recovered secret fails the tag of its qualified set."""
+    exit_code = 16
+
+
 class UnmaskOutOfField(MsssError):
     """Unmasked value is not a field element: corrupt public data or a wrong coalition."""
     exit_code = 17
@@ -125,3 +130,9 @@ class InvariantViolation(MsssError):
 class BoardIOError(MsssError):
     """Reading or writing a protocol file failed."""
     exit_code = 24
+
+
+class BadParameter(MsssError, ValueError):
+    """A parameter value is out of range or cannot be parsed; also a
+    ValueError, so callers that catch ValueError keep working."""
+    exit_code = 25

@@ -28,6 +28,7 @@ import math
 import random
 from typing import Sequence
 
+from .errors import BadParameter
 from .modexp import powmod
 
 _default_rng = random.SystemRandom()
@@ -128,7 +129,7 @@ def _proved_prime(bits: int, rng: random.Random) -> tuple[int, ...]:
 def gen_prime(bits: int, rng: random.Random | None = None) -> int:
     """A proved prime of exactly ``bits`` bits (top bit set)."""
     if bits < 2:
-        raise ValueError(f"bits must be >= 2, got {bits}")
+        raise BadParameter(f"bits must be >= 2, got {bits}")
     return _proved_prime(bits, rng or _default_rng)[0]
 
 

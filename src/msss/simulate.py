@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from . import combiner, dealer, participant
 from .accessstruct import is_authorized
-from .errors import BadContribution, UnmaskOutOfField
+from .errors import BadContribution, BadParameter, UnmaskOutOfField
 from .modexp import powmod
 
 _default_rng = random.SystemRandom()
@@ -35,15 +35,15 @@ class SimulationConfig(NamedTuple):
 
     def validate(self) -> None:
         if self.participants < 1:
-            raise ValueError("need at least one participant")
+            raise BadParameter("need at least one participant")
         if self.secrets < 1:
-            raise ValueError("need at least one secret")
+            raise BadParameter("need at least one secret")
         if self.bits_per_prime < 4:
-            raise ValueError("bits_per_prime must be >= 4")
+            raise BadParameter("bits_per_prime must be >= 4")
         if self.max_minimal_sets < 1 or self.max_set_size < 1:
-            raise ValueError("structure bounds must be positive")
+            raise BadParameter("structure bounds must be positive")
         if self.cheaters_per_session < 0 or self.unauthorized_probes < 0:
-            raise ValueError("counts must be non-negative")
+            raise BadParameter("counts must be non-negative")
 
 
 def random_antichain(rng, pids, max_sets: int, max_set_size: int) -> tuple[frozenset[str], ...]:
@@ -73,7 +73,7 @@ def _distinct_keys(rng, params, pids, attempts: int = 30) -> dict:
             if key.ps not in taken:
                 break
         else:
-            raise ValueError(f"g = {params.g} has too few powers mod n = {params.n}"
+            raise BadParameter(f"g = {params.g} has too few powers mod n = {params.n}"
                              f" for {len(pids)} distinct pseudo-shares")
         taken.add(key.ps)
         keys[pid] = key

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msss.accessstruct import is_authorized, matching_set_index, validate_minimal
-from msss.errors import EmptySet, EmptyStructure, NotAntichain
+from msss.errors import BadParameter, EmptySet, EmptyStructure, NotAntichain
 
 from oracles import is_antichain_bruteforce
 
@@ -65,7 +65,7 @@ def test_member_lists_are_deduplicated():
 
 
 def test_rejects_blank_participant_ids():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameter):
         validate_minimal([["A", ""]])
 
 

@@ -1,13 +1,19 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import random
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msss import bulletin, cli, codec, combiner, dealer, numtheory, participant
 from msss.accessstruct import validate_minimal
@@ -1145,7 +1151,6 @@ def test_exit_codes_are_unique_and_documented():
         classes += subclasses
         pending += subclasses
     codes = {cls.__name__: cls.exit_code for cls in classes}
-    codes.update((name, value) for name, value in vars(cli).items() if name.startswith("EXIT_"))
     assert len(set(codes.values())) == len(codes), codes
     table = _readme_exit_table()
     assert set(codes.values()) <= set(table), set(codes.values()) - set(table)
@@ -1274,6 +1279,152 @@ class TestSecretText:
         assert code == 0
         recovered = int(out.splitlines()[0])
         assert recovered.to_bytes(1, "big").decode() == "d"
+
+
+def _set_byte(path, at, value):
+    data = bytearray(path.read_bytes())
+    data[at] = value
+    path.write_bytes(bytes(data))
+
+
+def _long_revision(path):
+    # past int's 4300-digit limit json.loads raises a plain ValueError
+    path.write_text(re.sub(r'"revision": \d+', '"revision": ' + "1" * 5000, path.read_text()))
+
+
+class TestRefusalsAreMsssErrors:
+    """A refusal is raised as an ``msss.errors`` class and exits with its
+    code; anything else that leaves a command is a bug and a traceback."""
+
+    @pytest.mark.parametrize(
+        "corrupt, secret, code, message",
+        [
+            # each once exited 25 as a bad parameter
+            pytest.param(lambda world: _set_byte(world["board"], 40, 0xFF), ["--secret", "5"],
+                         18, "board.json: not UTF-8: 'utf-8' codec can't decode byte 0xff",
+                         id="board-byte-0xff"),
+            pytest.param(lambda world: _long_revision(world["board"]), ["--secret", "5"],
+                         18, "document: not valid JSON: Exceeds the limit",
+                         id="board-revision-5000-digits"),
+            # an argv byte that is not UTF-8 reaches the option as a surrogate
+            pytest.param(lambda world: None, ["--secret-text", "\udcff"],
+                         25, "--secret-text is not valid UTF-8", id="secret-text-not-utf-8"),
+        ],
+    )
+    def test_unreadable_input_is_refused_and_nothing_written(
+        self, run, toy_files, corrupt, secret, code, message
+    ):
+        corrupt(toy_files)
+        files = (toy_files["board"].read_bytes(), toy_files["dealer"].read_bytes())
+        result = run("share", *secret, "--sets", "A", "--board", toy_files["board"],
+                     "--dealer", toy_files["dealer"], "--seed", 1)
+        assert result[:2] == (code, "")
+        assert result[2].startswith("error: ") and message in result[2]
+        assert (toy_files["board"].read_bytes(), toy_files["dealer"].read_bytes()) == files
+
+    def test_a_plain_value_error_is_a_bug_not_an_exit_code(self, run, toy_files, monkeypatch):
+        paths = [_contribute(run, toy_files, pid, f"c{pid}.json")[0] for pid in "AB"]
+
+        def broken(*args):
+            raise ValueError("a bug")
+
+        monkeypatch.setattr(combiner, "check_contributions", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main([str(a) for a in ("verify", *_session_args(toy_files, paths))])
+
+
+def _fuzz_world(tmp: Path) -> dict[str, bytes]:
+    """The files of a 4-bit world: board, dealer, keys of A and B, s1 shared
+    to {A, B}, and both contributions to it."""
+    board, dealer_file = tmp / "board.json", tmp / "dealer.json"
+    argv = [
+        ("setup", "--bits", 4, "--board", board, "--dealer", dealer_file, "--seed", 1),
+        ("enroll", "--id", "A", "--board", board, "--key-out", tmp / "ka.json", "--seed", 1),
+        ("enroll", "--id", "B", "--board", board, "--key-out", tmp / "kb.json", "--seed", 2),
+        ("share", "--secret", 5, "--sets", "A,B", "--board", board, "--dealer", dealer_file,
+         "--seed", 1),
+    ]
+    for pid in "ab":
+        argv.append(("contribute", "--board", board, "--key", tmp / f"k{pid}.json",
+                     "--secret-id", "s1", "--set", "A,B", "--out", tmp / f"c{pid}.json"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        for args in argv:
+            assert main([str(a) for a in args]) == 0, args
+    return {path.name: path.read_bytes() for path in tmp.iterdir()}
+
+
+@pytest.fixture(scope="module")
+def fuzz_world(tmp_path_factory):
+    return _fuzz_world(tmp_path_factory.mktemp("fuzz"))
+
+
+def _leaves(obj, path=()):
+    """The path of every JSON leaf (a number, string, bool, null or empty
+    container) below obj."""
+    if isinstance(obj, dict):
+        children = obj.items()
+    elif isinstance(obj, list):
+        children = enumerate(obj)
+    else:
+        return [path]
+    return [leaf for key, value in children for leaf in _leaves(value, (*path, key))] or [path]
+
+
+# 0 and every code of the README table that is not retired
+_LIVE_CODES = {0} | {code for code, meaning in _readme_exit_table().items()
+                     if meaning != "retired, not reused"}
+_FUZZ_FILES = ["board.json", "dealer.json", "ka.json", "ca.json"]
+_SESSION = ("--secret-id", "s1", "--set", "A,B")
+_CONTRIBUTIONS = ("--contribution", "ca.json", "--contribution", "cb.json")
+_FUZZ_COMMANDS = {
+    "verify": ("verify", *_SESSION, *_CONTRIBUTIONS),
+    "reconstruct": ("reconstruct", *_SESSION, *_CONTRIBUTIONS),
+    "contribute": ("contribute", "--key", "ka.json", *_SESSION, "--out", "new.json"),
+    "add-set": ("update", "add-set", "--dealer", "dealer.json", "--secret-id", "s1",
+                "--set", "B", "--seed", "1"),
+    "renew": ("update", "renew", "--dealer", "dealer.json", "--secret-id", "s1",
+              "--secret", "7", "--seed", "1"),
+}
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(allow_nan=False),
+    st.text(max_size=6), st.sampled_from(["", "0", "00", "1", "ff", "A", "s1", "s2"]),
+    st.just([]), st.just({}),
+)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_corrupted_file_exits_with_a_documented_code(fuzz_world, data):
+    """One JSON leaf or one byte of one file replaced: every command exits
+    with a code of the README table, and a refused dealer command writes
+    neither of its files."""
+    name = data.draw(st.sampled_from(_FUZZ_FILES), "file")
+    raw = fuzz_world[name]
+    if data.draw(st.booleans(), "replace a leaf"):
+        obj = json.loads(raw)
+        *path, key = data.draw(st.sampled_from(_leaves(obj)), "leaf")
+        parent = obj
+        for step in path:
+            parent = parent[step]
+        parent[key] = data.draw(_JSON_VALUES, "value")
+        corrupted = json.dumps(obj).encode()
+    else:
+        at = data.draw(st.integers(0, len(raw) - 1), "at")
+        corrupted = raw[:at] + bytes([data.draw(st.integers(0, 255), "byte")]) + raw[at + 1:]
+    command = data.draw(st.sampled_from(sorted(_FUZZ_COMMANDS)), "command")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for file_name, content in fuzz_world.items():
+            (tmp / file_name).write_bytes(corrupted if file_name == name else content)
+        argv = [*_FUZZ_COMMANDS[command], "--board", "board.json"]
+        argv = [str(tmp / a) if a.endswith(".json") else a for a in argv]
+        dealer_files = [(tmp / "board.json").read_bytes(), (tmp / "dealer.json").read_bytes()]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in _LIVE_CODES, code
+        if code and command in ("add-set", "renew"):
+            assert [(tmp / "board.json").read_bytes(),
+                    (tmp / "dealer.json").read_bytes()] == dealer_files
 
 
 # `msss simulate --participants 6 --secrets 4 --cheaters 1 --bits 64 --seed <seed>`

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from msss import accessstruct, bulletin, codec, combiner, dealer, participant
 from msss.errors import (
+    BadParameter,
     EmptySet,
     IndexOutOfRange,
     InvariantViolation,
@@ -110,7 +111,7 @@ class TestSetup:
         assert all(miller_rabin(link, oracle) for link in (params.m, *params.m_chain))
 
     def test_rejects_tiny_primes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParameter):
             dealer.setup(2)
 
 
@@ -169,7 +170,7 @@ class TestShareSecret:
         for _ in range(29):
             dealer.share_secret(toy.state, toy.params, toy.roster, 5, structure, rng)
         assert len({pkg.h0 for pkg in toy.state.packages.values()}) == 30
-        with pytest.raises(ValueError, match="every h0 below phi"):
+        with pytest.raises(BadParameter, match="every h0 below phi"):
             dealer.share_secret(toy.state, toy.params, toy.roster, 5, structure, rng)
         assert len(toy.state.packages) == 30
 
@@ -179,7 +180,7 @@ class TestShareSecret:
         # make it fail fast)
         roster = dict(TEN_ROSTER)
         structure = accessstruct.validate_minimal(FIVE_SETS[:148])
-        with pytest.raises(ValueError, match=r"147 d left in \[2, m - 1\], 148 needed"):
+        with pytest.raises(BadParameter, match=r"147 d left in \[2, m - 1\], 148 needed"):
             dealer.share_secret(
                 toy.state, toy.params, roster, 5, structure, LimitedRandom(1, draws=1000)
             )

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from msss import dealer, linepoly, participant, simulate
+from msss.errors import BadParameter
 from msss.simulate import SimulationConfig, run_simulation
 
 
@@ -109,9 +110,9 @@ def test_report_is_json_serializable_and_shaped():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameter):
         run_simulation(SimulationConfig(participants=0, secrets=1))
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameter):
         run_simulation(SimulationConfig(participants=3, secrets=0))
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameter):
         run_simulation(SimulationConfig(participants=3, secrets=1, bits_per_prime=2))
