@@ -11,6 +11,7 @@ Run with:  PYTHONPATH=src python3 demos/dynamic_updates.py
 import random
 
 from msss import (
+    Board,
     add_qualified_set,
     contribute,
     keygen,
@@ -32,11 +33,11 @@ print(f"n has {params.n.bit_length()} bits, m = {params.m}")
 
 pids = ["alice", "bob", "carol", "dave"]
 keys = {pid: keygen(params, pid, rng) for pid in pids}
-roster = {pid: keys[pid].ps for pid in pids}
+board = Board(params, {pid: keys[pid].ps for pid in pids})
 
 structure = validate_minimal([{"alice", "bob"}, {"carol", "dave"}])
 secret = rng.randrange(params.m)
-pkg = share_secret(state, params, roster, secret, structure, rng)
+pkg = share_secret(state, board, secret, structure, rng)
 print(f"shared {secret} as {pkg.secret_id} under {[sorted(e.members) for e in pkg.entries]}")
 
 
@@ -47,7 +48,7 @@ def session(pkg, j, members, forged=None):
             c._replace(x=c.x ^ 1) if c.pid == forged else c for c in contribs
         ]
     try:
-        got = reconstruct(params, pkg, j, contribs, roster)
+        got = reconstruct(params, pkg, j, contribs, board.roster)
     except BadContribution as exc:
         print(f"  set {j}: cheater detected -> {', '.join(exc.pids)}")
         return
@@ -63,26 +64,26 @@ print("\nbob flips one bit of his contribution:")
 session(pkg, 1, ["alice", "bob"], forged="bob")
 
 print("\nrenew the secret (same value, fresh randomness):")
-pkg = renew_secret(state, params, roster, pkg.secret_id, secret, rng)
+pkg = renew_secret(state, board, pkg.secret_id, secret, rng)
 session(pkg, 1, ["alice", "bob"])
 
 print("\ngrant {dave} solo access; {carol, dave} stops being minimal:")
-pkg = add_qualified_set(state, params, roster, pkg.secret_id, {"dave"}, rng)
+pkg = add_qualified_set(state, board, pkg.secret_id, {"dave"}, rng)
 print(f"  structure is now {[sorted(e.members) for e in pkg.entries]}")
 session(pkg, len(pkg.entries), ["dave"])
 
 print("\nrevoke dave's solo set again:")
-pkg = remove_qualified_set(state, pkg.secret_id, 2)
+pkg = remove_qualified_set(board, pkg.secret_id, 2)
 print(f"  structure is now {[sorted(e.members) for e in pkg.entries]}")
 
 print("\nremove dave from the deployment:")
-renewed = remove_participant(state, params, roster, "dave", rng)
-print(f"  roster: {sorted(roster)}; renewed: "
+renewed = remove_participant(state, board, "dave", rng)
+print(f"  roster: {sorted(board.roster)}; renewed: "
       f"{[p.secret_id for p in renewed] or 'nothing (no structure mentions dave)'}")
 
 print("\nremoving bob would leave the secret unreachable, so it is refused:")
 try:
-    remove_participant(state, params, roster, "bob", rng)
+    remove_participant(state, board, "bob", rng)
 except StructureBecameEmpty as exc:
     print(f"  refused: {exc}")
 

@@ -12,6 +12,7 @@ Run with:  PYTHONPATH=src python3 demos/toy_walkthrough.py
 """
 
 from msss import (
+    Board,
     contribute,
     keygen,
     reconstruct,
@@ -44,7 +45,7 @@ print(f"published params: g = {params.g}, n = {params.n}, m = {params.m}, "
 
 key_a = keygen(params, "A", Script([5]))
 key_b = keygen(params, "B", Script([7]))
-roster = {"A": key_a.ps, "B": key_b.ps}
+board = Board(params, {"A": key_a.ps, "B": key_b.ps})
 print(f"A picks s = {key_a.s}, enrolls ps = g^s = {key_a.ps}")
 print(f"B picks s = {key_b.s}, enrolls ps = g^s = {key_b.ps}")
 
@@ -52,7 +53,7 @@ print("\n== sharing ==")
 secret = 100
 structure = validate_minimal([{"A", "B"}])
 # h0 = 103, so s0 = 103^-1 mod 120 = 7; slope 5, d = 7
-package = share_secret(state, params, roster, secret, structure, Script([103, 5, 7]))
+package = share_secret(state, board, secret, structure, Script([103, 5, 7]))
 entry = package.entry(1)
 print(f"dealer publishes ps0 = {package.ps0}, h0 = {package.h0}, f(1) = {package.f1}")
 print(f"for the set {sorted(entry.members)}: d = {entry.d}, "
@@ -66,7 +67,7 @@ print(f"A releases x = ps0^s = {c_a.x}; check x^h0 = ps_A: "
 print(f"B releases x = ps0^s = {c_b.x}; check x^h0 = ps_B: "
       f"{verify_contribution(params, package, key_b.ps, c_b)}")
 
-recovered = reconstruct(params, package, 1, [c_a, c_b], roster)
+recovered = reconstruct(params, package, 1, [c_a, c_b], board.roster)
 print(f"unmask H with both x values -> f({entry.d}) = {entry.masked ^ c_a.x ^ c_b.x}")
 print(f"interpolate through (1, {package.f1}) and ({entry.d}, 135) -> secret {recovered}")
 print(f"tag check: {verify_secret(package, 1, recovered, params.width)}")

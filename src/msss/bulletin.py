@@ -43,7 +43,7 @@ contribution file) is one table of named fields, both read from and written
 by it: ``_obj`` writes the keys in table order, and ``_fields`` reads
 exactly those keys, lowercase hex integers with no leading zeros and exact
 JSON types. A malformed record raises MalformedDocument naming the field by
-its path, as in ``document packages s1 entries 1 d`` or ``dealer.json p``.
+its path, as in ``board.json packages s1 entries 1 d`` or ``dealer.json p``.
 Each package lives on the board alone: the dealer file holds p, q, the
 secrets and one SHA-256 per package (``_digest``), and ``load_dealer``
 accepts it only for the board it serves.
@@ -340,9 +340,14 @@ def from_document(text: str) -> Board:
     """Parse a bulletin document and check all its invariants.
 
     Raises MalformedDocument for syntax or shape problems and
-    InvariantViolation (naming the rule) for semantic ones.
+    InvariantViolation (naming the rule) for semantic ones. Its errors name
+    the text ``document``; ``load`` names the file's path instead.
     """
-    board = Board(**_parse(text, "document", _DOCUMENT))
+    return _board(text, "document")
+
+
+def _board(text: str, where: str) -> Board:
+    board = Board(**_parse(text, where, _DOCUMENT))
     board.validate()
     return board
 
@@ -355,20 +360,19 @@ def save(board: Board, path) -> str:
 
 
 def load(path) -> Board:
-    return from_document(_read(path))
+    return _board(_read(path), os.fspath(path))
 
 
-def save_dealer(state: DealerState, path) -> None:
+def save_dealer(state: DealerState, board: Board, path) -> None:
     """Write the private dealer state: n's factors, each secret, and the
-    SHA-256 of each package as the board writes it (``_digest``)."""
-    digests = {sid: _digest(pkg) for sid, pkg in state.packages.items()}
+    SHA-256 of each package of ``board`` as it writes it (``_digest``)."""
+    digests = {sid: _digest(pkg) for sid, pkg in board.packages.items()}
     record = SimpleNamespace(p=state.p, q=state.q, secrets=state.secrets, digests=digests)
     _write(_dump(_obj(_DEALER, record)), path)
 
 
 def load_dealer(path, board: Board) -> DealerState:
-    """The private dealer state of ``board``, whose packages it works on in
-    place; the one reader of a dealer file.
+    """The private dealer state of ``board``; the one reader of a dealer file.
 
     MalformedDocument unless the secrets and the digests are both named
     exactly s1 ... sk, then InvariantViolation unless p, q > 1 with p*q the
@@ -407,7 +411,7 @@ def load_dealer(path, board: Board) -> DealerState:
     ]
     if diverged:
         raise InvariantViolation("dealer state and board disagree on " + ", ".join(diverged))
-    return DealerState(p, q, secrets, packages)
+    return DealerState(p, q, secrets)
 
 
 def save_key(key: ParticipantKey, path) -> None:

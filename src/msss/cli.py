@@ -88,9 +88,9 @@ def _dealer_write(args):
     ``bulletin.load_dealer`` refuses unless it serves this board, holds the
     digest of exactly its packages and secrets that match their tags) and
     yields (board, state) to the command, whose dealer operations change
-    the board's packages in place; once it returns, saves the board as the
-    next revision, then the dealer file with the new digests. A command
-    that raises writes nothing.
+    the board in place; once it returns, saves the board as the next
+    revision, then the dealer file with the new digests. A command that
+    raises writes nothing.
     """
     with _board_lock(args.board):
         board = bulletin.load(args.board)
@@ -98,7 +98,7 @@ def _dealer_write(args):
         yield board, state
         board.revision += 1
         bulletin.save(board, args.board)
-        bulletin.save_dealer(state, args.dealer)
+        bulletin.save_dealer(state, board, args.dealer)
 
 
 def _secret_value(args) -> int:
@@ -131,9 +131,10 @@ def cmd_setup(args) -> int:
     _refuse_existing(args.board, args.force)
     _refuse_existing(args.dealer, args.force)
     params, state = dealer.setup(args.bits, _rng(args))
+    board = Board(params)
     with _board_lock(args.board):
-        bulletin.save(Board(params=params), args.board)
-        bulletin.save_dealer(state, args.dealer)
+        bulletin.save(board, args.board)
+        bulletin.save_dealer(state, board, args.dealer)
     print(f"n = {params.n} ({params.n.bit_length()} bits)")
     print(f"m = {params.m} ({params.m.bit_length()} bits)")
     print(f"width = {params.width}")
@@ -164,9 +165,7 @@ def cmd_enroll(args) -> int:
 def cmd_share(args) -> int:
     secret = _secret_value(args)
     with _dealer_write(args) as (board, state):
-        pkg = dealer.share_secret(
-            state, board.params, board.roster, secret, _parse_sets(args.sets), _rng(args)
-        )
+        pkg = dealer.share_secret(state, board, secret, _parse_sets(args.sets), _rng(args))
     print(pkg.secret_id)
     return 0
 
@@ -211,17 +210,17 @@ def cmd_verify(args) -> int:
 
 def cmd_update(args) -> int:
     with _dealer_write(args) as (board, state):
-        params, roster, rng = board.params, board.roster, _rng(args)
+        rng = _rng(args)
         if args.action == "renew":
             secret = _secret_value(args)
-            renewed = [dealer.renew_secret(state, params, roster, args.secret_id, secret, rng)]
+            renewed = [dealer.renew_secret(state, board, args.secret_id, secret, rng)]
         elif args.action == "add-set":
             members = _parse_members(args.set)
-            dealer.add_qualified_set(state, params, roster, args.secret_id, members, rng)
+            dealer.add_qualified_set(state, board, args.secret_id, members, rng)
         elif args.action == "remove-set":
-            dealer.remove_qualified_set(state, args.secret_id, args.index)
+            dealer.remove_qualified_set(board, args.secret_id, args.index)
         else:  # remove-participant
-            renewed = dealer.remove_participant(state, params, roster, args.id, rng)
+            renewed = dealer.remove_participant(state, board, args.id, rng)
     if args.action in ("renew", "remove-participant"):
         print("renewed: " + (", ".join(pkg.secret_id for pkg in renewed) or "(none)"))
     else:

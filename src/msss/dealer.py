@@ -2,13 +2,13 @@
 the dynamic updates (renew a secret, add or remove a qualified set, remove
 a participant).
 
-The dealer owns the factorization of n, each shared secret, and the
-package it published for it. That is all it needs to extend a package with
-a new qualified set: the exponent s0 is h0**-1 mod phi(n) and the line slope
-is f1 - secret mod m, both read off the package. phi(n) and the next secret
-id are derived too, never stored. Everything a dealer operation returns is
-public and meant for the bulletin; nothing private ever appears in a
-SecretPackage.
+The dealer owns the factorization of n and each shared secret; every
+package lives on the board (``bulletin.Board``) that each dealer operation
+is given, reads its params and roster from, and changes in place. That is
+all it needs to extend a package with a new qualified set: the exponent s0
+is h0**-1 mod phi(n) and the line slope is f1 - secret mod m, both read off
+the package. phi(n) and the next secret id are derived too, never stored.
+Nothing private ever appears in a SecretPackage.
 
 Each package's public exponent h0 is drawn first and short (at most
 H0_BITS bits, as RSA draws its public exponent), and s0 = h0**-1 mod phi(n)
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from . import codec
 from .accessstruct import ParticipantId, validate_minimal
@@ -50,6 +50,9 @@ from .errors import (
 from .linepoly import line_at
 from .modexp import powmod
 from .numtheory import ceil_sqrt, gen_prime, proved_prime_above
+
+if TYPE_CHECKING:  # bulletin imports this module
+    from .bulletin import Board
 
 _default_rng = random.SystemRandom()
 
@@ -108,26 +111,16 @@ class SecretPackage(NamedTuple):
 
 class DealerState:
     """Private dealer state, never published: the factors of n and, by
-    secret id s1, s2, ... in publishing order, each secret and the package
-    the board publishes for it, which the dealer operations change in
-    place. ``bulletin.load_dealer`` hands it the board's own packages: the
-    dealer file stores only a SHA-256 of each, which is what exposes a lost
-    dealer write or a rolled-back board. phi(n), s0 and the slope are
-    derived, never stored. ``q_inv`` = q**-1 mod p, Garner's constant for
-    ``_pow_n``, is derived once here and never written to the dealer file."""
+    secret id s1, s2, ... in publishing order, each secret. Its packages
+    live on the board alone. phi(n), s0 and the slope are derived, never
+    stored. ``q_inv`` = q**-1 mod p, Garner's constant for ``_pow_n``, is
+    derived once here and never written to the dealer file."""
 
-    def __init__(
-        self,
-        p: int,
-        q: int,
-        secrets: dict[str, int] | None = None,
-        packages: dict[str, SecretPackage] | None = None,
-    ):
+    def __init__(self, p: int, q: int, secrets: dict[str, int] | None = None):
         self.p = p
         self.q = q
         self.q_inv = pow(q, -1, p)
         self.secrets = {} if secrets is None else secrets
-        self.packages = {} if packages is None else packages
 
     def __eq__(self, other):
         return other.__class__ is self.__class__ and vars(self) == vars(other)
@@ -186,19 +179,19 @@ def _pow_n(dealer: DealerState, x: int, e: int) -> int:
     return xq + q * ((xp - xq) * dealer.q_inv % p)
 
 
-def _draw_h0(dealer: DealerState, g: int, rng) -> tuple[int, int, int]:
+def _draw_h0(dealer: DealerState, board: Board, rng) -> tuple[int, int, int]:
     """Draw the short public exponent h0 and derive s0 = h0**-1 mod phi(n).
 
     h0 is drawn from [3, min(2**H0_BITS, phi(n))) until it is a unit mod
-    phi(n) (so odd), differs from the h0 of every package the dealer holds
+    phi(n) (so odd), differs from the h0 of every package on the board
     (a shared h0 is a shared s0, and a renew that kept its h0 would keep
     every mask), and gives ps0 = g**s0 other than g (else s0 = 1 modulo the
     order of g, and every mask ps_k**s0 would be the roster value ps_k).
     Returns (h0, s0, ps0); s0 stays full width and secret.
     """
-    phi = dealer.phi
+    phi, g = dealer.phi, board.params.g
     bound = min(1 << H0_BITS, phi)
-    taken = {pkg.h0 for pkg in dealer.packages.values()}
+    taken = {pkg.h0 for pkg in board.packages.values()}
 
     def s0_ps0_of(h0: int) -> tuple[int, int] | None:
         if h0 in taken or math.gcd(h0, phi) != 1:
@@ -239,8 +232,7 @@ def _check_enrolled(members: Iterable[ParticipantId], roster: Roster) -> None:
 
 def _entries(
     dealer: DealerState,
-    params: PublicParams,
-    roster: Roster,
+    board: Board,
     s0: int,
     secret: int,
     slope: int,
@@ -252,6 +244,7 @@ def _entries(
 
     Each member's mask is computed once, however many of the sets hold them.
     """
+    params, roster = board.params, board.roster
     masks = {pid: _pow_n(dealer, roster[pid], s0) for pid in frozenset().union(*sets)}
     return tuple(
         PackageEntry(
@@ -268,46 +261,44 @@ def _entries(
 
 def _publish(
     dealer: DealerState,
-    params: PublicParams,
+    board: Board,
     secret_id: str,
     secret: int,
     sets: Iterable[Iterable[ParticipantId]],
-    roster: Roster,
     rng,
 ) -> SecretPackage:
     """Build a complete package under fresh randomness and store it and
     the secret under ``secret_id``. Shared by share_secret, renew_secret,
     and remove_participant; ``validate_minimal`` checks the sets first."""
-    m = params.m
+    m = board.params.m
     structure = validate_minimal(sets)
     if secret < 0:
         raise BadParameter(f"secret must be non-negative, got {secret}")
     if secret >= m:
         raise SecretTooLarge(f"secret must be below m = {m}, got {secret}")
     for members in structure:
-        _check_enrolled(members, roster)
-    h0, s0, ps0 = _draw_h0(dealer, params.g, rng)
+        _check_enrolled(members, board.roster)
+    h0, s0, ps0 = _draw_h0(dealer, board, rng)
     slope = rng.randrange(1, m)
     ds = _sample_d(len(structure), m, rng)
-    entries = _entries(dealer, params, roster, s0, secret, slope, structure, ds)
+    entries = _entries(dealer, board, s0, secret, slope, structure, ds)
     f1 = line_at(secret, slope, 1, m)
     package = SecretPackage(secret_id=secret_id, ps0=ps0, h0=h0, f1=f1, entries=entries)
     dealer.secrets[secret_id] = secret
-    dealer.packages[secret_id] = package
+    board.packages[secret_id] = package
     return package
 
 
-def _require_package(dealer: DealerState, secret_id: str) -> SecretPackage:
+def _require_package(board: Board, secret_id: str) -> SecretPackage:
     try:
-        return dealer.packages[secret_id]
+        return board.packages[secret_id]
     except KeyError:
         raise UnknownSecret(f"no secret {secret_id!r}") from None
 
 
 def share_secret(
     dealer: DealerState,
-    params: PublicParams,
-    roster: Roster,
+    board: Board,
     secret: int,
     structure: Iterable[Iterable[ParticipantId]],
     rng: random.Random | None = None,
@@ -322,13 +313,12 @@ def share_secret(
     published secrets.
     """
     rng = rng or _default_rng
-    return _publish(dealer, params, f"s{len(dealer.packages) + 1}", secret, structure, roster, rng)
+    return _publish(dealer, board, f"s{len(board.packages) + 1}", secret, structure, rng)
 
 
 def renew_secret(
     dealer: DealerState,
-    params: PublicParams,
-    roster: Roster,
+    board: Board,
     secret_id: str,
     new_secret: int,
     rng: random.Random | None = None,
@@ -340,14 +330,13 @@ def renew_secret(
     old one. Other packages are untouched.
     """
     rng = rng or _default_rng
-    structure = _require_package(dealer, secret_id).structure()
-    return _publish(dealer, params, secret_id, new_secret, structure, roster, rng)
+    structure = _require_package(board, secret_id).structure()
+    return _publish(dealer, board, secret_id, new_secret, structure, rng)
 
 
 def add_qualified_set(
     dealer: DealerState,
-    params: PublicParams,
-    roster: Roster,
+    board: Board,
     secret_id: str,
     new_set: Iterable[ParticipantId],
     rng: random.Random | None = None,
@@ -363,38 +352,38 @@ def add_qualified_set(
     that strictly contain the new one stop being minimal and are dropped.
     """
     rng = rng or _default_rng
-    package = _require_package(dealer, secret_id)
+    package = _require_package(board, secret_id)
     members = frozenset(new_set)
-    _check_enrolled(members, roster)
+    _check_enrolled(members, board.roster)
     entries = package.entries
     kept = tuple(e for e in entries if not members < e.members)
     validate_minimal([*(e.members for e in kept), members])
-    ds = _sample_d(1, params.m, rng, exclude={e.d for e in entries})
+    m = board.params.m
+    ds = _sample_d(1, m, rng, exclude={e.d for e in entries})
     secret = dealer.secrets[secret_id]
-    slope = (package.f1 - secret) % params.m
+    slope = (package.f1 - secret) % m
     s0 = pow(package.h0, -1, dealer.phi)
-    added = _entries(dealer, params, roster, s0, secret, slope, [members], ds)
-    dealer.packages[secret_id] = package._replace(entries=kept + added)
-    return dealer.packages[secret_id]
+    added = _entries(dealer, board, s0, secret, slope, [members], ds)
+    board.packages[secret_id] = package._replace(entries=kept + added)
+    return board.packages[secret_id]
 
 
-def remove_qualified_set(dealer: DealerState, secret_id: str, set_index: int) -> SecretPackage:
+def remove_qualified_set(board: Board, secret_id: str, set_index: int) -> SecretPackage:
     """Revoke one qualified set by deleting its public entry (1-based index)."""
-    package = _require_package(dealer, secret_id)
+    package = _require_package(board, secret_id)
     package.entry(set_index)  # IndexOutOfRange unless 1 <= set_index <= t
     entries = package.entries
     if len(entries) == 1:
         raise LastEntry(f"{secret_id} must keep at least one qualified set")
-    dealer.packages[secret_id] = package._replace(
+    board.packages[secret_id] = package._replace(
         entries=entries[: set_index - 1] + entries[set_index:]
     )
-    return dealer.packages[secret_id]
+    return board.packages[secret_id]
 
 
 def remove_participant(
     dealer: DealerState,
-    params: PublicParams,
-    roster: dict[ParticipantId, int],
+    board: Board,
     pid: ParticipantId,
     rng: random.Random | None = None,
 ) -> list[SecretPackage]:
@@ -402,7 +391,8 @@ def remove_participant(
 
     Every qualified set naming them is deleted, every secret whose structure
     mentioned them is renewed with fresh randomness (the old masks would
-    still be strippable by the leaver), and the roster shrinks in place.
+    still be strippable by the leaver), and the board's roster shrinks in
+    place.
     Returns the renewed packages; secrets that never mentioned the
     participant are left bit-identical.
 
@@ -410,10 +400,10 @@ def remove_participant(
     lose its last qualified set; remove those secrets first.
     """
     rng = rng or _default_rng
-    _check_enrolled([pid], roster)
+    _check_enrolled([pid], board.roster)
     plans: dict[str, tuple[frozenset[ParticipantId], ...]] = {}
     emptied = []
-    for sid, package in dealer.packages.items():
+    for sid, package in board.packages.items():
         sets = [e.members for e in package.entries]
         if not any(pid in members for members in sets):
             continue
@@ -423,8 +413,8 @@ def remove_participant(
         plans[sid] = kept
     if emptied:
         raise StructureBecameEmpty(emptied)
-    del roster[pid]
+    del board.roster[pid]
     return [
-        _publish(dealer, params, sid, dealer.secrets[sid], structure, roster, rng)
+        _publish(dealer, board, sid, dealer.secrets[sid], structure, rng)
         for sid, structure in plans.items()
     ]

@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 from . import combiner, dealer, participant
 from .accessstruct import is_authorized
+from .bulletin import Board
 from .errors import BadContribution, BadParameter, UnmaskOutOfField
 from .modexp import powmod
 
@@ -38,8 +39,6 @@ class SimulationConfig(NamedTuple):
             raise BadParameter("need at least one participant")
         if self.secrets < 1:
             raise BadParameter("need at least one secret")
-        if self.bits_per_prime < 4:
-            raise BadParameter("bits_per_prime must be >= 4")
         if self.max_minimal_sets < 1 or self.max_set_size < 1:
             raise BadParameter("structure bounds must be positive")
         if self.cheaters_per_session < 0 or self.unauthorized_probes < 0:
@@ -130,16 +129,16 @@ def run_simulation(config: SimulationConfig) -> dict:
     params, state = dealer.setup(config.bits_per_prime, rng)
     pids = [f"P{i}" for i in range(1, config.participants + 1)]
     keys = _distinct_keys(rng, params, pids)
-    roster = {pid: keys[pid].ps for pid in pids}
+    board = Board(params, {pid: keys[pid].ps for pid in pids})
 
     for _ in range(config.secrets):
         structure = random_antichain(rng, pids, config.max_minimal_sets, config.max_set_size)
         value = rng.randrange(0, params.m)
-        dealer.share_secret(state, params, roster, value, structure, rng)
+        dealer.share_secret(state, board, value, structure, rng)
 
     sessions = []
     probes = []
-    for sid, pkg in state.packages.items():
+    for sid, pkg in board.packages.items():
         xs_of = {}  # pid -> x = ps0**s mod n for this secret
         for j in range(1, len(pkg.entries) + 1):
             members = sorted(pkg.entry(j).members)
@@ -166,7 +165,7 @@ def run_simulation(config: SimulationConfig) -> dict:
                 "cheaters_detected": [],
             }
             try:
-                got = combiner.reconstruct(params, pkg, j, list(contribs.values()), roster)
+                got = combiner.reconstruct(params, pkg, j, list(contribs.values()), board.roster)
             except BadContribution as exc:
                 session["cheaters_detected"] = exc.pids
                 session["outcome"] = "cheater-detected"

@@ -10,7 +10,7 @@ if str(SRC) not in sys.path:
 
 import pytest
 
-from msss import accessstruct, dealer, participant
+from msss import accessstruct, bulletin, dealer, participant
 from scripted import ScriptedRandom
 
 # The draws that build the toy world. setup: the low bits 3 and 5 that make
@@ -33,34 +33,37 @@ class ToyWorld:
     """The fixed hand-checkable deployment: p=11, q=13, g=15, m=149,
     s_A=5, s_B=7, s0=7, slope=5, d=7, secret=100."""
 
-    params: dealer.PublicParams
+    board: bulletin.Board
     state: dealer.DealerState
     key_a: participant.ParticipantKey
     key_b: participant.ParticipantKey
-    roster: dict
     package: dealer.SecretPackage
     secret: int = 100
+
+    @property
+    def params(self) -> dealer.PublicParams:
+        return self.board.params
+
+    @property
+    def roster(self) -> dict:
+        return self.board.roster
 
 
 def make_toy_world() -> ToyWorld:
     params, state = dealer.setup(4, ScriptedRandom(TOY_SETUP))
     key_a = participant.keygen(params, "A", ScriptedRandom([5]))
     key_b = participant.keygen(params, "B", ScriptedRandom([7]))
-    roster = {"A": key_a.ps, "B": key_b.ps}
+    board = bulletin.Board(params, {"A": key_a.ps, "B": key_b.ps})
     structure = accessstruct.validate_minimal([["A", "B"]])
-    package = dealer.share_secret(
-        state, params, roster, 100, structure, ScriptedRandom(TOY_SHARE)
-    )
-    return ToyWorld(
-        params=params, state=state, key_a=key_a, key_b=key_b, roster=roster, package=package
-    )
+    package = dealer.share_secret(state, board, 100, structure, ScriptedRandom(TOY_SHARE))
+    return ToyWorld(board=board, state=state, key_a=key_a, key_b=key_b, package=package)
 
 
-def full_width_draw(state, g, rng):
+def full_width_draw(state, board, rng):
     """The dealer's draw before h0 was short, for building boards of that
     time: s0 from [2, n] coprime to phi(n), and h0 = s0^-1 mod phi(n), as
     wide as phi(n). Stands in for ``dealer._draw_h0``."""
-    n = state.p * state.q
+    n, g = state.p * state.q, board.params.g
     while True:
         s0 = rng.randrange(2, n + 1)
         if math.gcd(s0, state.phi) == 1:

@@ -119,8 +119,9 @@ def test_worked_example_fixture():
     key_b = participant.keygen(params, "B", ScriptedRandom([7]))
     assert (key_a.ps, key_b.ps) == (45, 115)
     roster = {"A": key_a.ps, "B": key_b.ps}
+    board = bulletin.Board(params, roster)
     package = dealer.share_secret(
-        state, params, roster, 100,
+        state, board, 100,
         accessstruct.validate_minimal([["A", "B"]]),
         ScriptedRandom(TOY_SHARE),
     )
@@ -143,8 +144,9 @@ def test_cheater_detection_is_deterministic():
     pids = ["P1", "P2", "P3"]
     keys = {pid: participant.keygen(params, pid, rng) for pid in pids}
     roster = {pid: k.ps for pid, k in keys.items()}
+    board = bulletin.Board(params, roster)
     package = dealer.share_secret(
-        state, params, roster, rng.randrange(params.m),
+        state, board, rng.randrange(params.m),
         accessstruct.validate_minimal([pids]), rng,
     )
     honest = {pid: participant.contribute(params, keys[pid], package, 1) for pid in pids}
@@ -185,12 +187,11 @@ def test_multi_use_keys():
     keys = {pid: participant.keygen(params, pid, rng) for pid in pids}
     frozen = dict(keys)  # the exact key objects reused throughout
     roster = {pid: k.ps for pid, k in keys.items()}
+    board = bulletin.Board(params, roster)
     structure = accessstruct.validate_minimal([["P1", "P2"], ["P3", "P4"]])
     packages = []
     for _ in range(3):
-        packages.append(
-            dealer.share_secret(state, params, roster, rng.randrange(params.m), structure, rng)
-        )
+        packages.append(dealer.share_secret(state, board, rng.randrange(params.m), structure, rng))
     for package in packages:
         for j in (1, 2):
             contribs = [

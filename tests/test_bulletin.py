@@ -76,15 +76,8 @@ class TestCanonicalForm:
 
     def test_multiple_packages_keep_insertion_order(self, toy):
         # two packages may not share h0, so the second one is a real share
-        second = dealer.share_secret(
-            toy.state, toy.params, toy.roster, 17, validate_minimal([["A"]]), random.Random(2)
-        )
-        board = Board(
-            params=toy.params,
-            roster=dict(toy.roster),
-            packages={"s1": toy.package, "s2": second},
-        )
-        doc = to_document(board)
+        dealer.share_secret(toy.state, toy.board, 17, validate_minimal([["A"]]), random.Random(2))
+        doc = to_document(toy.board)
         assert doc.index('"s1"') < doc.index('"s2"')
         assert list(from_document(doc).packages) == ["s1", "s2"]
 
@@ -121,11 +114,11 @@ class TestValidation:
         params, state = dealer.setup(64, random.Random(5))
         ps = participant.keygen(params, "A", random.Random(6)).ps
         roster = {"A": ps, "B": ps}
+        board = Board(params, roster)
         structure = validate_minimal([frozenset("AB")])
-        pkg = dealer.share_secret(state, params, roster, 12345, structure, random.Random(7))
+        pkg = dealer.share_secret(state, board, 12345, structure, random.Random(7))
         entry = pkg.entry(1)
         assert interpolate_line(pkg.f1, entry.d, entry.masked, params.m) == 12345
-        board = Board(params=params, roster=roster, packages={pkg.secret_id: pkg})
         with pytest.raises(InvariantViolation, match="B holds the pseudo-share of A"):
             from_document(to_document(board))
 
@@ -226,9 +219,8 @@ class TestValidation:
         # s2 copies s1's ps0 and h0, so ps0^h0 = g holds for both: the two
         # would share s0, and only the uniqueness rule breaks
         second = dealer.share_secret(
-            toy.state, toy.params, toy.roster, 17, validate_minimal([["A"]]), random.Random(2)
-        )
-        second = second._replace(ps0=toy.package.ps0, h0=toy.package.h0)
+            toy.state, toy.board, 17, validate_minimal([["A"]]), random.Random(2)
+        )._replace(ps0=toy.package.ps0, h0=toy.package.h0)
         board = Board(toy.params, dict(toy.roster), {"s1": toy.package, "s2": second})
         with pytest.raises(InvariantViolation, match="s2: h0 is also the h0 of s1") as raised:
             from_document(to_document(board))
@@ -248,10 +240,11 @@ class TestValidation:
         params, state = dealer.setup(512, random.Random(6))
         rng = random.Random(7)
         roster = {"A": participant.keygen(params, "A", rng).ps}
+        board = Board(params, roster)
         monkeypatch.setattr(dealer, "_draw_h0", full_width_draw)
-        pkg = dealer.share_secret(state, params, roster, 5, validate_minimal([["A"]]), rng)
+        pkg = dealer.share_secret(state, board, 5, validate_minimal([["A"]]), rng)
         assert pkg.h0.bit_length() > 1000
-        doc = to_document(Board(params, roster, {"s1": pkg}))
+        doc = to_document(board)
         with pytest.raises(InvariantViolation, match="run `msss setup` again") as raised:
             from_document(doc)
         assert raised.value.exit_code == 19
@@ -264,15 +257,42 @@ class TestValidation:
             from_document(to_document(board))
 
 
+# One JSON edit of the toy board each: the keys that lead to a value, its
+# new value, and the exit code and message of the refusal
+@pytest.mark.parametrize("keys, value, code, message", [
+    pytest.param(["params", "n"], "3", 19, "n too small to be a product of two primes", id="n"),
+    pytest.param(["params", "width"], 2, 19, "width does not match m", id="width"),
+    pytest.param(["params", "g"], "5", 19, "g outside [sqrt(n), n]", id="g-below-sqrt-n"),
+    pytest.param(["params", "g"], "84", 19, "g shares a factor with n", id="g-shares-11"),
+    pytest.param(["revision"], -1, 19, "negative revision", id="revision"),
+    pytest.param(["roster", ""], "2", 19, "empty participant id on the roster", id="empty-id"),
+    pytest.param(["packages", "s1", "entries"], [], 19, "s1: no qualified sets", id="no-entries"),
+    pytest.param(["packages", "s1", "entries", 0, "masked"], "100", 19,
+                 "s1: masked value wider than 1 bytes", id="wide-masked"),
+    pytest.param(["packages", "s1", "entries", 0, "members"], ["A", "A"], 18,
+                 "document packages s1 entries 1 members: duplicate member ids", id="members"),
+    pytest.param(["params"], [], 18, "document params: expected an object", id="params"),
+])
+def test_each_board_refusal_names_its_rule(toy, keys, value, code, message):
+    obj = json.loads(to_document(_toy_board(toy)))
+    target = obj
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    with pytest.raises(MsssError) as raised:
+        from_document(json.dumps(obj))
+    assert (raised.value.exit_code, str(raised.value)) == (code, message)
+
+
 # Each record of the four files: the file, the keys that lead to it, how its
 # errors name it ("{path}" is the file's own path), and a value of the wrong
 # JSON type for each of its fields.
 RECORDS = {
-    "params": ("board", ["params"], "document params",
+    "params": ("board", ["params"], "{path} params",
                {"g": 15, "n": 143, "m": None, "width": "1", "m_chain": {}}),
-    "package": ("board", ["packages", "s1"], "document packages s1",
+    "package": ("board", ["packages", "s1"], "{path} packages s1",
                 {"ps0": 115, "h0": [], "f1": ["69"], "entries": {}}),
-    "entry": ("board", ["packages", "s1", "entries", 0], "document packages s1 entries 1",
+    "entry": ("board", ["packages", "s1", "entries", 0], "{path} packages s1 entries 1",
               {"members": "A", "d": 7, "masked": True, "tag": 64}),
     "dealer file": ("dealer", [], "{path}", {"p": 11, "q": 13.0, "secrets": [], "digests": []}),
     "key": ("key", [], "{path}", {"id": ["A"], "s": 5, "ps": {"hex": "2d"}}),
@@ -294,7 +314,7 @@ def toy_file_texts(tmp_path_factory):
     board = _toy_board(toy)
     tmp = tmp_path_factory.mktemp("files")
     save(board, tmp / "board")
-    bulletin.save_dealer(toy.state, tmp / "dealer")
+    bulletin.save_dealer(toy.state, board, tmp / "dealer")
     bulletin.save_key(toy.key_a, tmp / "key")
     c = participant.contribute(toy.params, toy.key_a, toy.package, 1)
     bulletin.save_contribution(c, tmp / "contribution")
@@ -537,9 +557,10 @@ _OPS = st.one_of(
 )
 
 
-def _apply(op, state, roster, rng) -> None:
+def _apply(op, state, board, rng) -> None:
     """One library operation, as `msss enroll`, `share` or `update` runs it."""
     kind, *args = op
+    roster = board.roster
     if kind == "enroll":
         if args[0] in roster:
             raise DuplicateParticipant(args[0])
@@ -548,15 +569,15 @@ def _apply(op, state, roster, rng) -> None:
             raise DuplicateParticipant(args[0])
         roster[args[0]] = ps
     elif kind == "share":
-        dealer.share_secret(state, _PARAMS, roster, args[1], args[0], rng)
+        dealer.share_secret(state, board, args[1], args[0], rng)
     elif kind == "renew":
-        dealer.renew_secret(state, _PARAMS, roster, *args, rng)
+        dealer.renew_secret(state, board, *args, rng)
     elif kind == "add-set":
-        dealer.add_qualified_set(state, _PARAMS, roster, *args, rng)
+        dealer.add_qualified_set(state, board, *args, rng)
     elif kind == "remove-set":
-        dealer.remove_qualified_set(state, *args)
+        dealer.remove_qualified_set(board, *args)
     else:
-        dealer.remove_participant(state, _PARAMS, roster, *args, rng)
+        dealer.remove_participant(state, board, *args, rng)
 
 
 @given(ops=st.lists(_OPS, min_size=6, max_size=16), seed=st.integers(0, 2**32))
@@ -571,13 +592,12 @@ def test_every_board_the_operations_build_passes_the_reader(ops, seed):
     assert from_document(to_document(board)) == board
     start = [("enroll", "A"), ("enroll", "B"), ("enroll", "C"), ("share", ["AB", "C"], 1)]
     for op in start + ops:
-        before = (dict(state.secrets), dict(state.packages), dict(board.roster))
+        before = (dict(state.secrets), dict(board.packages), dict(board.roster))
         try:
-            _apply(op, state, board.roster, rng)
+            _apply(op, state, board, rng)
         except MsssError:
-            assert (state.secrets, state.packages, board.roster) == before, op
+            assert (state.secrets, board.packages, board.roster) == before, op
             continue
-        board.packages = dict(state.packages)
         board.revision += 1
         assert from_document(to_document(board)) == board, op
 
@@ -599,16 +619,16 @@ def test_add_qualified_set_drops_strict_supersets_and_keeps_every_other_entry(
     entry stays exactly as published."""
     rng = random.Random(seed)
     state = dealer.DealerState(_STATE.p, _STATE.q)
-    roster = dict(_ROSTER)
-    old = dealer.share_secret(state, _PARAMS, roster, 7, structure, rng)
-    before = (dict(state.secrets), dict(state.packages))
+    board = Board(_PARAMS, dict(_ROSTER))
+    old = dealer.share_secret(state, board, 7, structure, rng)
+    before = (dict(state.secrets), dict(board.packages))
     if not new or any(a <= new for a in structure):
         with pytest.raises(EmptySet if not new else NotAntichain):
-            dealer.add_qualified_set(state, _PARAMS, roster, "s1", new, rng)
-        assert (state.secrets, state.packages) == before
+            dealer.add_qualified_set(state, board, "s1", new, rng)
+        assert (state.secrets, board.packages) == before
         return
-    pkg = dealer.add_qualified_set(state, _PARAMS, roster, "s1", new, rng)
+    pkg = dealer.add_qualified_set(state, board, "s1", new, rng)
     assert [e.members for e in pkg.entries] == [a for a in structure if not new < a] + [new]
     assert list(pkg.entries[:-1]) == [e for e in old.entries if not new < e.members]
     assert pkg._replace(entries=old.entries) == old
-    assert state.packages == {"s1": pkg}
+    assert board.packages == {"s1": pkg}

@@ -251,6 +251,25 @@ class TestOneVerdict:
             cheaters = [line for line in out.splitlines() if line.startswith("cheater: ")]
             assert cheaters == ([f"cheater: {pid}" for pid in flagged] if code == 15 else [])
 
+    def test_tampered_masked_value_exits_16_and_blames_no_one(self, run, tmp_path):
+        # a board whose masked value was edited opens to a wrong secret: the
+        # tag says so, and every honest contribution still passes its check
+        world = {"board": tmp_path / "board.json", "tmp": tmp_path,
+                 "keys": {pid: tmp_path / f"{pid}.key" for pid in "AB"}}
+        files = ("--board", world["board"], "--dealer", tmp_path / "dealer.json")
+        assert run("setup", "--bits", 4, *files, "--seed", 1)[0] == 0
+        for pid, seed in (("A", 1), ("B", 2)):
+            assert run("enroll", "--id", pid, "--board", world["board"],
+                       "--key-out", world["keys"][pid], "--seed", seed)[0] == 0
+        assert run("share", "--secret", 5, "--sets", "A,B", *files, "--seed", 1)[:2] == (0, "s1\n")
+        obj = json.loads(world["board"].read_text())
+        entry = obj["packages"]["s1"]["entries"][0]
+        entry["masked"] = format(int(entry["masked"], 16) ^ 1, "x")
+        world["board"].write_text(json.dumps(obj))
+        paths = [_contribute(run, world, pid, f"c{pid}.json")[0] for pid in "AB"]
+        assert run("reconstruct", *_session_args(world, paths)) == (16, "130\ntag: mismatch\n", "")
+        assert run("verify", *_session_args(world, paths)) == (0, "ok: A\nok: B\n", "")
+
     def test_id_off_the_roster_exits_before_any_verdict(self, run, toy_files):
         path_a, x_a = _contribute(run, toy_files, "A", "ca.json")
         stranger = _write_contribution(toy_files, "cz.json", "Z", x_a)
@@ -832,10 +851,11 @@ class TestUpdates:
         # limited draws make it fail fast), and no file changes
         params, state = dealer.setup(4, random.Random(1))
         structure = validate_minimal(FIVE_SETS[:147])
-        dealer.share_secret(state, params, TEN_ROSTER, 5, structure, random.Random(1))
+        world = bulletin.Board(params, dict(TEN_ROSTER), revision=1)
+        dealer.share_secret(state, world, 5, structure, random.Random(1))
         board, dealer_file = tmp_path / "board.json", tmp_path / "dealer.json"
-        bulletin.save(bulletin.Board(params, dict(TEN_ROSTER), dict(state.packages), 1), board)
-        bulletin.save_dealer(state, dealer_file)
+        bulletin.save(world, board)
+        bulletin.save_dealer(state, world, dealer_file)
         before = board.read_bytes(), dealer_file.read_bytes()
         monkeypatch.setattr(cli, "_rng", lambda args: LimitedRandom(1, draws=1000))
         code, _, err = run(
@@ -1304,7 +1324,7 @@ class TestRefusalsAreMsssErrors:
                          18, "board.json: not UTF-8: 'utf-8' codec can't decode byte 0xff",
                          id="board-byte-0xff"),
             pytest.param(lambda world: _long_revision(world["board"]), ["--secret", "5"],
-                         18, "document: not valid JSON: Exceeds the limit",
+                         18, "board.json: not valid JSON: Exceeds the limit",
                          id="board-revision-5000-digits"),
             # an argv byte that is not UTF-8 reaches the option as a surrogate
             pytest.param(lambda world: None, ["--secret-text", "\udcff"],

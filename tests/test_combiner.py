@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from msss import accessstruct, codec, combiner, dealer, participant
+from msss import accessstruct, bulletin, codec, combiner, dealer, participant
 from msss.errors import (
     BadContribution,
     ExtraContribution,
@@ -128,12 +128,8 @@ class TestVerifySecret:
         assert not combiner.verify_secret(toy.package, 1, 256, toy.params.width)
 
     def test_wrong_set_index(self, toy):
-        pkg = dealer.add_qualified_set(
-            toy.state, toy.params, toy.roster, "s1", ["B"], ScriptedRandom([9])
-        )
-        pkg = dealer.add_qualified_set(
-            toy.state, toy.params, toy.roster, "s1", ["A"], ScriptedRandom([11])
-        )
+        pkg = dealer.add_qualified_set(toy.state, toy.board, "s1", ["B"], ScriptedRandom([9]))
+        pkg = dealer.add_qualified_set(toy.state, toy.board, "s1", ["A"], ScriptedRandom([11]))
         # both entries share the secret but have different d, so the tags differ
         assert combiner.verify_secret(pkg, 1, 100, toy.params.width)
         assert combiner.verify_secret(pkg, 2, 100, toy.params.width)
@@ -159,8 +155,9 @@ class TestSoundness:
         params, state = dealer.setup(16, rng)
         keys = {pid: participant.keygen(params, pid, rng) for pid in ("A", "B", "C")}
         roster = {pid: k.ps for pid, k in keys.items()}
+        board = bulletin.Board(params, roster)
         structure = accessstruct.validate_minimal([["A", "B", "C"]])
-        pkg = dealer.share_secret(state, params, roster, 4242 % params.m, structure, rng)
+        pkg = dealer.share_secret(state, board, 4242 % params.m, structure, rng)
         for subset in (("A",), ("B",), ("C",), ("A", "B"), ("A", "C"), ("B", "C")):
             xs = [pow(pkg.ps0, keys[pid].s, params.n) for pid in subset]
             accepted, _ = attack_entry(params, pkg, 1, xs)
@@ -182,9 +179,10 @@ class TestSoundness:
         params, state = dealer.setup(8, rng)
         keys = {pid: participant.keygen(params, pid, rng) for pid in ("A", "B", "C")}
         roster = {pid: k.ps for pid, k in keys.items()}
+        board = bulletin.Board(params, roster)
         structure = accessstruct.validate_minimal([["A", "B"], ["A", "C"]])
         secret = rng.randrange(params.m)
-        pkg = dealer.share_secret(state, params, roster, secret, structure, rng)
+        pkg = dealer.share_secret(state, board, secret, structure, rng)
         m, f1 = params.m, pkg.f1
         (d1, h1, tag1), (d2, h2, _) = ((e.d, e.masked, e.tag) for e in pkg.entries)
         x_b, x_c = (pow(pkg.ps0, keys[pid].s, params.n) for pid in ("B", "C"))

@@ -137,17 +137,18 @@ class TestShareSecret:
         # The board refuses such a package, so the dealer draws again
         params, state = dealer.setup(4, ScriptedRandom(TOY_SETUP))
         keys, roster = _enroll_three(params)
+        board = bulletin.Board(params, roster)
         structure = accessstruct.validate_minimal([["A", "B"]])
         assert pow(params.g, pow(61, -1, state.phi), params.n) == params.g
         rng = ScriptedRandom([61, 103, 5, 7])
-        pkg = dealer.share_secret(state, params, roster, 100, structure, rng)
+        pkg = dealer.share_secret(state, board, 100, structure, rng)
         assert rng.values == []
         assert (pkg.ps0, pkg.h0, pkg.f1) == (115, 103, 105)
         refused = bulletin.Board(params, dict(roster), {"s1": pkg._replace(ps0=params.g, h0=61)})
         with pytest.raises(InvariantViolation, match="s1: ps0 is g"):
             bulletin.from_document(bulletin.to_document(refused))
         # add-set reads back exactly the drawn s0 = 7
-        pkg = dealer.add_qualified_set(state, params, roster, "s1", ["C"], ScriptedRandom([9]))
+        pkg = dealer.add_qualified_set(state, board, "s1", ["C"], ScriptedRandom([9]))
         entry = pkg.entry(2)
         assert (entry.members, entry.d) == (frozenset("C"), 9)
         assert entry.masked == ((100 + 5 * 9) % 149) ^ naive_mod_exp(roster["C"], 7, 143)
@@ -158,7 +159,7 @@ class TestShareSecret:
         # 103 is s1's h0 (one h0 is one s0), 105 shares 15 with phi = 120
         structure = accessstruct.validate_minimal([["A"]])
         rng = ScriptedRandom([103, 105, 11, 5, 7])
-        pkg = dealer.share_secret(toy.state, toy.params, toy.roster, 17, structure, rng)
+        pkg = dealer.share_secret(toy.state, toy.board, 17, structure, rng)
         assert rng.values == []
         assert pkg.h0 == 11
         assert pkg.ps0 == naive_mod_exp(15, pow(11, -1, 120), 143)
@@ -168,64 +169,57 @@ class TestShareSecret:
         structure = accessstruct.validate_minimal([["A"]])
         rng = random.Random(1)
         for _ in range(29):
-            dealer.share_secret(toy.state, toy.params, toy.roster, 5, structure, rng)
-        assert len({pkg.h0 for pkg in toy.state.packages.values()}) == 30
+            dealer.share_secret(toy.state, toy.board, 5, structure, rng)
+        assert len({pkg.h0 for pkg in toy.board.packages.values()}) == 30
         with pytest.raises(BadParameter, match="every h0 below phi"):
-            dealer.share_secret(toy.state, toy.params, toy.roster, 5, structure, rng)
-        assert len(toy.state.packages) == 30
+            dealer.share_secret(toy.state, toy.board, 5, structure, rng)
+        assert len(toy.board.packages) == 30
 
     def test_toy_world_runs_out_of_d_and_says_so(self, toy):
         # 147 sets fit in [2, 148] and take every d; 148 are refused before a
         # d is drawn, where a draw loop would never end (the limited draws
         # make it fail fast)
-        roster = dict(TEN_ROSTER)
+        toy.roster.update(TEN_ROSTER)
         structure = accessstruct.validate_minimal(FIVE_SETS[:148])
         with pytest.raises(BadParameter, match=r"147 d left in \[2, m - 1\], 148 needed"):
-            dealer.share_secret(
-                toy.state, toy.params, roster, 5, structure, LimitedRandom(1, draws=1000)
-            )
-        assert list(toy.state.packages) == list(toy.state.secrets) == ["s1"]
+            dealer.share_secret(toy.state, toy.board, 5, structure, LimitedRandom(1, draws=1000))
+        assert list(toy.board.packages) == list(toy.state.secrets) == ["s1"]
         structure = accessstruct.validate_minimal(FIVE_SETS[:147])
-        pkg = dealer.share_secret(toy.state, toy.params, roster, 5, structure, random.Random(1))
+        pkg = dealer.share_secret(toy.state, toy.board, 5, structure, random.Random(1))
         assert sorted(e.d for e in pkg.entries) == list(range(2, 149))
 
     def test_renew_never_keeps_its_h0(self, toy):
         # a renew under the old h0 would keep s0 and every mask
         rng = ScriptedRandom([103, 41, 5, 9])
-        pkg = dealer.renew_secret(toy.state, toy.params, toy.roster, "s1", 100, rng)
+        pkg = dealer.renew_secret(toy.state, toy.board, "s1", 100, rng)
         assert rng.values == []
         assert pkg.h0 == 41
 
     def test_sequential_ids(self, toy):
         structure = accessstruct.validate_minimal([["A"]])
-        pkg2 = dealer.share_secret(toy.state, toy.params, toy.roster, 5, structure, random.Random(1))
+        pkg2 = dealer.share_secret(toy.state, toy.board, 5, structure, random.Random(1))
         assert pkg2.secret_id == "s2"
 
     def test_unknown_participant(self, toy):
         structure = accessstruct.validate_minimal([["A", "Z"]])
         with pytest.raises(UnknownParticipant):
-            dealer.share_secret(toy.state, toy.params, toy.roster, 5, structure, random.Random(1))
+            dealer.share_secret(toy.state, toy.board, 5, structure, random.Random(1))
 
     def test_secret_at_modulus_rejected(self, toy):
         structure = accessstruct.validate_minimal([["A"]])
         with pytest.raises(SecretTooLarge):
-            dealer.share_secret(
-                toy.state, toy.params, toy.roster, 149, structure, random.Random(1)
-            )
+            dealer.share_secret(toy.state, toy.board, 149, structure, random.Random(1))
         # boundary: m - 1 is fine
-        pkg = dealer.share_secret(
-            toy.state, toy.params, toy.roster, 148, structure, random.Random(1)
-        )
+        pkg = dealer.share_secret(toy.state, toy.board, 148, structure, random.Random(1))
         assert pkg.secret_id == "s2"
 
     def test_failed_share_does_not_burn_an_id(self, toy):
         structure = accessstruct.validate_minimal([["A", "Z"]])
         with pytest.raises(UnknownParticipant):
-            dealer.share_secret(toy.state, toy.params, toy.roster, 5, structure, random.Random(1))
+            dealer.share_secret(toy.state, toy.board, 5, structure, random.Random(1))
         ok = dealer.share_secret(
             toy.state,
-            toy.params,
-            toy.roster,
+            toy.board,
             5,
             accessstruct.validate_minimal([["A"]]),
             random.Random(1),
@@ -237,8 +231,9 @@ class TestShareSecret:
         rng = random.Random(11)
         keys = {pid: participant.keygen(params, pid, rng) for pid in ("A", "B", "C")}
         roster = {pid: k.ps for pid, k in keys.items()}
+        board = bulletin.Board(params, roster)
         structure = accessstruct.validate_minimal([["A", "B"], ["B", "C"], ["A", "C"]])
-        pkg = dealer.share_secret(state, params, roster, 1234 % params.m, structure, rng)
+        pkg = dealer.share_secret(state, board, 1234 % params.m, structure, rng)
         s0 = pow(pkg.h0, -1, state.phi)
         for ps in roster.values():
             lifted = pow(ps, s0, params.n)
@@ -249,6 +244,7 @@ class TestShareSecret:
         rng = random.Random(11)
         keys = {pid: participant.keygen(params, pid, rng) for pid in ("A", "B", "C")}
         roster = {pid: k.ps for pid, k in keys.items()}
+        board = bulletin.Board(params, roster)
         structure = accessstruct.validate_minimal([["A", "B"], ["B", "C"], ["A", "C"]])
         bases = []
         pow_n = dealer._pow_n
@@ -258,7 +254,7 @@ class TestShareSecret:
             return pow_n(state, base, exp)
 
         monkeypatch.setattr(dealer, "_pow_n", counting_pow_n)
-        pkg = dealer.share_secret(state, params, roster, 99, structure, rng)
+        pkg = dealer.share_secret(state, board, 99, structure, rng)
         # ps0 = g**s0, then one mask per member although each is in two sets
         assert sorted(bases) == sorted([params.g, *roster.values()])
         s0 = pow(pkg.h0, -1, state.phi)
@@ -271,8 +267,9 @@ class TestShareSecret:
         rng = random.Random(4)
         keys = {pid: participant.keygen(params, pid, rng) for pid in "ABCDE"}
         roster = {pid: k.ps for pid, k in keys.items()}
+        board = bulletin.Board(params, roster)
         structure = accessstruct.validate_minimal([["A"], ["B"], ["C"], ["D"], ["E"]])
-        pkg = dealer.share_secret(state, params, roster, 7, structure, rng)
+        pkg = dealer.share_secret(state, board, 7, structure, rng)
         ds = [e.d for e in pkg.entries]
         assert len(set(ds)) == len(ds) == 5
         assert all(2 <= d < params.m for d in ds)
@@ -281,9 +278,7 @@ class TestShareSecret:
 class TestRenew:
     def test_same_value_still_changes_everything(self, toy):
         old = toy.package
-        new = dealer.renew_secret(
-            toy.state, toy.params, toy.roster, "s1", toy.secret, random.Random(77)
-        )
+        new = dealer.renew_secret(toy.state, toy.board, "s1", toy.secret, random.Random(77))
         assert new.secret_id == "s1"
         assert new.structure() == old.structure()
         assert (new.ps0, new.h0, new.f1) != (old.ps0, old.h0, old.f1)
@@ -291,16 +286,14 @@ class TestRenew:
 
     def test_other_packages_untouched(self, toy):
         structure = accessstruct.validate_minimal([["A"]])
-        other = dealer.share_secret(
-            toy.state, toy.params, toy.roster, 17, structure, random.Random(2)
-        )
+        other = dealer.share_secret(toy.state, toy.board, 17, structure, random.Random(2))
         before = bulletin.package_to_obj(other)
-        dealer.renew_secret(toy.state, toy.params, toy.roster, "s1", 55, random.Random(3))
-        assert bulletin.package_to_obj(toy.state.packages["s2"]) == before
+        dealer.renew_secret(toy.state, toy.board, "s1", 55, random.Random(3))
+        assert bulletin.package_to_obj(toy.board.packages["s2"]) == before
 
     def test_unknown_secret(self, toy):
         with pytest.raises(UnknownSecret):
-            dealer.renew_secret(toy.state, toy.params, toy.roster, "s9", 1, random.Random(1))
+            dealer.renew_secret(toy.state, toy.board, "s9", 1, random.Random(1))
 
     def test_stale_contributions_rejected_after_renewal(self, toy):
         stale = [
@@ -311,7 +304,7 @@ class TestRenew:
         # and exposes both stale values; TestToySizeCoincidences pins the
         # draws on this toy group that do not
         new_pkg = dealer.renew_secret(
-            toy.state, toy.params, toy.roster, "s1", toy.secret, ScriptedRandom([41, 5, 9])
+            toy.state, toy.board, "s1", toy.secret, ScriptedRandom([41, 5, 9])
         )
         # the verification identity fails for stale values against fresh h0
         from msss.errors import BadContribution
@@ -325,9 +318,7 @@ class TestRenew:
 
 class TestAddQualifiedSet:
     def test_worked_addition(self, toy):
-        pkg = dealer.add_qualified_set(
-            toy.state, toy.params, toy.roster, "s1", ["B"], ScriptedRandom([9])
-        )
+        pkg = dealer.add_qualified_set(toy.state, toy.board, "s1", ["B"], ScriptedRandom([9]))
         # {B} makes {A, B} redundant, so the structure collapses to {{B}}
         assert [sorted(e.members) for e in pkg.entries] == [["B"]]
         entry = pkg.entry(1)
@@ -343,9 +334,7 @@ class TestAddQualifiedSet:
     def test_incomparable_set_appended(self, toy):
         key_c = participant.keygen(toy.params, "C", ScriptedRandom([9]))
         toy.roster["C"] = key_c.ps
-        pkg = dealer.add_qualified_set(
-            toy.state, toy.params, toy.roster, "s1", ["C"], random.Random(1)
-        )
+        pkg = dealer.add_qualified_set(toy.state, toy.board, "s1", ["C"], random.Random(1))
         assert [sorted(e.members) for e in pkg.entries] == [["A", "B"], ["C"]]
         assert len({e.d for e in pkg.entries}) == 2
         c = participant.contribute(toy.params, key_c, pkg, 2)
@@ -353,59 +342,53 @@ class TestAddQualifiedSet:
 
     def test_duplicate_rejected(self, toy):
         with pytest.raises(NotAntichain):
-            dealer.add_qualified_set(
-                toy.state, toy.params, toy.roster, "s1", ["A", "B"], random.Random(1)
-            )
+            dealer.add_qualified_set(toy.state, toy.board, "s1", ["A", "B"], random.Random(1))
 
     def test_superset_rejected(self, toy):
         key_c = participant.keygen(toy.params, "C", ScriptedRandom([9]))
         toy.roster["C"] = key_c.ps
         with pytest.raises(NotAntichain):
-            dealer.add_qualified_set(
-                toy.state, toy.params, toy.roster, "s1", ["A", "B", "C"], random.Random(1)
-            )
+            dealer.add_qualified_set(toy.state, toy.board, "s1", ["A", "B", "C"], random.Random(1))
 
     def test_empty_and_unknown(self, toy):
         with pytest.raises(EmptySet):
-            dealer.add_qualified_set(toy.state, toy.params, toy.roster, "s1", [])
+            dealer.add_qualified_set(toy.state, toy.board, "s1", [])
         with pytest.raises(UnknownParticipant):
-            dealer.add_qualified_set(toy.state, toy.params, toy.roster, "s1", ["Z"])
+            dealer.add_qualified_set(toy.state, toy.board, "s1", ["Z"])
         with pytest.raises(UnknownSecret):
-            dealer.add_qualified_set(toy.state, toy.params, toy.roster, "s9", ["A"])
+            dealer.add_qualified_set(toy.state, toy.board, "s9", ["A"])
 
 
 class TestRemoveQualifiedSet:
     def _two_entry_package(self, toy):
         key_c = participant.keygen(toy.params, "C", ScriptedRandom([9]))
         toy.roster["C"] = key_c.ps
-        return dealer.add_qualified_set(
-            toy.state, toy.params, toy.roster, "s1", ["C"], random.Random(1)
-        )
+        return dealer.add_qualified_set(toy.state, toy.board, "s1", ["C"], random.Random(1))
 
     def test_remove_first_of_two(self, toy):
         before = self._two_entry_package(toy)
-        pkg = dealer.remove_qualified_set(toy.state, "s1", 1)
+        pkg = dealer.remove_qualified_set(toy.board, "s1", 1)
         assert len(pkg.entries) == 1
         assert pkg.entries == before.entries[1:]
 
     def test_remove_only_entry(self, toy):
         with pytest.raises(LastEntry):
-            dealer.remove_qualified_set(toy.state, "s1", 1)
+            dealer.remove_qualified_set(toy.board, "s1", 1)
 
     def test_bad_index(self, toy):
         self._two_entry_package(toy)
         with pytest.raises(IndexOutOfRange):
-            dealer.remove_qualified_set(toy.state, "s1", 3)
+            dealer.remove_qualified_set(toy.board, "s1", 3)
         with pytest.raises(IndexOutOfRange):
-            dealer.remove_qualified_set(toy.state, "s1", 0)
+            dealer.remove_qualified_set(toy.board, "s1", 0)
 
     def test_removed_set_loses_access(self, toy):
         self._two_entry_package(toy)
         cached = [
-            participant.contribute(toy.params, toy.key_a, toy.state.packages["s1"], 1),
-            participant.contribute(toy.params, toy.key_b, toy.state.packages["s1"], 1),
+            participant.contribute(toy.params, toy.key_a, toy.board.packages["s1"], 1),
+            participant.contribute(toy.params, toy.key_b, toy.board.packages["s1"], 1),
         ]
-        pkg = dealer.remove_qualified_set(toy.state, "s1", 1)
+        pkg = dealer.remove_qualified_set(toy.board, "s1", 1)
         assert all(e.members != frozenset("AB") for e in pkg.entries)
         # binding check refuses the cached contributions against the survivor
         from msss.errors import ExtraContribution
@@ -418,59 +401,58 @@ class TestRemoveParticipant:
     def _world(self):
         params, state = dealer.setup(4, ScriptedRandom(TOY_SETUP))
         keys, roster = _enroll_three(params)
+        board = bulletin.Board(params, roster)
         s1 = dealer.share_secret(
             state,
-            params,
-            roster,
+            board,
             100,
             accessstruct.validate_minimal([["A", "B"], ["A", "C"]]),
             random.Random(1),
         )
         s2 = dealer.share_secret(
             state,
-            params,
-            roster,
+            board,
             42,
             accessstruct.validate_minimal([["A"]]),
             random.Random(2),
         )
-        return params, state, keys, roster, s1, s2
+        return params, state, keys, board, s1, s2
 
     def test_sets_filtered_and_secret_renewed(self):
-        params, state, keys, roster, s1, s2 = self._world()
-        renewed = dealer.remove_participant(state, params, roster, "B", random.Random(3))
+        params, state, keys, board, s1, s2 = self._world()
+        renewed = dealer.remove_participant(state, board, "B", random.Random(3))
         assert [p.secret_id for p in renewed] == ["s1"]
-        assert "B" not in roster
+        assert "B" not in board.roster
         new_s1 = renewed[0]
         assert [sorted(e.members) for e in new_s1.entries] == [["A", "C"]]
         assert (new_s1.ps0, new_s1.h0) != (s1.ps0, s1.h0)
         # the survivor set still recovers the same secret value
         c_a = participant.contribute(params, keys["A"], new_s1, 1)
         c_c = participant.contribute(params, keys["C"], new_s1, 1)
-        assert combiner.reconstruct(params, new_s1, 1, [c_a, c_c], roster) == 100
+        assert combiner.reconstruct(params, new_s1, 1, [c_a, c_c], board.roster) == 100
 
     def test_unmentioned_participant_renews_nothing(self):
-        params, state, keys, roster, s1, s2 = self._world()
+        params, state, keys, board, s1, s2 = self._world()
         key_d = participant.keygen(params, "D", random.Random(9))
-        roster["D"] = key_d.ps
-        before = {sid: bulletin.package_to_obj(pkg) for sid, pkg in state.packages.items()}
-        renewed = dealer.remove_participant(state, params, roster, "D", random.Random(4))
+        board.roster["D"] = key_d.ps
+        before = {sid: bulletin.package_to_obj(pkg) for sid, pkg in board.packages.items()}
+        renewed = dealer.remove_participant(state, board, "D", random.Random(4))
         assert renewed == []
-        assert "D" not in roster
-        after = {sid: bulletin.package_to_obj(pkg) for sid, pkg in state.packages.items()}
+        assert "D" not in board.roster
+        after = {sid: bulletin.package_to_obj(pkg) for sid, pkg in board.packages.items()}
         assert before == after
 
     def test_last_set_blocks_removal(self, toy):
         with pytest.raises(StructureBecameEmpty) as info:
-            dealer.remove_participant(toy.state, toy.params, toy.roster, "B", random.Random(1))
+            dealer.remove_participant(toy.state, toy.board, "B", random.Random(1))
         assert info.value.secret_ids == ["s1"]
         # nothing was mutated
         assert "B" in toy.roster
-        assert toy.state.packages["s1"] == toy.package
+        assert toy.board.packages["s1"] == toy.package
 
     def test_unknown_participant(self, toy):
         with pytest.raises(UnknownParticipant):
-            dealer.remove_participant(toy.state, toy.params, toy.roster, "Z", random.Random(1))
+            dealer.remove_participant(toy.state, toy.board, "Z", random.Random(1))
 
 
 class TestToySizeCoincidences:
@@ -484,9 +466,7 @@ class TestToySizeCoincidences:
             participant.contribute(toy.params, key, toy.package, 1)
             for key in (toy.key_a, toy.key_b)
         ]
-        pkg = dealer.renew_secret(
-            toy.state, toy.params, toy.roster, "s1", toy.secret, ScriptedRandom(script)
-        )
+        pkg = dealer.renew_secret(toy.state, toy.board, "s1", toy.secret, ScriptedRandom(script))
         return stale, pkg
 
     def test_stale_contribution_passes_when_its_order_divides_out(self, toy):
@@ -517,9 +497,10 @@ def test_end_to_end_randomized_round_trips():
         pids = ["P1", "P2", "P3", "P4"]
         keys = {pid: participant.keygen(params, pid, rng) for pid in pids}
         roster = {pid: k.ps for pid, k in keys.items()}
+        board = bulletin.Board(params, roster)
         structure = accessstruct.validate_minimal([["P1", "P2"], ["P2", "P3"], ["P4"]])
         value = rng.randrange(0, params.m)
-        pkg = dealer.share_secret(state, params, roster, value, structure, rng)
+        pkg = dealer.share_secret(state, board, value, structure, rng)
         for j in range(1, len(pkg.entries) + 1):
             contribs = [
                 participant.contribute(params, keys[pid], pkg, j)

@@ -169,9 +169,9 @@ def test_only_the_public_n_is_passed_as_public(monkeypatch):
     params, state = dealer.setup(80, rng)
     keys = [participant.keygen(params, pid, rng) for pid in "ABC"]
     roster = {key.pid: key.ps for key in keys}
+    board = bulletin.Board(params, roster)
     structure = validate_minimal(["AB", "BC"])
-    dealer.share_secret(state, params, roster, 12345, structure, rng)
-    board = bulletin.Board(params=params, roster=roster, packages=state.packages)
+    dealer.share_secret(state, board, 12345, structure, rng)
     assert bulletin.from_document(bulletin.to_document(board)) == board
     run_simulation(SimulationConfig(participants=6, secrets=3, bits_per_prime=80, seed=3))
 

@@ -89,9 +89,7 @@ def test_one_key_serves_many_secrets(toy):
     structure = accessstruct.validate_minimal([["A", "B"]])
     packages = [toy.package]
     for value in (3, 77, 148):
-        packages.append(
-            dealer.share_secret(toy.state, toy.params, toy.roster, value, structure, rng)
-        )
+        packages.append(dealer.share_secret(toy.state, toy.board, value, structure, rng))
     for pkg in packages:
         for key in (toy.key_a, toy.key_b):
             c = participant.contribute(toy.params, key, pkg, 1)

@@ -87,9 +87,9 @@ def test_every_roster_holds_distinct_pseudo_shares(monkeypatch):
     rosters = []
     share_secret = dealer.share_secret
 
-    def recording_share_secret(state, params, roster, *args):
-        rosters.append(dict(roster))
-        return share_secret(state, params, roster, *args)
+    def recording_share_secret(state, board, *args):
+        rosters.append(dict(board.roster))
+        return share_secret(state, board, *args)
 
     monkeypatch.setattr(dealer, "share_secret", recording_share_secret)
     seeds = (0, 1, 4, 7, 9, 10, 12, 13)
@@ -114,5 +114,14 @@ def test_config_validation():
         run_simulation(SimulationConfig(participants=0, secrets=1))
     with pytest.raises(BadParameter):
         run_simulation(SimulationConfig(participants=3, secrets=0))
-    with pytest.raises(BadParameter):
+    # the --bits floor is dealer.setup's, checked before it draws anything
+    with pytest.raises(BadParameter, match="bits_per_prime must be >= 4, got 2"):
         run_simulation(SimulationConfig(participants=3, secrets=1, bits_per_prime=2))
+    for bad, rule in [
+        (dict(max_minimal_sets=0), "structure bounds must be positive"),
+        (dict(max_set_size=0), "structure bounds must be positive"),
+        (dict(cheaters_per_session=-1), "counts must be non-negative"),
+        (dict(unauthorized_probes=-1), "counts must be non-negative"),
+    ]:
+        with pytest.raises(BadParameter, match=rule):
+            run_simulation(SimulationConfig(participants=3, secrets=1, **bad))

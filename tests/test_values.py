@@ -58,11 +58,12 @@ class TestMutableRecords:
         assert Board(PARAMS) != Board(PublicParams(**{**PARAMS_FIELDS, "g": 16}))
 
     def test_dealer_states_compare_by_fields(self):
-        assert DealerState(11, 13) == DealerState(p=11, q=13, secrets={}, packages={})
+        assert DealerState(11, 13) == DealerState(p=11, q=13, secrets={})
         assert DealerState(11, 13) != DealerState(13, 11)
         assert DealerState(11, 13) != DealerState(11, 13, secrets={"s1": 100})
-        assert DealerState(11, 13) != DealerState(11, 13, packages={"s1": PACKAGE})
         assert DealerState(11, 13).phi == 120
+        # each package lives on the board alone
+        assert vars(DealerState(11, 13)).keys() == {"p", "q", "q_inv", "secrets"}
 
     def test_boards_share_no_dict(self):
         a, b = Board(PARAMS), Board(PARAMS)
@@ -75,7 +76,5 @@ class TestMutableRecords:
     def test_dealer_states_share_no_dict(self):
         a, b = DealerState(11, 13), DealerState(11, 13)
         assert a.secrets is not b.secrets
-        assert a.packages is not b.packages
         a.secrets["s1"] = 100
-        a.packages["s1"] = PACKAGE
-        assert (b.secrets, b.packages) == ({}, {})
+        assert b.secrets == {}
