@@ -14,6 +14,7 @@ from msss import (
     Board,
     add_qualified_set,
     contribute,
+    enroll,
     keygen,
     reconstruct,
     remove_participant,
@@ -33,7 +34,9 @@ print(f"n has {params.n.bit_length()} bits, m = {params.m}")
 
 pids = ["alice", "bob", "carol", "dave"]
 keys = {pid: keygen(params, pid, rng) for pid in pids}
-board = Board(params, {pid: keys[pid].ps for pid in pids})
+board = Board(params)
+for pid in pids:
+    enroll(board, pid, keys[pid].ps)
 
 structure = validate_minimal([{"alice", "bob"}, {"carol", "dave"}])
 secret = rng.randrange(params.m)

@@ -14,6 +14,7 @@ Run with:  PYTHONPATH=src python3 demos/toy_walkthrough.py
 from msss import (
     Board,
     contribute,
+    enroll,
     keygen,
     reconstruct,
     setup,
@@ -45,7 +46,9 @@ print(f"published params: g = {params.g}, n = {params.n}, m = {params.m}, "
 
 key_a = keygen(params, "A", Script([5]))
 key_b = keygen(params, "B", Script([7]))
-board = Board(params, {"A": key_a.ps, "B": key_b.ps})
+board = Board(params)
+enroll(board, "A", key_a.ps)
+enroll(board, "B", key_b.ps)
 print(f"A picks s = {key_a.s}, enrolls ps = g^s = {key_a.ps}")
 print(f"B picks s = {key_b.s}, enrolls ps = g^s = {key_b.ps}")
 

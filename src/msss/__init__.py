@@ -24,6 +24,7 @@ from .dealer import (
     PublicParams,
     SecretPackage,
     add_qualified_set,
+    enroll,
     remove_participant,
     remove_qualified_set,
     renew_secret,
@@ -49,6 +50,7 @@ __all__ = [
     "add_qualified_set",
     "check_contributions",
     "contribute",
+    "enroll",
     "from_document",
     "is_authorized",
     "keygen",

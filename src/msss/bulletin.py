@@ -62,7 +62,7 @@ from typing import Callable, NamedTuple
 from . import codec
 from .accessstruct import validate_minimal
 from .dealer import H0_BITS, DealerState, PackageEntry, PublicParams, SecretPackage
-from .errors import BoardIOError, InvariantViolation, MalformedDocument, NotAntichain
+from .errors import BoardIOError, InvariantViolation, MalformedDocument, NotAntichain, UnknownSecret
 from .modexp import powmod
 from .numtheory import ceil_sqrt, proves_prime
 from .participant import Contribution, ParticipantKey
@@ -84,8 +84,9 @@ def hex_to_int(value, where: str) -> int:
 
 
 class Board:
-    """In-memory image of the bulletin. The dealer is the only writer; the
-    revision counter goes up by one on every published change."""
+    """In-memory image of the bulletin. The dealer, through ``dealer.enroll``
+    and its other operations, is the only writer; the revision counter goes
+    up by one on every published change."""
 
     def __init__(
         self,
@@ -102,10 +103,17 @@ class Board:
     def __eq__(self, other):
         return other.__class__ is self.__class__ and vars(self) == vars(other)
 
+    def package(self, secret_id: str) -> SecretPackage:
+        """The package of ``secret_id``: the one lookup of a secret."""
+        try:
+            return self.packages[secret_id]
+        except KeyError:
+            raise UnknownSecret(f"no secret {secret_id!r} on the board") from None
+
     def validate(self) -> None:
         """Check a board read from outside; raises InvariantViolation. A board
-        built by ``dealer.setup``, ``enroll`` or a dealer operation on a loaded
-        board keeps every invariant, so only ``from_document`` calls this."""
+        built by ``dealer.setup``, ``dealer.enroll`` or another dealer operation
+        on a loaded board keeps every invariant, so only ``from_document`` calls this."""
         p = self.params
         # h0 first, before any pow: a wide h0 would make the ps0^h0 check
         # slow, and two packages with one h0 share s0, so the x values
@@ -376,7 +384,7 @@ def load_dealer(path, board: Board) -> DealerState:
 
     MalformedDocument unless the secrets and the digests are both named
     exactly s1 ... sk, then InvariantViolation unless p, q > 1 with p*q the
-    board's n and p != q, every h0 is a unit mod phi(n), the board's
+    board's n and gcd(p, q) = 1, every h0 is a unit mod phi(n), the board's
     packages are exactly those the digests name and hash to them, and each
     secret is below m and matches every tag of its package: publishing
     from any other file would sign under a wrong phi(n), derive no
@@ -391,14 +399,15 @@ def load_dealer(path, board: Board) -> DealerState:
         raise MalformedDocument(f"{where} {ids} are not both s1 ... s<k>")
     if not (p > 1 and q > 1 and p * q == board.params.n):
         raise InvariantViolation(f"{where} is not the dealer file of this board: p*q is not n")
-    if p == q:
-        # n = p*p has phi(n) = p*(p-1), not (p-1)**2, and no CRT split
-        raise InvariantViolation(f"{where} has p = q: n must have two distinct prime factors")
-    phi = (p - 1) * (q - 1)
+    if math.gcd(p, q) != 1:
+        # n = p*p has phi(n) = p*(p-1), not (p-1)**2; a shared factor leaves no CRT split
+        raise InvariantViolation(f"{where} has p = q or a factor common to p and q:"
+                                 " n must have two distinct prime factors")
+    state = DealerState(p, q, secrets)
     packages = board.packages
     for sid, pkg in packages.items():
         # ps0^h0 = g on the board does not make h0 the inverse of an s0
-        if math.gcd(pkg.h0, phi) != 1:
+        if math.gcd(pkg.h0, state.phi) != 1:
             raise InvariantViolation(f"{where} {sid}: h0 is not a unit mod phi(n)")
     m, width = board.params.m, board.params.width
     diverged = [
@@ -411,7 +420,7 @@ def load_dealer(path, board: Board) -> DealerState:
     ]
     if diverged:
         raise InvariantViolation("dealer state and board disagree on " + ", ".join(diverged))
-    return DealerState(p, q, secrets)
+    return state
 
 
 def save_key(key: ParticipantKey, path) -> None:
@@ -437,21 +446,44 @@ def _dump(obj) -> str:
 def _parse(text: str, where: str, table: dict[str, _Field]) -> dict:
     """The attributes of a whole file (see ``_fields``)."""
     try:
-        obj = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # JSONDecodeError, an int past its digit limit, a repeated key
         raise MalformedDocument(f"{where}: not valid JSON: {exc}") from exc
     return _fields(obj, where, table)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object, whose keys must differ: ``json.loads`` alone keeps
+    the last of two equal keys, so two readers could disagree on a file."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
 def _write(text: str, path) -> None:
-    """Write atomically (temp file plus rename), so concurrent readers
-    always see a complete file."""
+    """Write durably and atomically: a new file of a random name beside ``path``
+    is written, synced and renamed over it, then the directory is synced, so
+    readers always see a complete file. The temp file goes on any failure."""
     path = os.fspath(path)
-    tmp = path + ".tmp"
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                fh.flush()
+                os.fsync(fd)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+        dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
     except OSError as exc:
         raise BoardIOError(f"cannot write {path}: {exc}") from exc
 

@@ -26,13 +26,11 @@ from .errors import (
     BadContribution,
     BadParameter,
     BoardIOError,
-    DuplicateParticipant,
     InvariantViolation,
     MsssError,
     NoSuchSet,
     OutputExists,
     TagMismatch,
-    UnknownSecret,
 )
 
 
@@ -114,9 +112,7 @@ def _secret_value(args) -> int:
 def _session(args) -> tuple[Board, dealer.SecretPackage, int]:
     """The board, the package of --secret-id and the index of --set."""
     board = bulletin.load(args.board)
-    if args.secret_id not in board.packages:
-        raise UnknownSecret(f"no secret {args.secret_id!r} on the board")
-    package = board.packages[args.secret_id]
+    package = board.package(args.secret_id)
     members = _parse_members(args.set)
     j = matching_set_index(package.structure(), members)
     if j is None:
@@ -147,15 +143,9 @@ def cmd_enroll(args) -> int:
     _refuse_existing(args.key_out, args.force)
     with _board_lock(args.board):
         board = bulletin.load(args.board)
-        if args.id in board.roster:
-            raise DuplicateParticipant(f"{args.id} is already enrolled")
         key = participant.keygen(board.params, args.id, _rng(args))
-        # a repeated pseudo-share cancels its holders' masks (Board.validate)
-        for pid, ps in board.roster.items():
-            if ps == key.ps:
-                raise DuplicateParticipant(f"the pseudo-share drawn for {args.id} is {pid}'s")
+        dealer.enroll(board, key.pid, key.ps)
         bulletin.save_key(key, args.key_out)
-        board.roster[key.pid] = key.ps
         board.revision += 1
         bulletin.save(board, args.board)
     print(f"enrolled {key.pid}: ps = {int_to_hex(key.ps)}")
@@ -367,7 +357,3 @@ def main(argv=None) -> int:
     except MsssError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

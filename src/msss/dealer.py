@@ -1,6 +1,6 @@
-"""Dealer side of the protocol: one-time setup, per-secret publication, and
-the dynamic updates (renew a secret, add or remove a qualified set, remove
-a participant).
+"""Dealer side of the protocol: one-time setup, enrollment, per-secret
+publication, and the dynamic updates (renew a secret, add or remove a
+qualified set, remove a participant).
 
 The dealer owns the factorization of n and each shared secret; every
 package lives on the board (``bulletin.Board``) that each dealer operation
@@ -40,12 +40,12 @@ from . import codec
 from .accessstruct import ParticipantId, validate_minimal
 from .errors import (
     BadParameter,
+    DuplicateParticipant,
     IndexOutOfRange,
     LastEntry,
     SecretTooLarge,
     StructureBecameEmpty,
     UnknownParticipant,
-    UnknownSecret,
 )
 from .linepoly import line_at
 from .modexp import powmod
@@ -163,6 +163,18 @@ def setup(
     m, m_chain = proved_prime_above(n, rng)
     params = PublicParams(g=g, n=n, m=m, width=codec.mask_width(m), m_chain=m_chain)
     return params, DealerState(p=p, q=q)
+
+
+def enroll(board: Board, pid: ParticipantId, ps: int) -> None:
+    """Publish ``pid``'s pseudo-share ``ps`` on the board's roster, the one way
+    onto a roster. DuplicateParticipant, changing nothing, if ``pid`` is
+    enrolled or ``ps`` is another member's: equal masks cancel in an XOR."""
+    if pid in board.roster:
+        raise DuplicateParticipant(f"{pid} is already enrolled")
+    for other, held in board.roster.items():
+        if held == ps:
+            raise DuplicateParticipant(f"the pseudo-share drawn for {pid} is {other}'s")
+    board.roster[pid] = ps
 
 
 def _pow_n(dealer: DealerState, x: int, e: int) -> int:
@@ -289,13 +301,6 @@ def _publish(
     return package
 
 
-def _require_package(board: Board, secret_id: str) -> SecretPackage:
-    try:
-        return board.packages[secret_id]
-    except KeyError:
-        raise UnknownSecret(f"no secret {secret_id!r}") from None
-
-
 def share_secret(
     dealer: DealerState,
     board: Board,
@@ -330,7 +335,7 @@ def renew_secret(
     old one. Other packages are untouched.
     """
     rng = rng or _default_rng
-    structure = _require_package(board, secret_id).structure()
+    structure = board.package(secret_id).structure()
     return _publish(dealer, board, secret_id, new_secret, structure, rng)
 
 
@@ -352,7 +357,7 @@ def add_qualified_set(
     that strictly contain the new one stop being minimal and are dropped.
     """
     rng = rng or _default_rng
-    package = _require_package(board, secret_id)
+    package = board.package(secret_id)
     members = frozenset(new_set)
     _check_enrolled(members, board.roster)
     entries = package.entries
@@ -370,7 +375,7 @@ def add_qualified_set(
 
 def remove_qualified_set(board: Board, secret_id: str, set_index: int) -> SecretPackage:
     """Revoke one qualified set by deleting its public entry (1-based index)."""
-    package = _require_package(board, secret_id)
+    package = board.package(secret_id)
     package.entry(set_index)  # IndexOutOfRange unless 1 <= set_index <= t
     entries = package.entries
     if len(entries) == 1:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 from . import combiner, dealer, participant
 from .accessstruct import is_authorized
 from .bulletin import Board
-from .errors import BadContribution, BadParameter, UnmaskOutOfField
+from .errors import BadContribution, BadParameter, DuplicateParticipant, UnmaskOutOfField
 from .modexp import powmod
 
 _default_rng = random.SystemRandom()
@@ -61,21 +61,22 @@ def random_antichain(rng, pids, max_sets: int, max_set_size: int) -> tuple[froze
     return tuple(sets)
 
 
-def _distinct_keys(rng, params, pids, attempts: int = 30) -> dict:
-    """A key for each id, no two with one pseudo-share: ``msss enroll`` and
-    ``Board.validate`` refuse a repeated one, as equal masks cancel, so it
-    is drawn again, at most ``attempts`` times per member."""
-    keys, taken = {}, set()
+def _enroll_all(rng, board, pids, attempts: int = 30) -> dict:
+    """A key for each id, each enrolled on the board (``dealer.enroll``).
+    A pseudo-share that is already another member's is refused, as equal
+    masks cancel, so it is drawn again, at most ``attempts`` times per member."""
+    params, keys = board.params, {}
     for pid in pids:
         for _ in range(attempts):
-            key = participant.keygen(params, pid, rng)
-            if key.ps not in taken:
+            keys[pid] = participant.keygen(params, pid, rng)
+            try:
+                dealer.enroll(board, pid, keys[pid].ps)
                 break
+            except DuplicateParticipant:
+                pass
         else:
             raise BadParameter(f"g = {params.g} has too few powers mod n = {params.n}"
                              f" for {len(pids)} distinct pseudo-shares")
-        taken.add(key.ps)
-        keys[pid] = key
     return keys
 
 
@@ -128,8 +129,8 @@ def run_simulation(config: SimulationConfig) -> dict:
 
     params, state = dealer.setup(config.bits_per_prime, rng)
     pids = [f"P{i}" for i in range(1, config.participants + 1)]
-    keys = _distinct_keys(rng, params, pids)
-    board = Board(params, {pid: keys[pid].ps for pid in pids})
+    board = Board(params)
+    keys = _enroll_all(rng, board, pids)
 
     for _ in range(config.secrets):
         structure = random_antichain(rng, pids, config.max_minimal_sets, config.max_set_size)

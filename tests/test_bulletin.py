@@ -11,7 +11,6 @@ from msss.accessstruct import validate_minimal
 from msss.bulletin import Board, from_document, hex_to_int, load, save, to_document
 from msss.errors import (
     BoardIOError,
-    DuplicateParticipant,
     EmptySet,
     InvariantViolation,
     MalformedDocument,
@@ -560,14 +559,8 @@ _OPS = st.one_of(
 def _apply(op, state, board, rng) -> None:
     """One library operation, as `msss enroll`, `share` or `update` runs it."""
     kind, *args = op
-    roster = board.roster
     if kind == "enroll":
-        if args[0] in roster:
-            raise DuplicateParticipant(args[0])
-        ps = participant.keygen(_PARAMS, args[0], rng).ps
-        if ps in roster.values():
-            raise DuplicateParticipant(args[0])
-        roster[args[0]] = ps
+        dealer.enroll(board, args[0], participant.keygen(_PARAMS, args[0], rng).ps)
     elif kind == "share":
         dealer.share_secret(state, board, args[1], args[0], rng)
     elif kind == "renew":

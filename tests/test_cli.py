@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -693,6 +694,43 @@ class TestStrictFiles:
         assert not (toy_files["tmp"] / "ca.json").exists()
 
 
+class TestRepeatedKeys:
+    """``json.loads`` alone keeps the last of two equal keys, so a file could
+    read one way here and another way to another reader: a key repeated in
+    any record exits 18 and changes no file."""
+
+    @pytest.mark.parametrize(
+        "record, key",
+        [("board", "A"), ("board", "revision"), ("board", "d"), ("dealer", "p"),
+         ("key", "s"), ("contribution", "x")],
+        ids=["roster", "revision", "entry-d", "dealer-p", "key-s", "contribution-x"],
+    )
+    def test_a_repeated_key_exits_18(self, run, toy_files, record, key):
+        contributions = [_contribute(run, toy_files, pid, f"c{pid}.json")[0] for pid in "AB"]
+        path = {
+            "board": toy_files["board"], "dealer": toy_files["dealer"],
+            "key": toy_files["keys"]["A"], "contribution": contributions[0],
+        }[record]
+        # a bogus first value: a reader that keeps the last one reads the file as written
+        text = path.read_text()
+        at = text.index(f'"{key}": ')
+        bogus = "0" if key == "revision" else '"1"'
+        path.write_text(f'{text[:at]}"{key}": {bogus}, {text[at:]}')
+        files = {p: p.read_bytes() for p in toy_files["tmp"].iterdir()}
+        if record == "key":
+            argv = ["contribute", "--board", toy_files["board"], "--key", path,
+                    "--secret-id", "s1", "--set", "A,B", "--out", toy_files["tmp"] / "c.json"]
+        elif record == "contribution":
+            argv = ["verify", *_session_args(toy_files, contributions)]
+        else:
+            argv = ["share", "--secret", 5, "--sets", "A", "--board", toy_files["board"],
+                    "--dealer", toy_files["dealer"], "--seed", 1]
+        code, out, err = run(*argv)
+        assert (code, out) == (18, "")
+        assert err == f"error: {path}: not valid JSON: duplicate key '{key}'\n"
+        assert {p: p.read_bytes() for p in toy_files["tmp"].iterdir()} == files
+
+
 class TestFullScriptedSession:
     def test_whole_protocol_reproduces_worked_constants(self, run, tmp_path):
         """One uninterrupted operator session under forced randomness:
@@ -1026,6 +1064,20 @@ class TestDealerWrite:
         assert "p = q" in err
         assert (board.read_bytes(), dealer.read_bytes()) == files
 
+    def test_dealer_file_with_p_and_q_sharing_a_factor(self, run, tmp_path):
+        # a hand-made board with n = 45 = 3 * 15: taking 15**-1 mod 3 once
+        # ended in a ValueError traceback
+        params = PublicParams(g=7, n=45, m=47, width=1, m_chain=())
+        board, dealer = tmp_path / "board.json", tmp_path / "dealer.json"
+        bulletin.save(bulletin.Board(params), board)
+        dealer.write_text(json.dumps({"p": "3", "q": "f", "secrets": {}, "digests": {}}))
+        files = (board.read_bytes(), dealer.read_bytes())
+        code, out, err = run("share", "--secret", 5, "--sets", "A", "--board", board,
+                             "--dealer", dealer, "--seed", 3)
+        assert (code, out) == (19, "")
+        assert "a factor common to p and q" in err
+        assert (board.read_bytes(), dealer.read_bytes()) == files
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -1187,6 +1239,37 @@ class TestExitCodes:
         )
         assert code == 24
         assert "cannot" in err
+
+    def test_contribution_written_nowhere_exits_24_and_leaves_no_temp_file(
+        self, run, toy_files
+    ):
+        # a failed replace once left <out>.tmp behind
+        tmp = toy_files["tmp"]
+        (tmp / "a-dir").mkdir()
+        for out, force in [(tmp / "missing" / "c.json", []), (tmp / "a-dir", ["--force"])]:
+            code, stdout, err = run(
+                "contribute", "--board", toy_files["board"], "--key", toy_files["keys"]["A"],
+                "--secret-id", "s1", "--set", "A,B", "--out", out, *force,
+            )
+            assert (code, stdout) == (24, "")
+            assert err.startswith(f"error: cannot write {out}: ")
+        assert list(tmp.rglob("*.tmp")) == []
+        assert list((tmp / "a-dir").iterdir()) == []
+
+    def test_written_files_take_the_mode_of_a_plain_open(self, toy_files):
+        plain = toy_files["tmp"] / "plain"
+        with open(plain, "w"):
+            pass
+        written = [toy_files["board"], toy_files["dealer"], *toy_files["keys"].values()]
+        modes = {stat.S_IMODE(path.stat().st_mode) for path in [plain, *written]}
+        assert len(modes) == 1, modes
+
+    def test_negative_secret_exits_25_and_writes_nothing(self, run, toy_files):
+        files = (toy_files["board"].read_bytes(), toy_files["dealer"].read_bytes())
+        code, out, err = run("share", "--secret", -5, "--sets", "A", "--board",
+                             toy_files["board"], "--dealer", toy_files["dealer"], "--seed", 1)
+        assert (code, out, err) == (25, "", "error: secret must be non-negative, got -5\n")
+        assert (toy_files["board"].read_bytes(), toy_files["dealer"].read_bytes()) == files
 
     def test_setup_refuses_existing_board(self, run, tmp_path):
         board, state = tmp_path / "b.json", tmp_path / "d.json"

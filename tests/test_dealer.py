@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from msss import accessstruct, bulletin, codec, combiner, dealer, participant
 from msss.errors import (
     BadParameter,
+    DuplicateParticipant,
     EmptySet,
     IndexOutOfRange,
     InvariantViolation,
@@ -113,6 +114,35 @@ class TestSetup:
     def test_rejects_tiny_primes(self):
         with pytest.raises(BadParameter):
             dealer.setup(2)
+
+
+class TestEnroll:
+    def test_adds_a_member_or_refuses_changing_nothing(self, toy):
+        ps_c = participant.keygen(toy.params, "C", ScriptedRandom([9])).ps
+        dealer.enroll(toy.board, "C", ps_c)
+        roster = {"A": toy.key_a.ps, "B": toy.key_b.ps, "C": ps_c}
+        assert toy.roster == roster
+        for pid, ps, message in [
+            ("C", 2, "C is already enrolled"),
+            ("D", toy.key_b.ps, "the pseudo-share drawn for D is B's"),
+        ]:
+            with pytest.raises(DuplicateParticipant, match=f"^{message}$"):
+                dealer.enroll(toy.board, pid, ps)
+            assert toy.roster == roster
+
+
+def test_every_lookup_of_a_secret_refuses_with_one_message(toy):
+    before = dict(toy.board.packages), dict(toy.state.secrets)
+    for lookup in [
+        lambda: toy.board.package("s9"),
+        lambda: dealer.renew_secret(toy.state, toy.board, "s9", 1, random.Random(1)),
+        lambda: dealer.add_qualified_set(toy.state, toy.board, "s9", ["A"], random.Random(1)),
+        lambda: dealer.remove_qualified_set(toy.board, "s9", 1),
+    ]:
+        with pytest.raises(UnknownSecret, match=r"^no secret 's9' on the board$"):
+            lookup()
+    assert (toy.board.packages, toy.state.secrets) == before
+    assert toy.board.package("s1") is toy.package
 
 
 class TestShareSecret:
@@ -333,7 +363,7 @@ class TestAddQualifiedSet:
 
     def test_incomparable_set_appended(self, toy):
         key_c = participant.keygen(toy.params, "C", ScriptedRandom([9]))
-        toy.roster["C"] = key_c.ps
+        dealer.enroll(toy.board, "C", key_c.ps)
         pkg = dealer.add_qualified_set(toy.state, toy.board, "s1", ["C"], random.Random(1))
         assert [sorted(e.members) for e in pkg.entries] == [["A", "B"], ["C"]]
         assert len({e.d for e in pkg.entries}) == 2
@@ -346,7 +376,7 @@ class TestAddQualifiedSet:
 
     def test_superset_rejected(self, toy):
         key_c = participant.keygen(toy.params, "C", ScriptedRandom([9]))
-        toy.roster["C"] = key_c.ps
+        dealer.enroll(toy.board, "C", key_c.ps)
         with pytest.raises(NotAntichain):
             dealer.add_qualified_set(toy.state, toy.board, "s1", ["A", "B", "C"], random.Random(1))
 
@@ -362,7 +392,7 @@ class TestAddQualifiedSet:
 class TestRemoveQualifiedSet:
     def _two_entry_package(self, toy):
         key_c = participant.keygen(toy.params, "C", ScriptedRandom([9]))
-        toy.roster["C"] = key_c.ps
+        dealer.enroll(toy.board, "C", key_c.ps)
         return dealer.add_qualified_set(toy.state, toy.board, "s1", ["C"], random.Random(1))
 
     def test_remove_first_of_two(self, toy):
@@ -434,7 +464,7 @@ class TestRemoveParticipant:
     def test_unmentioned_participant_renews_nothing(self):
         params, state, keys, board, s1, s2 = self._world()
         key_d = participant.keygen(params, "D", random.Random(9))
-        board.roster["D"] = key_d.ps
+        dealer.enroll(board, "D", key_d.ps)
         before = {sid: bulletin.package_to_obj(pkg) for sid, pkg in board.packages.items()}
         renewed = dealer.remove_participant(state, board, "D", random.Random(4))
         assert renewed == []

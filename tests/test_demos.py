@@ -1,6 +1,7 @@
 """The demos run to their closing line, and the README quickstart and CLI
 session run."""
 
+import functools
 import re
 import shlex
 import subprocess
@@ -72,6 +73,7 @@ def test_readme_cli_session_runs(tmp_path, monkeypatch, capsys):
     assert any(expected for _, _, expected in steps)
 
 
+@functools.cache  # each demo is started once, however many tests read its run
 def _run_demo(demo):
     return subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msss.errors import BadParameter
 from msss.numtheory import (
     TRIAL_LIMIT,
     _proved_prime,
@@ -78,6 +79,10 @@ class TestGenPrime:
         seen = {gen_prime(4, random.Random(seed)) for seed in range(30)}
         assert seen <= {11, 13}
         assert seen  # at least one draw
+
+    def test_one_bit_is_refused(self):
+        with pytest.raises(BadParameter, match=r"^bits must be >= 2, got 1$"):
+            gen_prime(1, random.Random(1))
 
     def test_deterministic_under_seed(self):
         a = gen_prime(16, random.Random(1234))
