@@ -9,20 +9,23 @@ can renew secrets or reshape access structures without touching anyone's
 private share.
 """
 
-from .accessstruct import (
-    ParticipantId,
-    is_authorized,
-    matching_set_index,
-    validate_minimal,
+from .accessstruct import is_authorized, matching_set_index, validate_minimal
+from .bulletin import (
+    Board,
+    Contribution,
+    DealerState,
+    PackageEntry,
+    ParticipantKey,
+    PublicParams,
+    SecretPackage,
+    from_document,
+    load,
+    save,
+    to_document,
 )
-from .bulletin import Board, from_document, load, save, to_document
 from .codec import mask_width, tag, xor_combine
 from .combiner import check_contributions, reconstruct, verify_contribution, verify_secret
 from .dealer import (
-    DealerState,
-    PackageEntry,
-    PublicParams,
-    SecretPackage,
     add_qualified_set,
     enroll,
     remove_participant,
@@ -32,7 +35,7 @@ from .dealer import (
     share_secret,
 )
 from .errors import MsssError
-from .participant import Contribution, ParticipantKey, contribute, keygen
+from .participant import contribute, keygen
 
 __version__ = "0.1.0"
 
@@ -42,7 +45,6 @@ __all__ = [
     "DealerState",
     "MsssError",
     "PackageEntry",
-    "ParticipantId",
     "ParticipantKey",
     "PublicParams",
     "SecretPackage",

@@ -17,16 +17,12 @@ from typing import Iterable
 
 from .errors import BadParameter, EmptySet, EmptyStructure, NotAntichain
 
-ParticipantId = str
-
 
 def _fmt(members: frozenset) -> str:
     return "{" + ", ".join(sorted(members)) + "}"
 
 
-def validate_minimal(
-    sets: Iterable[Iterable[ParticipantId]],
-) -> tuple[frozenset[ParticipantId], ...]:
+def validate_minimal(sets: Iterable[Iterable[str]]) -> tuple[frozenset[str], ...]:
     """Check and freeze a list of minimal qualified sets.
 
     Each set is normalized to a frozenset (members de-duplicated); the list
@@ -52,16 +48,14 @@ def validate_minimal(
     return tuple(normalized)
 
 
-def is_authorized(
-    structure: tuple[frozenset[ParticipantId], ...], coalition: Iterable[ParticipantId]
-) -> bool:
+def is_authorized(structure: tuple[frozenset[str], ...], coalition: Iterable[str]) -> bool:
     """True iff the coalition contains some minimal qualified set."""
     members = frozenset(coalition)
     return any(minimal <= members for minimal in structure)
 
 
 def matching_set_index(
-    structure: tuple[frozenset[ParticipantId], ...], coalition: Iterable[ParticipantId]
+    structure: tuple[frozenset[str], ...], coalition: Iterable[str]
 ) -> int | None:
     """The 1-based index of the minimal set equal to ``coalition``, if any.
 

@@ -26,10 +26,10 @@ toy 149 here, has an empty one. A board without the key predates the chain
 and cannot be converted, as its m - 1 cannot be factored in general: run
 ``msss setup`` again.
 
-Every h0 is odd, at least 3 and at most ``dealer.H0_BITS`` bits wide, and
-no two packages share one; a board from before h0 was short fails the
-width bound and cannot be converted either, as a new h0 means a new s0 and
-new masks: run ``msss setup`` again.
+Every h0 is odd, at least 3 and at most ``H0_BITS`` bits wide, and no two
+packages share one; a board from before h0 was short fails the width bound
+and cannot be converted either, as a new h0 means a new s0 and new masks:
+run ``msss setup`` again.
 
 Identical boards serialize byte-identically. ``load`` checks every public
 invariant, so a tampered or hand-edited document either fails loudly here
@@ -39,14 +39,16 @@ writes no board that breaks one (see ``Board.validate``).
 The private dealer state, participant key files and contribution files go
 through the same codec, and every file is written atomically. Each record
 (the document and its params, each package and entry, a dealer, key or
-contribution file) is one table of named fields, both read from and written
-by it: ``_obj`` writes the keys in table order, and ``_fields`` reads
-exactly those keys, lowercase hex integers with no leading zeros and exact
-JSON types. A malformed record raises MalformedDocument naming the field by
-its path, as in ``board.json packages s1 entries 1 d`` or ``dealer.json p``.
-Each package lives on the board alone: the dealer file holds p, q, the
-secrets and one SHA-256 per package (``_digest``), and ``load_dealer``
-accepts it only for the board it serves.
+contribution file) is one type declared here beside one table of named
+fields, which both reads and writes it: ``_obj`` writes the keys in table
+order, and ``_fields`` reads exactly those keys, lowercase hex integers with
+no leading zeros and exact JSON types, as the type's fields. A malformed
+record raises MalformedDocument naming the field by its path, as in
+``board.json packages s1 entries 1 d`` or ``dealer.json p``. Each package
+lives on the board alone: the dealer file holds p, q, the secrets and one
+SHA-256 per package (``_digest``), and ``load_dealer`` accepts it only for
+the board it serves. The protocol roles (``dealer``, ``participant``,
+``combiner``) import these records; this module imports none of them.
 """
 
 from __future__ import annotations
@@ -61,14 +63,18 @@ from typing import Callable, NamedTuple
 
 from . import codec
 from .accessstruct import validate_minimal
-from .dealer import H0_BITS, DealerState, PackageEntry, PublicParams, SecretPackage
-from .errors import BoardIOError, InvariantViolation, MalformedDocument, NotAntichain, UnknownSecret
+from .errors import (
+    BoardIOError, IndexOutOfRange, InvariantViolation, MalformedDocument, NotAntichain,
+    UnknownSecret,
+)
 from .modexp import powmod
 from .numtheory import ceil_sqrt, proves_prime
-from .participant import Contribution, ParticipantKey
 
 _HEX = re.compile(r"0|[1-9a-f][0-9a-f]*")
 _TAG_HEX = re.compile(r"[0-9a-f]{64}")
+
+# the widest public exponent h0 the dealer draws and a board may carry
+H0_BITS = 128
 
 
 def int_to_hex(value: int) -> str:
@@ -81,6 +87,197 @@ def hex_to_int(value, where: str) -> int:
             f"{where}: expected lowercase hex with no leading zeros, got {value!r}"
         )
     return int(value, 16)
+
+
+class _Field(NamedTuple):
+    """One key of a file record, both ways: ``read(value, where)`` turns its
+    JSON value into the record's attribute ``attr`` (the key itself if empty)
+    or raises MalformedDocument naming ``where``; ``write`` turns the
+    attribute back (the identity by default). A record that lacks the key
+    fails with the ``missing`` note, if any: its file predates the key."""
+
+    read: Callable
+    write: Callable = lambda value: value
+    attr: str = ""
+    missing: str = ""
+
+
+def _fields(obj, where: str, table: dict[str, _Field]) -> dict:
+    """The attributes of one file record: ``obj`` must have exactly the keys
+    of ``table``, and each value is read as ``read(value, f"{where} {key}")``."""
+    if not isinstance(obj, dict):
+        raise MalformedDocument(f"{where}: expected an object")
+    if obj.keys() != table.keys():
+        missing = [k for k in table if k not in obj]
+        for key in missing:
+            if table[key].missing:
+                raise MalformedDocument(f"{where}: no {key}, {table[key].missing}")
+        extra = [k for k in obj if k not in table]
+        raise MalformedDocument(f"{where}: missing keys {missing}, unexpected keys {extra}")
+    return {f.attr or key: f.read(obj[key], f"{where} {key}") for key, f in table.items()}
+
+
+def _obj(table: dict[str, _Field], value) -> dict:
+    """The JSON object of one record, keys in ``table`` order: the reverse of ``_fields``."""
+    return {key: f.write(getattr(value, f.attr or key)) for key, f in table.items()}
+
+
+def _require_int(value, where: str) -> int:
+    # exact type: JSON true and 1.9 are not integers here
+    if type(value) is not int:
+        raise MalformedDocument(f"{where} must be an integer")
+    return value
+
+
+def _require_id(value, where: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise MalformedDocument(f"{where} must be a non-empty string")
+    return value
+
+
+def _require_map(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise MalformedDocument(f"{where} must be an object")
+    return value
+
+
+def _require_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise MalformedDocument(f"{where} must be a list")
+    return value
+
+
+def _members(value, where: str) -> frozenset[str]:
+    if not (
+        isinstance(value, list) and value and all(isinstance(pid, str) and pid for pid in value)
+    ):
+        raise MalformedDocument(f"{where} must be a non-empty list of ids")
+    if len(set(value)) != len(value):
+        raise MalformedDocument(f"{where}: duplicate member ids")
+    return frozenset(value)
+
+
+def _tag(value, where: str) -> bytes:
+    if not isinstance(value, str) or not _TAG_HEX.fullmatch(value):
+        raise MalformedDocument(f"{where} must be 64 lowercase hex chars")
+    return bytes.fromhex(value)
+
+
+def _chain(value, where: str) -> tuple[int, ...]:
+    links = _require_list(value, where)
+    return tuple(hex_to_int(link, f"{where} link {i}") for i, link in enumerate(links, 1))
+
+
+def _map_of(field: _Field, **options) -> _Field:
+    """An object of ``field`` values: the roster, or the dealer's secrets or digests."""
+
+    def read(value, where: str) -> dict:
+        return {k: field.read(raw, f"{where} {k}") for k, raw in _require_map(value, where).items()}
+
+    return _Field(read, lambda values: {k: field.write(v) for k, v in values.items()}, **options)
+
+
+# The seven records, each type declared beside its table, keys in file order:
+# the params, each entry and package, the document (a board), and the dealer,
+# key and contribution files.
+_BIG = _Field(hex_to_int, int_to_hex)
+_INT = _Field(_require_int)
+_ID = _Field(_require_id)
+_TAG = _Field(_tag, bytes.hex)
+_HEX_MAP = _map_of(_BIG)
+_CHAIN = _Field(
+    _chain, lambda links: [int_to_hex(link) for link in links],
+    missing="the chain that proves m prime: the board predates it and cannot be converted;"
+    " run `msss setup` again",
+)
+
+
+class PublicParams(NamedTuple):
+    """The published triple (g, n, m) plus the derived byte width for masks
+    and the chain (N1, ..., Nk), largest first, that proves m prime (see
+    ``numtheory.proves_prime``)."""
+
+    g: int
+    n: int
+    m: int
+    width: int
+    m_chain: tuple[int, ...]
+
+
+_PARAMS = {"g": _BIG, "n": _BIG, "m": _BIG, "width": _INT, "m_chain": _CHAIN}
+
+
+def _params(value, where: str) -> PublicParams:
+    return PublicParams(**_fields(value, where, _PARAMS))
+
+
+class PackageEntry(NamedTuple):
+    """Public data letting one qualified set recover the secret.
+
+    ``masked`` is f(d) XORed with every member's mask ps_k**s0 mod n; only
+    the members can strip those masks. ``tag`` binds (secret, d) so the
+    recovered value can be checked by anyone.
+    """
+
+    members: frozenset[str]
+    d: int
+    masked: int
+    tag: bytes
+
+
+_ENTRY = {"members": _Field(_members, sorted), "d": _BIG, "masked": _BIG, "tag": _TAG}
+
+
+def _entries(value, where: str) -> tuple[PackageEntry, ...]:
+    return tuple(
+        PackageEntry(**_fields(raw, f"{where} {k}", _ENTRY))
+        for k, raw in enumerate(_require_list(value, where), 1)
+    )
+
+
+class SecretPackage(NamedTuple):
+    """Everything the bulletin publishes for one shared secret."""
+
+    secret_id: str
+    ps0: int  # g**s0 mod n
+    h0: int  # short, odd, 3 <= h0 < 2**H0_BITS; the exponent for contribution checks
+    f1: int  # f(1), the public point of the sharing line
+    entries: tuple[PackageEntry, ...]
+
+    def entry(self, set_index: int) -> PackageEntry:
+        """1-based accessor, matching the published numbering of the sets."""
+        if not 1 <= set_index <= len(self.entries):
+            raise IndexOutOfRange(
+                f"set index {set_index} outside 1..{len(self.entries)} for {self.secret_id}"
+            )
+        return self.entries[set_index - 1]
+
+    def structure(self) -> tuple[frozenset[str], ...]:
+        return tuple(e.members for e in self.entries)
+
+
+# the secret id is the package's key in the document, not one of its fields
+_PACKAGE = {
+    "ps0": _BIG, "h0": _BIG, "f1": _BIG,
+    "entries": _Field(_entries, lambda entries: [_obj(_ENTRY, e) for e in entries]),
+}
+
+
+def _packages(value, where: str) -> dict[str, SecretPackage]:
+    return {
+        sid: SecretPackage(sid, **_fields(obj, f"{where} {sid}", _PACKAGE))
+        for sid, obj in _require_map(value, where).items()
+    }
+
+
+def package_to_obj(pkg: SecretPackage) -> dict:
+    return _obj(_PACKAGE, pkg)
+
+
+def _digest(pkg: SecretPackage) -> bytes:
+    """SHA-256 of the package's record as the board writes it, serialized
+    on its own: the dealer file's one check on each package of the board."""
+    return hashlib.sha256(_dump(package_to_obj(pkg)).encode()).digest()
 
 
 class Board:
@@ -186,141 +383,6 @@ class Board:
                 raise InvariantViolation(f"{sid}: {exc}") from exc
 
 
-class _Field(NamedTuple):
-    """One key of a file record, both ways: ``read(value, where)`` turns its
-    JSON value into the record's attribute ``attr`` (the key itself if empty)
-    or raises MalformedDocument naming ``where``; ``write`` turns the
-    attribute back (the identity by default). A record that lacks the key
-    fails with the ``missing`` note, if any: its file predates the key."""
-
-    read: Callable
-    write: Callable = lambda value: value
-    attr: str = ""
-    missing: str = ""
-
-
-def _fields(obj, where: str, table: dict[str, _Field]) -> dict:
-    """The attributes of one file record: ``obj`` must have exactly the keys
-    of ``table``, and each value is read as ``read(value, f"{where} {key}")``."""
-    if not isinstance(obj, dict):
-        raise MalformedDocument(f"{where}: expected an object")
-    if obj.keys() != table.keys():
-        missing = [k for k in table if k not in obj]
-        for key in missing:
-            if table[key].missing:
-                raise MalformedDocument(f"{where}: no {key}, {table[key].missing}")
-        extra = [k for k in obj if k not in table]
-        raise MalformedDocument(f"{where}: missing keys {missing}, unexpected keys {extra}")
-    return {f.attr or key: f.read(obj[key], f"{where} {key}") for key, f in table.items()}
-
-
-def _obj(table: dict[str, _Field], value) -> dict:
-    """The JSON object of one record, keys in ``table`` order: the reverse of ``_fields``."""
-    return {key: f.write(getattr(value, f.attr or key)) for key, f in table.items()}
-
-
-def _require_int(value, where: str) -> int:
-    # exact type: JSON true and 1.9 are not integers here
-    if type(value) is not int:
-        raise MalformedDocument(f"{where} must be an integer")
-    return value
-
-
-def _require_id(value, where: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise MalformedDocument(f"{where} must be a non-empty string")
-    return value
-
-
-def _require_map(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise MalformedDocument(f"{where} must be an object")
-    return value
-
-
-def _require_list(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise MalformedDocument(f"{where} must be a list")
-    return value
-
-
-def _members(value, where: str) -> frozenset[str]:
-    if not (
-        isinstance(value, list) and value and all(isinstance(pid, str) and pid for pid in value)
-    ):
-        raise MalformedDocument(f"{where} must be a non-empty list of ids")
-    if len(set(value)) != len(value):
-        raise MalformedDocument(f"{where}: duplicate member ids")
-    return frozenset(value)
-
-
-def _tag(value, where: str) -> bytes:
-    if not isinstance(value, str) or not _TAG_HEX.fullmatch(value):
-        raise MalformedDocument(f"{where} must be 64 lowercase hex chars")
-    return bytes.fromhex(value)
-
-
-def _chain(value, where: str) -> tuple[int, ...]:
-    links = _require_list(value, where)
-    return tuple(hex_to_int(link, f"{where} link {i}") for i, link in enumerate(links, 1))
-
-
-def _params(value, where: str) -> PublicParams:
-    return PublicParams(**_fields(value, where, _PARAMS))
-
-
-def _entries(value, where: str) -> tuple[PackageEntry, ...]:
-    return tuple(
-        PackageEntry(**_fields(raw, f"{where} {k}", _ENTRY))
-        for k, raw in enumerate(_require_list(value, where), 1)
-    )
-
-
-def _packages(value, where: str) -> dict[str, SecretPackage]:
-    return {
-        sid: SecretPackage(sid, **_fields(obj, f"{where} {sid}", _PACKAGE))
-        for sid, obj in _require_map(value, where).items()
-    }
-
-
-def package_to_obj(pkg: SecretPackage) -> dict:
-    return _obj(_PACKAGE, pkg)
-
-
-def _digest(pkg: SecretPackage) -> bytes:
-    """SHA-256 of the package's record as the board writes it, serialized
-    on its own: the dealer file's one check on each package of the board."""
-    return hashlib.sha256(_dump(package_to_obj(pkg)).encode()).digest()
-
-
-def _map_of(field: _Field, **options) -> _Field:
-    """An object of ``field`` values: the roster, or the dealer's secrets or digests."""
-
-    def read(value, where: str) -> dict:
-        return {k: field.read(raw, f"{where} {k}") for k, raw in _require_map(value, where).items()}
-
-    return _Field(read, lambda values: {k: field.write(v) for k, v in values.items()}, **options)
-
-
-# The seven records, one table each, keys in file order: the document (a
-# board), its params, each package and entry, and the dealer, key and
-# contribution files.
-_BIG = _Field(hex_to_int, int_to_hex)
-_INT = _Field(_require_int)
-_ID = _Field(_require_id)
-_TAG = _Field(_tag, bytes.hex)
-_HEX_MAP = _map_of(_BIG)
-_CHAIN = _Field(
-    _chain, lambda links: [int_to_hex(link) for link in links],
-    missing="the chain that proves m prime: the board predates it and cannot be converted;"
-    " run `msss setup` again",
-)
-_PARAMS = {"g": _BIG, "n": _BIG, "m": _BIG, "width": _INT, "m_chain": _CHAIN}
-_ENTRY = {"members": _Field(_members, sorted), "d": _BIG, "masked": _BIG, "tag": _TAG}
-_PACKAGE = {
-    "ps0": _BIG, "h0": _BIG, "f1": _BIG,
-    "entries": _Field(_entries, lambda entries: [_obj(_ENTRY, e) for e in entries]),
-}
 _DOCUMENT = {
     "revision": _INT, "params": _Field(_params, lambda params: _obj(_PARAMS, params)),
     "roster": _HEX_MAP,
@@ -328,6 +390,29 @@ _DOCUMENT = {
         _packages, lambda packages: {sid: package_to_obj(p) for sid, p in packages.items()}
     ),
 }
+
+
+class DealerState:
+    """Private dealer state, never published: the factors of n and, by
+    secret id s1, s2, ... in publishing order, each secret. Its packages
+    live on the board alone. phi(n), s0 and the slope are derived, never
+    stored. ``q_inv`` = q**-1 mod p, Garner's constant for ``dealer._pow_n``,
+    is derived once here and never written to the dealer file."""
+
+    def __init__(self, p: int, q: int, secrets: dict[str, int] | None = None):
+        self.p = p
+        self.q = q
+        self.q_inv = pow(q, -1, p)
+        self.secrets = {} if secrets is None else secrets
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and vars(self) == vars(other)
+
+    @property
+    def phi(self) -> int:
+        return (self.p - 1) * (self.q - 1)
+
+
 _DEALER = {
     "p": _BIG, "q": _BIG, "secrets": _HEX_MAP,
     "digests": _map_of(
@@ -335,7 +420,26 @@ _DEALER = {
         " packages; replace them by their digests as the README says",
     ),
 }
+
+
+class ParticipantKey(NamedTuple):
+    pid: str
+    s: int  # private exponent; never leaves the participant
+    ps: int  # public pseudo-share g**s mod n
+
+
 _KEY = {"id": _ID._replace(attr="pid"), "s": _BIG, "ps": _BIG}
+
+
+class Contribution(NamedTuple):
+    """One member's public reconstruction value, bound to its session."""
+
+    pid: str
+    secret_id: str
+    set_index: int
+    x: int  # ps0**s mod n
+
+
 _CONTRIBUTION = {"pid": _ID, "secret_id": _ID, "set_index": _INT, "x": _BIG}
 
 

@@ -109,7 +109,7 @@ def _secret_value(args) -> int:
     return _parse_int(args.secret)
 
 
-def _session(args) -> tuple[Board, dealer.SecretPackage, int]:
+def _session(args) -> tuple[Board, bulletin.SecretPackage, int]:
     """The board, the package of --secret-id and the index of --set."""
     board = bulletin.load(args.board)
     package = board.package(args.secret_id)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from . import codec
-from .dealer import PublicParams, SecretPackage
+from .bulletin import Contribution, PublicParams, SecretPackage
 from .errors import (
     BadContribution,
     ExtraContribution,
@@ -24,7 +24,6 @@ from .errors import (
 )
 from .linepoly import interpolate_line
 from .modexp import powmod
-from .participant import Contribution
 
 
 def verify_contribution(

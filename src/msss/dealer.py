@@ -11,10 +11,10 @@ the package. phi(n) and the next secret id are derived too, never stored.
 Nothing private ever appears in a SecretPackage.
 
 Each package's public exponent h0 is drawn first and short (at most
-H0_BITS bits, as RSA draws its public exponent), and s0 = h0**-1 mod phi(n)
-is derived from it: s0 stays full width and secret, while every public
-check x**h0 costs a short pow. Forging a contribution is still taking an
-h0-th root mod n.
+``bulletin.H0_BITS`` bits, as RSA draws its public exponent), and
+s0 = h0**-1 mod phi(n) is derived from it: s0 stays full width and secret,
+while every public check x**h0 costs a short pow. Forging a contribution is
+still taking an h0-th root mod n.
 
 Only the dealer knows p and q, so only the dealer can split a pow mod n by
 the Chinese remainder theorem (Quisquater & Couvreur 1982): every dealer
@@ -34,14 +34,14 @@ from __future__ import annotations
 
 import math
 import random
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import codec
-from .accessstruct import ParticipantId, validate_minimal
+from .accessstruct import validate_minimal
+from .bulletin import H0_BITS, Board, DealerState, PackageEntry, PublicParams, SecretPackage
 from .errors import (
     BadParameter,
     DuplicateParticipant,
-    IndexOutOfRange,
     LastEntry,
     SecretTooLarge,
     StructureBecameEmpty,
@@ -51,83 +51,7 @@ from .linepoly import line_at
 from .modexp import powmod
 from .numtheory import ceil_sqrt, gen_prime, proved_prime_above
 
-if TYPE_CHECKING:  # bulletin imports this module
-    from .bulletin import Board
-
 _default_rng = random.SystemRandom()
-
-# the widest public exponent h0 the dealer draws and a board may carry
-H0_BITS = 128
-
-Roster = Mapping[ParticipantId, int]
-
-
-class PublicParams(NamedTuple):
-    """The published triple (g, n, m) plus the derived byte width for masks
-    and the chain (N1, ..., Nk), largest first, that proves m prime (see
-    ``numtheory.proves_prime``)."""
-
-    g: int
-    n: int
-    m: int
-    width: int
-    m_chain: tuple[int, ...]
-
-
-class PackageEntry(NamedTuple):
-    """Public data letting one qualified set recover the secret.
-
-    ``masked`` is f(d) XORed with every member's mask ps_k**s0 mod n; only
-    the members can strip those masks. ``tag`` binds (secret, d) so the
-    recovered value can be checked by anyone.
-    """
-
-    members: frozenset[ParticipantId]
-    d: int
-    masked: int
-    tag: bytes
-
-
-class SecretPackage(NamedTuple):
-    """Everything the bulletin publishes for one shared secret."""
-
-    secret_id: str
-    ps0: int  # g**s0 mod n
-    h0: int  # short, odd, 3 <= h0 < 2**H0_BITS; the exponent for contribution checks
-    f1: int  # f(1), the public point of the sharing line
-    entries: tuple[PackageEntry, ...]
-
-    def entry(self, set_index: int) -> PackageEntry:
-        """1-based accessor, matching the published numbering of the sets."""
-        if not 1 <= set_index <= len(self.entries):
-            raise IndexOutOfRange(
-                f"set index {set_index} outside 1..{len(self.entries)} for {self.secret_id}"
-            )
-        return self.entries[set_index - 1]
-
-    def structure(self) -> tuple[frozenset[ParticipantId], ...]:
-        return tuple(e.members for e in self.entries)
-
-
-class DealerState:
-    """Private dealer state, never published: the factors of n and, by
-    secret id s1, s2, ... in publishing order, each secret. Its packages
-    live on the board alone. phi(n), s0 and the slope are derived, never
-    stored. ``q_inv`` = q**-1 mod p, Garner's constant for ``_pow_n``, is
-    derived once here and never written to the dealer file."""
-
-    def __init__(self, p: int, q: int, secrets: dict[str, int] | None = None):
-        self.p = p
-        self.q = q
-        self.q_inv = pow(q, -1, p)
-        self.secrets = {} if secrets is None else secrets
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and vars(self) == vars(other)
-
-    @property
-    def phi(self) -> int:
-        return (self.p - 1) * (self.q - 1)
 
 
 def setup(
@@ -165,7 +89,7 @@ def setup(
     return params, DealerState(p=p, q=q)
 
 
-def enroll(board: Board, pid: ParticipantId, ps: int) -> None:
+def enroll(board: Board, pid: str, ps: int) -> None:
     """Publish ``pid``'s pseudo-share ``ps`` on the board's roster, the one way
     onto a roster. DuplicateParticipant, changing nothing, if ``pid`` is
     enrolled or ``ps`` is another member's: equal masks cancel in an XOR."""
@@ -236,7 +160,7 @@ def _sample_d(count: int, m: int, rng, exclude: Iterable[int] = ()) -> list[int]
     return out
 
 
-def _check_enrolled(members: Iterable[ParticipantId], roster: Roster) -> None:
+def _check_enrolled(members: Iterable[str], roster: Mapping[str, int]) -> None:
     for pid in sorted(members):
         if pid not in roster:
             raise UnknownParticipant(f"{pid} is not enrolled")
@@ -276,7 +200,7 @@ def _publish(
     board: Board,
     secret_id: str,
     secret: int,
-    sets: Iterable[Iterable[ParticipantId]],
+    sets: Iterable[Iterable[str]],
     rng,
 ) -> SecretPackage:
     """Build a complete package under fresh randomness and store it and
@@ -305,7 +229,7 @@ def share_secret(
     dealer: DealerState,
     board: Board,
     secret: int,
-    structure: Iterable[Iterable[ParticipantId]],
+    structure: Iterable[Iterable[str]],
     rng: random.Random | None = None,
 ) -> SecretPackage:
     """Publish a new secret under the access structure given by its minimal
@@ -343,7 +267,7 @@ def add_qualified_set(
     dealer: DealerState,
     board: Board,
     secret_id: str,
-    new_set: Iterable[ParticipantId],
+    new_set: Iterable[str],
     rng: random.Random | None = None,
 ) -> SecretPackage:
     """Grant one more qualified set access to an already-shared secret.
@@ -389,7 +313,7 @@ def remove_qualified_set(board: Board, secret_id: str, set_index: int) -> Secret
 def remove_participant(
     dealer: DealerState,
     board: Board,
-    pid: ParticipantId,
+    pid: str,
     rng: random.Random | None = None,
 ) -> list[SecretPackage]:
     """Drop a participant entirely.
@@ -406,16 +330,12 @@ def remove_participant(
     """
     rng = rng or _default_rng
     _check_enrolled([pid], board.roster)
-    plans: dict[str, tuple[frozenset[ParticipantId], ...]] = {}
-    emptied = []
+    plans: dict[str, tuple[frozenset[str], ...]] = {}
     for sid, package in board.packages.items():
-        sets = [e.members for e in package.entries]
-        if not any(pid in members for members in sets):
-            continue
-        kept = tuple(members for members in sets if pid not in members)
-        if not kept:
-            emptied.append(sid)
-        plans[sid] = kept
+        sets = package.structure()
+        if any(pid in members for members in sets):
+            plans[sid] = tuple(members for members in sets if pid not in members)
+    emptied = [sid for sid, kept in plans.items() if not kept]
     if emptied:
         raise StructureBecameEmpty(emptied)
     del board.roster[pid]

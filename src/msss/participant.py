@@ -15,9 +15,8 @@ before s was short, works as before.
 from __future__ import annotations
 
 import random
-from typing import NamedTuple
 
-from .dealer import PublicParams, SecretPackage
+from .bulletin import Contribution, ParticipantKey, PublicParams, SecretPackage
 from .errors import NotAMember
 from .modexp import powmod
 
@@ -25,21 +24,6 @@ _default_rng = random.SystemRandom()
 
 # the widest private exponent s that keygen draws
 S_BITS = 256
-
-
-class ParticipantKey(NamedTuple):
-    pid: str
-    s: int  # private exponent; never leaves the participant
-    ps: int  # public pseudo-share g**s mod n
-
-
-class Contribution(NamedTuple):
-    """One member's public reconstruction value, bound to its session."""
-
-    pid: str
-    secret_id: str
-    set_index: int
-    x: int  # ps0**s mod n
 
 
 def keygen(params: PublicParams, pid: str, rng: random.Random | None = None) -> ParticipantKey:

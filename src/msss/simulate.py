@@ -152,12 +152,7 @@ def run_simulation(config: SimulationConfig) -> dict:
             if config.cheaters_per_session:
                 for pid in rng.sample(members, min(config.cheaters_per_session, len(members))):
                     cheaters.append(pid)
-                    contribs[pid] = participant.Contribution(
-                        pid=pid,
-                        secret_id=sid,
-                        set_index=j,
-                        x=_corrupt(rng, honest[pid].x, params.n),
-                    )
+                    contribs[pid] = honest[pid]._replace(x=_corrupt(rng, honest[pid].x, params.n))
             session = {
                 "secret_id": sid,
                 "set_index": j,

@@ -34,14 +34,14 @@ class ToyWorld:
     s_A=5, s_B=7, s0=7, slope=5, d=7, secret=100."""
 
     board: bulletin.Board
-    state: dealer.DealerState
-    key_a: participant.ParticipantKey
-    key_b: participant.ParticipantKey
-    package: dealer.SecretPackage
+    state: bulletin.DealerState
+    key_a: bulletin.ParticipantKey
+    key_b: bulletin.ParticipantKey
+    package: bulletin.SecretPackage
     secret: int = 100
 
     @property
-    def params(self) -> dealer.PublicParams:
+    def params(self) -> bulletin.PublicParams:
         return self.board.params
 
     @property

@@ -157,7 +157,7 @@ def test_cheater_detection_is_deterministic():
             forged_x = rng.randrange(1, params.n)
             if forged_x != honest[pid].x and math.gcd(forged_x, params.n) == 1:
                 break
-        forged = participant.Contribution(pid=pid, secret_id=package.secret_id, set_index=1, x=forged_x)
+        forged = bulletin.Contribution(pid=pid, secret_id=package.secret_id, set_index=1, x=forged_x)
         if combiner.verify_contribution(params, package, roster[pid], forged):
             misses += 1
     assert misses == 0
@@ -252,7 +252,7 @@ def test_dynamic_updates_touch_nothing_else(tmp_path, capsys):
     # the untouched secret still reconstructs with the original key files
     loaded = bulletin.load(board)
     pkg = loaded.packages["s2"]
-    keys = {pid: participant.ParticipantKey(
+    keys = {pid: bulletin.ParticipantKey(
         pid=pid,
         s=int(json.loads(key_paths[pid].read_text())["s"], 16),
         ps=int(json.loads(key_paths[pid].read_text())["ps"], 16),

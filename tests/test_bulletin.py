@@ -359,14 +359,14 @@ def test_every_record_field_is_read_strictly(toy_file_texts, tmp_path, record, f
 _BIG = st.integers(0, 2**200)
 _IDS = st.text(min_size=1, max_size=3)
 _ENTRIES = st.builds(
-    dealer.PackageEntry,
+    bulletin.PackageEntry,
     members=st.frozensets(_IDS, min_size=1, max_size=4),
     d=_BIG,
     masked=_BIG,
     tag=st.binary(min_size=32, max_size=32),
 )
 _PACKAGES = st.builds(
-    dealer.SecretPackage,
+    bulletin.SecretPackage,
     secret_id=st.just("s1"),
     ps0=_BIG,
     h0=_BIG,
@@ -377,7 +377,7 @@ _PACKAGE_MAPS = st.lists(_PACKAGES, max_size=3).map(
     lambda pkgs: {f"s{i}": pkg._replace(secret_id=f"s{i}") for i, pkg in enumerate(pkgs, 1)}
 )
 _PARAMS_VALUES = st.builds(
-    dealer.PublicParams,
+    bulletin.PublicParams,
     g=_BIG,
     n=_BIG,
     m=_BIG,
@@ -398,23 +398,23 @@ _DEALERS = st.builds(
     secrets=st.dictionaries(_IDS, _BIG, max_size=3),
     digests=st.dictionaries(_IDS, st.binary(min_size=32, max_size=32), max_size=3),
 )
-_KEYS = st.builds(participant.ParticipantKey, pid=_IDS, s=_BIG, ps=_BIG)
+_KEYS = st.builds(bulletin.ParticipantKey, pid=_IDS, s=_BIG, ps=_BIG)
 _CONTRIBUTIONS = st.builds(
-    participant.Contribution, pid=_IDS, secret_id=_IDS, set_index=st.integers(), x=_BIG
+    bulletin.Contribution, pid=_IDS, secret_id=_IDS, set_index=st.integers(), x=_BIG
 )
 ROUND_TRIPS = {
     "document": (bulletin._DOCUMENT, Board, _BOARDS),
-    "params": (bulletin._PARAMS, dealer.PublicParams, _PARAMS_VALUES),
-    "package": (bulletin._PACKAGE, lambda **f: dealer.SecretPackage("s1", **f), _PACKAGES),
-    "entry": (bulletin._ENTRY, dealer.PackageEntry, _ENTRIES),
+    "params": (bulletin._PARAMS, bulletin.PublicParams, _PARAMS_VALUES),
+    "package": (bulletin._PACKAGE, lambda **f: bulletin.SecretPackage("s1", **f), _PACKAGES),
+    "entry": (bulletin._ENTRY, bulletin.PackageEntry, _ENTRIES),
     "dealer": (bulletin._DEALER, SimpleNamespace, _DEALERS),
-    "key": (bulletin._KEY, participant.ParticipantKey, _KEYS),
-    "contribution": (bulletin._CONTRIBUTION, participant.Contribution, _CONTRIBUTIONS),
+    "key": (bulletin._KEY, bulletin.ParticipantKey, _KEYS),
+    "contribution": (bulletin._CONTRIBUTION, bulletin.Contribution, _CONTRIBUTIONS),
 }
 # edge values: "0", an empty and a non-empty m_chain, three members
-_ZERO_PARAMS = dealer.PublicParams(0, 0, 0, 0, ())
-_ZERO_ENTRY = dealer.PackageEntry(frozenset("ACB"), 0, 0, bytes(32))
-_ZERO_PACKAGE = dealer.SecretPackage("s1", 0, 0, 0, (_ZERO_ENTRY,))
+_ZERO_PARAMS = bulletin.PublicParams(0, 0, 0, 0, ())
+_ZERO_ENTRY = bulletin.PackageEntry(frozenset("ACB"), 0, 0, bytes(32))
+_ZERO_PACKAGE = bulletin.SecretPackage("s1", 0, 0, 0, (_ZERO_ENTRY,))
 
 
 def _members_reversed(obj):
@@ -434,12 +434,12 @@ def _members_reversed(obj):
 ))
 @example(case=("document", Board(_ZERO_PARAMS, {"A": 0}, {"s1": _ZERO_PACKAGE}, 0)))
 @example(case=("params", _ZERO_PARAMS))
-@example(case=("params", dealer.PublicParams(15, 143, 149, 1, (1009, 7))))
+@example(case=("params", bulletin.PublicParams(15, 143, 149, 1, (1009, 7))))
 @example(case=("package", _ZERO_PACKAGE))
 @example(case=("entry", _ZERO_ENTRY))
 @example(case=("dealer", SimpleNamespace(p=11, q=13, secrets={"s1": 0}, digests={"s1": bytes(32)})))
-@example(case=("key", participant.ParticipantKey("A", 0, 0)))
-@example(case=("contribution", participant.Contribution("A", "s1", 0, 0)))
+@example(case=("key", bulletin.ParticipantKey("A", 0, 0)))
+@example(case=("contribution", bulletin.Contribution("A", "s1", 0, 0)))
 @settings(max_examples=100, deadline=None)
 def test_every_record_round_trips(case):
     """Reading what the writer wrote gives an equal value, and writing what
@@ -580,7 +580,7 @@ def test_every_board_the_operations_build_passes_the_reader(ops, seed):
     writes is one of these, and the reader accepts each of them; a refused
     operation changes nothing."""
     rng = random.Random(seed)
-    state = dealer.DealerState(_STATE.p, _STATE.q)
+    state = bulletin.DealerState(_STATE.p, _STATE.q)
     board = Board(params=_PARAMS)
     assert from_document(to_document(board)) == board
     start = [("enroll", "A"), ("enroll", "B"), ("enroll", "C"), ("share", ["AB", "C"], 1)]
@@ -611,7 +611,7 @@ def test_add_qualified_set_drops_strict_supersets_and_keeps_every_other_entry(
     nothing; otherwise the sets it strictly contains go, and every other
     entry stays exactly as published."""
     rng = random.Random(seed)
-    state = dealer.DealerState(_STATE.p, _STATE.q)
+    state = bulletin.DealerState(_STATE.p, _STATE.q)
     board = Board(_PARAMS, dict(_ROSTER))
     old = dealer.share_secret(state, board, 7, structure, rng)
     before = (dict(state.secrets), dict(board.packages))

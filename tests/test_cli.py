@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msss import bulletin, cli, codec, combiner, dealer, numtheory, participant
+from msss import bulletin, cli, codec, combiner, dealer, numtheory
 from msss.accessstruct import validate_minimal
+from msss.bulletin import PublicParams
 from msss.cli import main
-from msss.dealer import PublicParams
 from msss.errors import MsssError
 
 from conftest import FIVE_SETS, TEN_ROSTER, TOY_SETUP, TOY_SHARE, TOY_WIDE_H0, full_width_draw
@@ -460,7 +460,7 @@ class TestKeysFromBeforeShortS:
         s = random.Random(34).randrange(2, params.n + 1)
         assert s.bit_length() > 1000
         ps = pow(params.g, s, params.n)
-        bulletin.save_key(participant.ParticipantKey("B", s, ps), keys["B"])
+        bulletin.save_key(bulletin.ParticipantKey("B", s, ps), keys["B"])
         obj = json.loads(board_path.read_text())
         obj["roster"]["B"] = format(ps, "x")
         board_path.write_text(json.dumps(obj))
@@ -1594,7 +1594,7 @@ def test_setup_bits_are_per_prime_factor(run, tmp_path):
 def test_module_entry_point_runs_in_subprocess(tmp_path):
     env = {"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"}
     result = subprocess.run(
-        [sys.executable, "-m", "msss", "setup", "--bits", "4",
+        [sys.executable, "-B", "-m", "msss", "setup", "--bits", "4",
          "--board", str(tmp_path / "b.json"), "--dealer", str(tmp_path / "d.json"),
          "--seed", "1"],
         capture_output=True, text=True, env=env,

@@ -96,7 +96,7 @@ class TestReconstruct:
 
     def test_outsider_contribution(self, toy):
         c_a, c_b = _toy_contributions(toy)
-        outsider = participant.Contribution(pid="C", secret_id="s1", set_index=1, x=5)
+        outsider = bulletin.Contribution(pid="C", secret_id="s1", set_index=1, x=5)
         with pytest.raises(ExtraContribution):
             combiner.reconstruct(toy.params, toy.package, 1, [c_a, c_b, outsider], toy.roster)
 

@@ -43,7 +43,7 @@ class TestCrtPow:
     pow(x, e, n), also where x is 0 mod p or mod q."""
 
     @pytest.mark.parametrize(
-        "state", [dealer.DealerState(p=11, q=13), _DEALER_64], ids=["toy", "64-bit"]
+        "state", [bulletin.DealerState(p=11, q=13), _DEALER_64], ids=["toy", "64-bit"]
     )
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -65,7 +65,7 @@ class TestCrtPow:
     def test_garner_constant_is_derived_with_the_state(self):
         # q**-1 mod p is set when the state is made, not on each _pow_n call
         assert _DEALER_64.q_inv == pow(_DEALER_64.q, -1, _DEALER_64.p)
-        assert dealer.DealerState(11, 13).q_inv == 6
+        assert bulletin.DealerState(11, 13).q_inv == 6
 
 
 class TestSetup:

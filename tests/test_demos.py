@@ -76,6 +76,6 @@ def test_readme_cli_session_runs(tmp_path, monkeypatch, capsys):
 @functools.cache  # each demo is started once, however many tests read its run
 def _run_demo(demo):
     return subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
+        [sys.executable, "-B", str(ROOT / "demos" / demo)],
         capture_output=True, text=True, env=_ENV, timeout=60,
     )

@@ -1,4 +1,5 @@
-"""What ``import msss.cli`` loads.
+"""What ``import msss.cli`` loads, and how the package's modules import
+each other.
 
 Every msss command is a fresh process, so each module the CLI imports is
 paid again on every protocol step. ``dataclasses`` (which pulls in
@@ -11,13 +12,42 @@ a ``_thread._local``.
 
 The check runs ``SNIPPET`` in a fresh interpreter without ``site``, as
 ``PYTHONPATH=src python -S -c "$SNIPPET"`` would.
+
+The layering checks read the source with ``ast`` and start no process. The
+records and their codec (``bulletin``) sit below the protocol roles that
+use them, no import hides under ``TYPE_CHECKING``, and no two modules import
+each other, directly or through others. An import inside a function counts.
 """
 
+import ast
+import graphlib
 import os
 import subprocess
 import sys
 
+import pytest
+
 from conftest import SRC
+
+ROLES = {"dealer", "participant", "combiner", "simulate", "cli"}
+TREES = {path.stem: ast.parse(path.read_text(), str(path)) for path in (SRC / "msss").glob("*.py")}
+
+
+def _imported(tree) -> set[str]:
+    """The msss modules that ``tree`` imports anywhere, each by a relative
+    import as the package writes them all; ``__init__`` for a name of the
+    package that is not a module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:  # from .x import y
+                found.add(node.module)
+            else:  # from . import x
+                found.update(a.name if a.name in TREES else "__init__" for a in node.names)
+    return found
+
+
+GRAPH = {name: _imported(tree) for name, tree in TREES.items()}
 
 SNIPPET = """\
 import sys
@@ -52,3 +82,24 @@ def test_cli_imports_neither_dataclasses_nor_simulate():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ok\n"
+
+
+def test_bulletin_imports_no_protocol_role():
+    assert not GRAPH["bulletin"] & ROLES
+
+
+def test_no_module_imports_under_type_checking():
+    guarded = [
+        name
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test)
+    ]
+    assert not guarded
+
+
+def test_the_package_import_graph_has_no_cycle():
+    try:
+        tuple(graphlib.TopologicalSorter(GRAPH).static_order())
+    except graphlib.CycleError as exc:
+        pytest.fail("import cycle " + " -> ".join(exc.args[1]))

@@ -5,9 +5,15 @@ dict between instances."""
 
 import pytest
 
-from msss.bulletin import Board
-from msss.dealer import DealerState, PackageEntry, PublicParams, SecretPackage
-from msss.participant import Contribution, ParticipantKey
+from msss.bulletin import (
+    Board,
+    Contribution,
+    DealerState,
+    PackageEntry,
+    ParticipantKey,
+    PublicParams,
+    SecretPackage,
+)
 from msss.simulate import SimulationConfig
 
 PARAMS_FIELDS = dict(g=15, n=143, m=149, width=1, m_chain=())
