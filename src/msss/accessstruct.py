@@ -2,7 +2,9 @@
 
 A structure is the tuple of its minimal sets, each a frozenset of
 participant ids, in publishing order: the members of a package's entries.
-A valid one is an antichain, no minimal set containing another.
+An id is a str that a set list such as ``'A,B|B,C'`` (``parse_sets``) reads
+back as itself: ``check_id``, the one id rule. A valid structure is an
+antichain, no minimal set containing another.
 ``validate_minimal`` is the one check of that rule: the dealer runs it on
 every structure it publishes or extends, ``Board.validate`` on every
 package it reads. A coalition is authorized exactly when it contains at
@@ -18,6 +20,22 @@ from typing import Iterable
 from .errors import BadParameter, EmptySet, EmptyStructure, NotAntichain
 
 
+def parse_set(text: str) -> frozenset[str]:
+    """'A, B' -> {A, B}: the members of one set."""
+    return frozenset(pid.strip() for pid in text.split(",") if pid.strip())
+
+
+def parse_sets(text: str) -> list[frozenset[str]]:
+    """'A,B|B,C' -> [{A, B}, {B, C}], not yet validated."""
+    return [parse_set(group) for group in text.split("|")]
+
+
+def check_id(pid, error: type[Exception] = BadParameter) -> None:
+    """Raise ``error`` unless ``pid`` is a str that a set list reads back as itself."""
+    if not (isinstance(pid, str) and parse_sets(pid) == [{pid}]):
+        raise error(f"participant id {pid!r} cannot be named in a set list")
+
+
 def _fmt(members: frozenset) -> str:
     return "{" + ", ".join(sorted(members)) + "}"
 
@@ -27,8 +45,9 @@ def validate_minimal(sets: Iterable[Iterable[str]]) -> tuple[frozenset[str], ...
 
     Each set is normalized to a frozenset (members de-duplicated); the list
     order is preserved. Raises EmptyStructure for an empty list, EmptySet
-    for an empty member set, and NotAntichain naming the offending pair
-    (duplicate sets included).
+    for an empty member set, BadParameter for a member that is not a
+    participant id (``check_id``), and NotAntichain naming the offending
+    pair (duplicate sets included).
     """
     normalized = [frozenset(s) for s in sets]
     if not normalized:
@@ -37,8 +56,7 @@ def validate_minimal(sets: Iterable[Iterable[str]]) -> tuple[frozenset[str], ...
         if not members:
             raise EmptySet(f"qualified set {pos} is empty")
         for pid in members:
-            if not isinstance(pid, str) or not pid:
-                raise BadParameter(f"participant ids must be non-empty strings, got {pid!r}")
+            check_id(pid)
     for i, a in enumerate(normalized):
         for j, b in enumerate(normalized):
             if i != j and a <= b:

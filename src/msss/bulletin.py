@@ -62,7 +62,7 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import codec
-from .accessstruct import validate_minimal
+from .accessstruct import check_id, validate_minimal
 from .errors import (
     BoardIOError, IndexOutOfRange, InvariantViolation, MalformedDocument, NotAntichain,
     UnknownSecret,
@@ -203,6 +203,9 @@ class PublicParams(NamedTuple):
     width: int
     m_chain: tuple[int, ...]
 
+    def is_unit(self, value: int) -> bool:
+        return 0 <= value < self.n and math.gcd(value, self.n) == 1
+
 
 _PARAMS = {"g": _BIG, "n": _BIG, "m": _BIG, "width": _INT, "m_chain": _CHAIN}
 
@@ -307,10 +310,17 @@ class Board:
         except KeyError:
             raise UnknownSecret(f"no secret {secret_id!r} on the board") from None
 
+    def check_entry(self, pid, ps: int, error: type[Exception]) -> None:
+        """The one rule for a roster entry: raise ``error`` unless ``pid`` is a
+        participant id (``accessstruct.check_id``) and ``ps`` a reduced unit mod n."""
+        check_id(pid, error)
+        if not self.params.is_unit(ps):
+            raise error(f"pseudo-share of {pid} is not a reduced unit mod n")
+
     def validate(self) -> None:
         """Check a board read from outside; raises InvariantViolation. A board
-        built by ``dealer.setup``, ``dealer.enroll`` or another dealer operation
-        on a loaded board keeps every invariant, so only ``from_document`` calls this."""
+        that ``dealer.setup`` built or a dealer operation changed keeps every
+        invariant, so only ``load`` and ``from_document`` call this."""
         p = self.params
         # h0 first, before any pow: a wide h0 would make the ps0^h0 check
         # slow, and two packages with one h0 share s0, so the x values
@@ -345,17 +355,14 @@ class Board:
         # the XOR of any set that holds both
         holder = {}
         for pid, ps in self.roster.items():
-            if not pid:
-                raise InvariantViolation("empty participant id on the roster")
-            if not 0 <= ps < p.n or math.gcd(ps, p.n) != 1:
-                raise InvariantViolation(f"pseudo-share of {pid} is not a reduced unit mod n")
+            self.check_entry(pid, ps, InvariantViolation)
             if ps in holder:
                 raise InvariantViolation(f"{pid} holds the pseudo-share of {holder[ps]}")
             holder[ps] = pid
         for sid, pkg in self.packages.items():
             if not pkg.entries:
                 raise InvariantViolation(f"{sid}: no qualified sets")
-            if not 0 <= pkg.ps0 < p.n or math.gcd(pkg.ps0, p.n) != 1:
+            if not p.is_unit(pkg.ps0):
                 raise InvariantViolation(f"{sid}: ps0 is not a reduced unit mod n")
             if pkg.ps0 == p.g:
                 # s0 = 1 modulo the order of g: every mask would be a roster value

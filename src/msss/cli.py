@@ -20,7 +20,7 @@ import sys
 import time
 
 from . import bulletin, combiner, dealer, participant
-from .accessstruct import matching_set_index
+from .accessstruct import matching_set_index, parse_set, parse_sets
 from .bulletin import Board, int_to_hex
 from .errors import (
     BadContribution,
@@ -40,16 +40,6 @@ def _parse_int(text: str) -> int:
         return int(t[2:], 16) if t.startswith("0x") else int(t, 10)
     except ValueError:
         raise BadParameter(f"not an integer: {text!r}") from None
-
-
-def _parse_members(text: str) -> frozenset[str]:
-    """'A, B' -> {A, B}: the one member-list parser of --sets and --set."""
-    return frozenset(pid.strip() for pid in text.split(",") if pid.strip())
-
-
-def _parse_sets(text: str) -> list[frozenset[str]]:
-    """'A,B|B,C' -> [{A, B}, {B, C}], not yet validated."""
-    return [_parse_members(group) for group in text.split("|")]
 
 
 def _rng(args):
@@ -113,7 +103,7 @@ def _session(args) -> tuple[Board, bulletin.SecretPackage, int]:
     """The board, the package of --secret-id and the index of --set."""
     board = bulletin.load(args.board)
     package = board.package(args.secret_id)
-    members = _parse_members(args.set)
+    members = parse_set(args.set)
     j = matching_set_index(package.structure(), members)
     if j is None:
         raise NoSuchSet(
@@ -138,8 +128,6 @@ def cmd_setup(args) -> int:
 
 
 def cmd_enroll(args) -> int:
-    if _parse_sets(args.id) != [{args.id}]:
-        raise BadParameter(f"participant id {args.id!r} cannot be named in --sets")
     _refuse_existing(args.key_out, args.force)
     with _board_lock(args.board):
         board = bulletin.load(args.board)
@@ -155,7 +143,7 @@ def cmd_enroll(args) -> int:
 def cmd_share(args) -> int:
     secret = _secret_value(args)
     with _dealer_write(args) as (board, state):
-        pkg = dealer.share_secret(state, board, secret, _parse_sets(args.sets), _rng(args))
+        pkg = dealer.share_secret(state, board, secret, parse_sets(args.sets), _rng(args))
     print(pkg.secret_id)
     return 0
 
@@ -205,7 +193,7 @@ def cmd_update(args) -> int:
             secret = _secret_value(args)
             renewed = [dealer.renew_secret(state, board, args.secret_id, secret, rng)]
         elif args.action == "add-set":
-            members = _parse_members(args.set)
+            members = parse_set(args.set)
             dealer.add_qualified_set(state, board, args.secret_id, members, rng)
         elif args.action == "remove-set":
             dealer.remove_qualified_set(board, args.secret_id, args.index)
@@ -241,7 +229,7 @@ _SHARED = {
     "--dealer": {"required": True, "help": "path of the private dealer state file"},
     "--seed": {"type": int, "help": "deterministic randomness (testing)"},
     "--force": {"action": "store_true", "help": "replace existing output files"},
-    "--id": {"required": True, "help": "participant id"},
+    "--id": {"required": True, "help": "participant id: no ',' or '|', no leading/trailing spaces"},
     "--secret-id": {"required": True, "help": "id of a secret on the board, e.g. s1"},
     "--set": {"required": True, "help": "members of one qualified set, e.g. 'A,B'"},
     "--contribution": {
@@ -327,13 +315,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     # dest names are the SimulationConfig fields that cmd_simulate fills
     if p := add("simulate", "run an in-memory deployment and print a JSON report", cmd_simulate):
-        p.add_argument("--participants", type=int, required=True)
-        p.add_argument("--secrets", type=int, required=True)
+        p.add_argument("--participants", type=int, required=True, help="participants to enroll")
+        p.add_argument("--secrets", type=int, required=True, help="secrets to share")
         p.add_argument("--bits", type=int, default=16, dest="bits_per_prime", metavar="BITS",
                        help="bits per prime factor")
         p.add_argument("--max-sets", type=int, default=4, dest="max_minimal_sets",
-                       metavar="MAX_SETS")
-        p.add_argument("--max-set-size", type=int, default=4)
+                       metavar="MAX_SETS", help="most minimal sets per secret")
+        p.add_argument("--max-set-size", type=int, default=4, help="most members per set")
         p.add_argument("--cheaters", type=int, default=0, dest="cheaters_per_session",
                        metavar="CHEATERS", help="cheaters injected per session")
         p.add_argument("--probes", type=int, default=2, dest="unauthorized_probes",

@@ -91,8 +91,10 @@ def setup(
 
 def enroll(board: Board, pid: str, ps: int) -> None:
     """Publish ``pid``'s pseudo-share ``ps`` on the board's roster, the one way
-    onto a roster. DuplicateParticipant, changing nothing, if ``pid`` is
-    enrolled or ``ps`` is another member's: equal masks cancel in an XOR."""
+    onto a roster. Changing nothing, it raises BadParameter unless the entry
+    keeps the reader's rule (``Board.check_entry``), and DuplicateParticipant
+    if ``pid`` is enrolled or ``ps`` is another member's: equal masks cancel."""
+    board.check_entry(pid, ps, BadParameter)
     if pid in board.roster:
         raise DuplicateParticipant(f"{pid} is already enrolled")
     for other, held in board.roster.items():

@@ -1,10 +1,11 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msss.accessstruct import is_authorized, matching_set_index, validate_minimal
+from msss.accessstruct import check_id, is_authorized, matching_set_index, validate_minimal
 from msss.errors import BadParameter, EmptySet, EmptyStructure, NotAntichain
 
 from oracles import is_antichain_bruteforce
@@ -64,9 +65,15 @@ def test_member_lists_are_deduplicated():
         validate_minimal([["A", "A"], ["A"]])  # same set twice once normalized
 
 
-def test_rejects_blank_participant_ids():
-    with pytest.raises(BadParameter):
-        validate_minimal([["A", ""]])
+@pytest.mark.parametrize(
+    "pid", ["", " ", " C", "C,D", "C|D", 7], ids=["empty", "blank", "padded", "comma", "bar", "int"]
+)
+def test_refuses_an_id_no_set_list_can_name(pid):
+    message = f"^participant id {re.escape(repr(pid))} cannot be named in a set list$"
+    with pytest.raises(BadParameter, match=message):
+        check_id(pid)
+    with pytest.raises(BadParameter, match=message):
+        validate_minimal([["A", pid]])
 
 
 def test_is_authorized_superset():

@@ -264,7 +264,12 @@ class TestValidation:
     pytest.param(["params", "g"], "5", 19, "g outside [sqrt(n), n]", id="g-below-sqrt-n"),
     pytest.param(["params", "g"], "84", 19, "g shares a factor with n", id="g-shares-11"),
     pytest.param(["revision"], -1, 19, "negative revision", id="revision"),
-    pytest.param(["roster", ""], "2", 19, "empty participant id on the roster", id="empty-id"),
+    pytest.param(["roster", ""], "2", 19, "participant id '' cannot be named in a set list",
+                 id="empty-id"),
+    pytest.param(["roster", "C,D"], "2", 19, "participant id 'C,D' cannot be named in a set list",
+                 id="comma-id"),
+    pytest.param(["roster", " C"], "2", 19, "participant id ' C' cannot be named in a set list",
+                 id="padded-id"),
     pytest.param(["packages", "s1", "entries"], [], 19, "s1: no qualified sets", id="no-entries"),
     pytest.param(["packages", "s1", "entries", 0, "masked"], "100", 19,
                  "s1: masked value wider than 1 bytes", id="wide-masked"),
@@ -542,8 +547,21 @@ _PARAMS, _STATE = dealer.setup(16, random.Random(5))
 _PIDS = st.sampled_from("ABCD")
 _SIDS = st.sampled_from(["s1", "s2"])
 _SECRETS = st.integers(0, _PARAMS.m)  # m itself is refused
+# what an enroll offers: a listed id or one no set list can name, and a
+# fresh pseudo-share or one that is not a reduced unit mod n
+_OFFERS = {
+    "fresh": lambda fresh, roster: fresh,
+    "zero": lambda fresh, roster: 0,
+    "n": lambda fresh, roster: _PARAMS.n,
+    "p": lambda fresh, roster: _STATE.p,
+    "n + held": lambda fresh, roster: _PARAMS.n + next(iter(roster.values()), fresh),
+}
 _OPS = st.one_of(
-    st.tuples(st.just("enroll"), _PIDS),
+    st.tuples(
+        st.just("enroll"),
+        _PIDS | st.sampled_from(["", " ", " C", "C,D", "C|D", 7]),
+        st.just("fresh") | st.sampled_from(list(_OFFERS)),
+    ),
     st.tuples(
         st.just("share"),
         st.lists(st.frozensets(_PIDS, min_size=1, max_size=2), min_size=1, max_size=3),
@@ -560,7 +578,9 @@ def _apply(op, state, board, rng) -> None:
     """One library operation, as `msss enroll`, `share` or `update` runs it."""
     kind, *args = op
     if kind == "enroll":
-        dealer.enroll(board, args[0], participant.keygen(_PARAMS, args[0], rng).ps)
+        pid, offer = args
+        fresh = participant.keygen(_PARAMS, pid, rng).ps
+        dealer.enroll(board, pid, _OFFERS[offer](fresh, board.roster))
     elif kind == "share":
         dealer.share_secret(state, board, args[1], args[0], rng)
     elif kind == "renew":
@@ -583,7 +603,7 @@ def test_every_board_the_operations_build_passes_the_reader(ops, seed):
     state = bulletin.DealerState(_STATE.p, _STATE.q)
     board = Board(params=_PARAMS)
     assert from_document(to_document(board)) == board
-    start = [("enroll", "A"), ("enroll", "B"), ("enroll", "C"), ("share", ["AB", "C"], 1)]
+    start = [("enroll", pid, "fresh") for pid in "ABC"] + [("share", ["AB", "C"], 1)]
     for op in start + ops:
         before = (dict(state.secrets), dict(board.packages), dict(board.roster))
         try:

@@ -1636,6 +1636,19 @@ def test_shared_option_has_one_help_and_one_required(option):
     assert next(iter(taken.values()))[0]
 
 
+def test_every_option_has_a_help_text():
+    bare = [
+        (" ".join(names), action.option_strings)
+        for names, parser in COMMANDS.items()
+        for action in parser._actions
+        if action.option_strings and not action.help
+    ]
+    assert bare == []
+    # the help of --id states the rule that dealer.enroll keeps
+    id_help = COMMANDS[("enroll",)]._option_string_actions["--id"].help
+    assert "no ',' or '|', no leading/trailing spaces" in id_help
+
+
 @pytest.mark.parametrize("names", COMMANDS, ids=" ".join)
 def test_every_command_has_help(capsys, names):
     with pytest.raises(SystemExit) as raised:

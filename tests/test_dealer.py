@@ -122,12 +122,22 @@ class TestEnroll:
         dealer.enroll(toy.board, "C", ps_c)
         roster = {"A": toy.key_a.ps, "B": toy.key_b.ps, "C": ps_c}
         assert toy.roster == roster
-        for pid, ps, message in [
-            ("C", 2, "C is already enrolled"),
-            ("D", toy.key_b.ps, "the pseudo-share drawn for D is B's"),
+        n = toy.params.n
+        unit = "pseudo-share of D is not a reduced unit mod n"
+        for pid, ps, error, message in [
+            ("C", 2, DuplicateParticipant, "C is already enrolled"),
+            ("D", toy.key_b.ps, DuplicateParticipant, "the pseudo-share drawn for D is B's"),
+            # no set list names these ids, and the reader refuses each
+            *[
+                (pid, 2, BadParameter, f"participant id {pid!r} cannot be named in a set list")
+                for pid in ["", " ", " C", "C,D", "C|D", 7]
+            ],
+            # not a reduced unit mod n = 11 * 13
+            *[("D", ps, BadParameter, unit) for ps in [0, n, 11, n + ps_c]],
         ]:
-            with pytest.raises(DuplicateParticipant, match=f"^{message}$"):
+            with pytest.raises(error) as raised:
                 dealer.enroll(toy.board, pid, ps)
+            assert str(raised.value) == message
             assert toy.roster == roster
 
 
