@@ -474,7 +474,7 @@ def _board(text: str, where: str) -> Board:
 def save(board: Board, path) -> str:
     """Write the canonical document atomically, with no checks; returns it."""
     doc = to_document(board)
-    _write(doc, path)
+    _write(doc, path, 0o666)
     return doc
 
 
@@ -487,7 +487,7 @@ def save_dealer(state: DealerState, board: Board, path) -> None:
     SHA-256 of each package of ``board`` as it writes it (``_digest``)."""
     digests = {sid: _digest(pkg) for sid, pkg in board.packages.items()}
     record = SimpleNamespace(p=state.p, q=state.q, secrets=state.secrets, digests=digests)
-    _write(_dump(_obj(_DEALER, record)), path)
+    _write(_dump(_obj(_DEALER, record)), path, 0o600)
 
 
 def load_dealer(path, board: Board) -> DealerState:
@@ -535,7 +535,7 @@ def load_dealer(path, board: Board) -> DealerState:
 
 
 def save_key(key: ParticipantKey, path) -> None:
-    _write(_dump(_obj(_KEY, key)), path)
+    _write(_dump(_obj(_KEY, key)), path, 0o600)
 
 
 def load_key(path) -> ParticipantKey:
@@ -543,7 +543,7 @@ def load_key(path) -> ParticipantKey:
 
 
 def save_contribution(c: Contribution, path) -> None:
-    _write(_dump(_obj(_CONTRIBUTION, c)), path)
+    _write(_dump(_obj(_CONTRIBUTION, c)), path, 0o666)
 
 
 def load_contribution(path) -> Contribution:
@@ -573,14 +573,19 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def _write(text: str, path) -> None:
+def _write(text: str, path, mode: int) -> None:
     """Write durably and atomically: a new file of a random name beside ``path``
     is written, synced and renamed over it, then the directory is synced, so
-    readers always see a complete file. The temp file goes on any failure."""
+    readers always see a complete file. The temp file goes on any failure.
+
+    The new file is created with ``mode`` under the umask, and the rename
+    gives ``path`` that mode: 0o600 for the private dealer and key files,
+    whatever mode the file they replace had, and 0o666 for the public board
+    and contribution files. Nothing changes a file's mode once it exists."""
     path = os.fspath(path)
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
         try:
             with open(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)

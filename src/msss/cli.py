@@ -53,8 +53,17 @@ def _refuse_existing(path: str, force: bool) -> None:
 
 
 @contextlib.contextmanager
-def _board_lock(path: str):
-    """Advisory exclusive lock serializing dealer writes to one board."""
+def _board_lock(path: str, must_exist: bool = True):
+    """Advisory exclusive lock serializing dealer writes to one board. The lock
+    file is made only once a board that ``must_exist`` is found, so a wrong
+    --board path exits 24 and leaves no stray lock behind; only ``setup``
+    locks a board that is not there yet."""
+    if must_exist:
+        try:
+            with open(path, "rb"):
+                pass
+        except OSError as exc:
+            raise BoardIOError(f"cannot read {path}: {exc}") from exc
     lock_path = os.fspath(path) + ".lock"
     try:
         fh = open(lock_path, "w")
@@ -118,7 +127,7 @@ def cmd_setup(args) -> int:
     _refuse_existing(args.dealer, args.force)
     params, state = dealer.setup(args.bits, _rng(args))
     board = Board(params)
-    with _board_lock(args.board):
+    with _board_lock(args.board, must_exist=False):
         bulletin.save(board, args.board)
         bulletin.save_dealer(state, board, args.dealer)
     print(f"n = {params.n} ({params.n.bit_length()} bits)")

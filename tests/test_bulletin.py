@@ -11,11 +11,9 @@ from msss.accessstruct import validate_minimal
 from msss.bulletin import Board, from_document, hex_to_int, load, save, to_document
 from msss.errors import (
     BoardIOError,
-    EmptySet,
     InvariantViolation,
     MalformedDocument,
     MsssError,
-    NotAntichain,
 )
 from msss.linepoly import interpolate_line
 
@@ -539,109 +537,3 @@ def test_single_character_corruptions_never_yield_a_wrong_accepted_secret(toy):
                 outcomes["true-secret"] += 1
     assert outcomes["error"] > 0
     assert outcomes["tag-rejected"] > 0
-
-
-# A seeded 16-bit world for the dealer operations below; each example starts
-# from its empty board with a fresh dealer state.
-_PARAMS, _STATE = dealer.setup(16, random.Random(5))
-_PIDS = st.sampled_from("ABCD")
-_SIDS = st.sampled_from(["s1", "s2"])
-_SECRETS = st.integers(0, _PARAMS.m)  # m itself is refused
-# what an enroll offers: a listed id or one no set list can name, and a
-# fresh pseudo-share or one that is not a reduced unit mod n
-_OFFERS = {
-    "fresh": lambda fresh, roster: fresh,
-    "zero": lambda fresh, roster: 0,
-    "n": lambda fresh, roster: _PARAMS.n,
-    "p": lambda fresh, roster: _STATE.p,
-    "n + held": lambda fresh, roster: _PARAMS.n + next(iter(roster.values()), fresh),
-}
-_OPS = st.one_of(
-    st.tuples(
-        st.just("enroll"),
-        _PIDS | st.sampled_from(["", " ", " C", "C,D", "C|D", 7]),
-        st.just("fresh") | st.sampled_from(list(_OFFERS)),
-    ),
-    st.tuples(
-        st.just("share"),
-        st.lists(st.frozensets(_PIDS, min_size=1, max_size=2), min_size=1, max_size=3),
-        _SECRETS,
-    ),
-    st.tuples(st.just("renew"), _SIDS, _SECRETS),
-    st.tuples(st.just("add-set"), _SIDS, st.frozensets(_PIDS, max_size=2)),
-    st.tuples(st.just("remove-set"), _SIDS, st.integers(0, 3)),
-    st.tuples(st.just("remove-participant"), _PIDS),
-)
-
-
-def _apply(op, state, board, rng) -> None:
-    """One library operation, as `msss enroll`, `share` or `update` runs it."""
-    kind, *args = op
-    if kind == "enroll":
-        pid, offer = args
-        fresh = participant.keygen(_PARAMS, pid, rng).ps
-        dealer.enroll(board, pid, _OFFERS[offer](fresh, board.roster))
-    elif kind == "share":
-        dealer.share_secret(state, board, args[1], args[0], rng)
-    elif kind == "renew":
-        dealer.renew_secret(state, board, *args, rng)
-    elif kind == "add-set":
-        dealer.add_qualified_set(state, board, *args, rng)
-    elif kind == "remove-set":
-        dealer.remove_qualified_set(board, *args)
-    else:
-        dealer.remove_participant(state, board, *args, rng)
-
-
-@given(ops=st.lists(_OPS, min_size=6, max_size=16), seed=st.integers(0, 2**32))
-@settings(max_examples=50, deadline=None)
-def test_every_board_the_operations_build_passes_the_reader(ops, seed):
-    """The writer does not check a board because every board the system
-    writes is one of these, and the reader accepts each of them; a refused
-    operation changes nothing."""
-    rng = random.Random(seed)
-    state = bulletin.DealerState(_STATE.p, _STATE.q)
-    board = Board(params=_PARAMS)
-    assert from_document(to_document(board)) == board
-    start = [("enroll", pid, "fresh") for pid in "ABC"] + [("share", ["AB", "C"], 1)]
-    for op in start + ops:
-        before = (dict(state.secrets), dict(board.packages), dict(board.roster))
-        try:
-            _apply(op, state, board, rng)
-        except MsssError:
-            assert (state.secrets, board.packages, board.roster) == before, op
-            continue
-        board.revision += 1
-        assert from_document(to_document(board)) == board, op
-
-
-# every antichain over ABCD, as the distinct minimal sets of a drawn list
-_ANTICHAINS = st.lists(st.frozensets(_PIDS, min_size=1), min_size=1, max_size=4).map(
-    lambda sets: [a for a in dict.fromkeys(sets) if not any(b < a for b in sets)]
-)
-_ROSTER = {pid: participant.keygen(_PARAMS, pid, random.Random(ord(pid))).ps for pid in "ABCD"}
-
-
-@given(structure=_ANTICHAINS, new=st.frozensets(_PIDS), seed=st.integers(0, 2**32))
-@settings(max_examples=50, deadline=None)
-def test_add_qualified_set_drops_strict_supersets_and_keeps_every_other_entry(
-    structure, new, seed
-):
-    """A new set that contains a published one is refused, changing
-    nothing; otherwise the sets it strictly contains go, and every other
-    entry stays exactly as published."""
-    rng = random.Random(seed)
-    state = bulletin.DealerState(_STATE.p, _STATE.q)
-    board = Board(_PARAMS, dict(_ROSTER))
-    old = dealer.share_secret(state, board, 7, structure, rng)
-    before = (dict(state.secrets), dict(board.packages))
-    if not new or any(a <= new for a in structure):
-        with pytest.raises(EmptySet if not new else NotAntichain):
-            dealer.add_qualified_set(state, board, "s1", new, rng)
-        assert (state.secrets, board.packages) == before
-        return
-    pkg = dealer.add_qualified_set(state, board, "s1", new, rng)
-    assert [e.members for e in pkg.entries] == [a for a in structure if not new < a] + [new]
-    assert list(pkg.entries[:-1]) == [e for e in old.entries if not new < e.members]
-    assert pkg._replace(entries=old.entries) == old
-    assert board.packages == {"s1": pkg}

@@ -4,8 +4,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import re
+import shutil
 import stat
 import subprocess
 import sys
@@ -29,47 +31,60 @@ from scripted import LimitedRandom, ScriptedRandom
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-@pytest.fixture
-def run(capsys):
-    def _run(*argv, script=None):
-        """Run one command; ``script`` pins every draw of its RNG."""
+def _run(*argv, script=None):
+    """Run one command; ``script`` pins every draw of its RNG. Returns the
+    exit code and what the command wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with pytest.MonkeyPatch.context() as mp:
             if script is not None:
                 rng = ScriptedRandom(script)
                 mp.setattr(cli, "_rng", lambda args: rng)
             code = main([str(a) for a in argv])
-        if script is not None and code == 0:
-            assert rng.values == [], "script not used up"
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-
-    return _run
+    if script is not None and code == 0:
+        assert rng.values == [], "script not used up"
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture
-def toy_files(tmp_path, run):
-    """Toy world on disk: board, dealer state, keys for A and B, secret s1."""
-    board = tmp_path / "board.json"
-    dealer = tmp_path / "dealer.json"
-    code, out, _ = run(
+def run():
+    return _run
+
+
+@pytest.fixture(scope="module")
+def toy_dir(tmp_path_factory):
+    """Toy world on disk, built once per module: board, dealer state, keys for
+    A and B, secret s1."""
+    tmp = tmp_path_factory.mktemp("toy")
+    board = tmp / "board.json"
+    dealer = tmp / "dealer.json"
+    code, out, _ = _run(
         "setup", "--bits", 4, "--board", board, "--dealer", dealer, script=TOY_SETUP
     )
     assert code == 0
     assert out.splitlines() == ["n = 143 (8 bits)", "m = 149 (8 bits)", "width = 1"]
-    keys = {}
     for pid, s in (("A", 5), ("B", 7)):
-        keys[pid] = tmp_path / f"key_{pid}.json"
-        code, out, _ = run(
-            "enroll", "--id", pid, "--board", board, "--key-out", keys[pid], script=[s]
+        code, out, _ = _run(
+            "enroll", "--id", pid, "--board", board, "--key-out", tmp / f"key_{pid}.json",
+            script=[s],
         )
         assert code == 0
-    code, out, _ = run(
+    code, out, _ = _run(
         "share", "--secret", 100, "--sets", "A,B", "--board", board, "--dealer", dealer,
         script=TOY_SHARE,
     )
     assert code == 0
     assert out.strip() == "s1"
-    return {"board": board, "dealer": dealer, "keys": keys, "tmp": tmp_path}
+    return tmp
+
+
+@pytest.fixture
+def toy_files(tmp_path, toy_dir):
+    """A copy of the toy world of its own for each test."""
+    shutil.copytree(toy_dir, tmp_path, dirs_exist_ok=True)
+    keys = {pid: tmp_path / f"key_{pid}.json" for pid in "AB"}
+    return {"board": tmp_path / "board.json", "dealer": tmp_path / "dealer.json", "keys": keys,
+            "tmp": tmp_path}
 
 
 def _contribute(run, world, pid, out_name, secret_id="s1", members="A,B"):
@@ -1256,13 +1271,34 @@ class TestExitCodes:
         assert list(tmp.rglob("*.tmp")) == []
         assert list((tmp / "a-dir").iterdir()) == []
 
-    def test_written_files_take_the_mode_of_a_plain_open(self, toy_files):
-        plain = toy_files["tmp"] / "plain"
-        with open(plain, "w"):
-            pass
-        written = [toy_files["board"], toy_files["dealer"], *toy_files["keys"].values()]
-        modes = {stat.S_IMODE(path.stat().st_mode) for path in [plain, *written]}
-        assert len(modes) == 1, modes
+    @pytest.mark.parametrize("argv", [
+        ["enroll", "--id", "A", "--key-out", "A.key"],
+        ["share", "--secret", 5, "--sets", "A", "--dealer", "d.json"],
+        ["update", "renew", "--secret-id", "s1", "--secret", 5, "--dealer", "d.json"],
+    ], ids=["enroll", "share", "update"])
+    def test_missing_board_exits_24_and_leaves_no_lock(self, run, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(*argv, "--board", "nope.json")
+        assert (code, out) == (24, "")
+        assert err.startswith("error: cannot read nope.json: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_private_files_are_0600_and_public_files_take_the_umask(self, run, tmp_path):
+        files = {name: tmp_path / name for name in ("board", "dealer", "A.key", "a.x")}
+        world = ["--board", files["board"], "--dealer", files["dealer"]]
+        umask = os.umask(0o022)
+        try:
+            assert run("setup", "--bits", 4, *world, "--seed", 1)[0] == 0
+            assert run("enroll", "--id", "A", "--board", files["board"],
+                       "--key-out", files["A.key"], "--seed", 2)[0] == 0
+            files["dealer"].chmod(0o644)  # widened by hand: the next write narrows it again
+            assert run("share", "--secret", 5, "--sets", "A", *world, "--seed", 3)[0] == 0
+            assert run("contribute", "--board", files["board"], "--key", files["A.key"],
+                       "--secret-id", "s1", "--set", "A", "--out", files["a.x"])[0] == 0
+        finally:
+            os.umask(umask)
+        modes = {name: stat.S_IMODE(path.stat().st_mode) for name, path in files.items()}
+        assert modes == {"board": 0o644, "dealer": 0o600, "A.key": 0o600, "a.x": 0o644}
 
     def test_negative_secret_exits_25_and_writes_nothing(self, run, toy_files):
         files = (toy_files["board"].read_bytes(), toy_files["dealer"].read_bytes())

@@ -9,14 +9,8 @@ from msss import accessstruct, bulletin, codec, combiner, dealer, participant
 from msss.errors import (
     BadParameter,
     DuplicateParticipant,
-    EmptySet,
-    IndexOutOfRange,
     InvariantViolation,
-    LastEntry,
-    NotAntichain,
     SecretTooLarge,
-    StructureBecameEmpty,
-    UnknownParticipant,
     UnknownSecret,
 )
 from msss.numtheory import proves_prime
@@ -235,16 +229,6 @@ class TestShareSecret:
         assert rng.values == []
         assert pkg.h0 == 41
 
-    def test_sequential_ids(self, toy):
-        structure = accessstruct.validate_minimal([["A"]])
-        pkg2 = dealer.share_secret(toy.state, toy.board, 5, structure, random.Random(1))
-        assert pkg2.secret_id == "s2"
-
-    def test_unknown_participant(self, toy):
-        structure = accessstruct.validate_minimal([["A", "Z"]])
-        with pytest.raises(UnknownParticipant):
-            dealer.share_secret(toy.state, toy.board, 5, structure, random.Random(1))
-
     def test_secret_at_modulus_rejected(self, toy):
         structure = accessstruct.validate_minimal([["A"]])
         with pytest.raises(SecretTooLarge):
@@ -252,19 +236,6 @@ class TestShareSecret:
         # boundary: m - 1 is fine
         pkg = dealer.share_secret(toy.state, toy.board, 148, structure, random.Random(1))
         assert pkg.secret_id == "s2"
-
-    def test_failed_share_does_not_burn_an_id(self, toy):
-        structure = accessstruct.validate_minimal([["A", "Z"]])
-        with pytest.raises(UnknownParticipant):
-            dealer.share_secret(toy.state, toy.board, 5, structure, random.Random(1))
-        ok = dealer.share_secret(
-            toy.state,
-            toy.board,
-            5,
-            accessstruct.validate_minimal([["A"]]),
-            random.Random(1),
-        )
-        assert ok.secret_id == "s2"
 
     def test_verification_identity_for_all_members(self):
         params, state = dealer.setup(16, random.Random(10))
@@ -315,47 +286,6 @@ class TestShareSecret:
         assert all(2 <= d < params.m for d in ds)
 
 
-class TestRenew:
-    def test_same_value_still_changes_everything(self, toy):
-        old = toy.package
-        new = dealer.renew_secret(toy.state, toy.board, "s1", toy.secret, random.Random(77))
-        assert new.secret_id == "s1"
-        assert new.structure() == old.structure()
-        assert (new.ps0, new.h0, new.f1) != (old.ps0, old.h0, old.f1)
-        assert new.entry(1).d != old.entry(1).d or new.entry(1).masked != old.entry(1).masked
-
-    def test_other_packages_untouched(self, toy):
-        structure = accessstruct.validate_minimal([["A"]])
-        other = dealer.share_secret(toy.state, toy.board, 17, structure, random.Random(2))
-        before = bulletin.package_to_obj(other)
-        dealer.renew_secret(toy.state, toy.board, "s1", 55, random.Random(3))
-        assert bulletin.package_to_obj(toy.board.packages["s2"]) == before
-
-    def test_unknown_secret(self, toy):
-        with pytest.raises(UnknownSecret):
-            dealer.renew_secret(toy.state, toy.board, "s9", 1, random.Random(1))
-
-    def test_stale_contributions_rejected_after_renewal(self, toy):
-        stale = [
-            participant.contribute(toy.params, toy.key_a, toy.package, 1),
-            participant.contribute(toy.params, toy.key_b, toy.package, 1),
-        ]
-        # h0 = 41 gives s0 = 41, not congruent to the old 7 modulo ord(g) = 60,
-        # and exposes both stale values; TestToySizeCoincidences pins the
-        # draws on this toy group that do not
-        new_pkg = dealer.renew_secret(
-            toy.state, toy.board, "s1", toy.secret, ScriptedRandom([41, 5, 9])
-        )
-        # the verification identity fails for stale values against fresh h0
-        from msss.errors import BadContribution
-
-        with pytest.raises(BadContribution):
-            combiner.reconstruct(toy.params, new_pkg, 1, stale, toy.roster)
-        # and even skipping verification, the unmask-and-tag route rejects them
-        accepted, _ = attack_entry(toy.params, new_pkg, 1, [c.x for c in stale])
-        assert not accepted
-
-
 class TestAddQualifiedSet:
     def test_worked_addition(self, toy):
         pkg = dealer.add_qualified_set(toy.state, toy.board, "s1", ["B"], ScriptedRandom([9]))
@@ -370,130 +300,6 @@ class TestAddQualifiedSet:
         recovered = combiner.reconstruct(toy.params, pkg, 1, [c], toy.roster)
         assert recovered == 100
         assert combiner.verify_secret(pkg, 1, recovered, toy.params.width)
-
-    def test_incomparable_set_appended(self, toy):
-        key_c = participant.keygen(toy.params, "C", ScriptedRandom([9]))
-        dealer.enroll(toy.board, "C", key_c.ps)
-        pkg = dealer.add_qualified_set(toy.state, toy.board, "s1", ["C"], random.Random(1))
-        assert [sorted(e.members) for e in pkg.entries] == [["A", "B"], ["C"]]
-        assert len({e.d for e in pkg.entries}) == 2
-        c = participant.contribute(toy.params, key_c, pkg, 2)
-        assert combiner.reconstruct(toy.params, pkg, 2, [c], toy.roster) == 100
-
-    def test_duplicate_rejected(self, toy):
-        with pytest.raises(NotAntichain):
-            dealer.add_qualified_set(toy.state, toy.board, "s1", ["A", "B"], random.Random(1))
-
-    def test_superset_rejected(self, toy):
-        key_c = participant.keygen(toy.params, "C", ScriptedRandom([9]))
-        dealer.enroll(toy.board, "C", key_c.ps)
-        with pytest.raises(NotAntichain):
-            dealer.add_qualified_set(toy.state, toy.board, "s1", ["A", "B", "C"], random.Random(1))
-
-    def test_empty_and_unknown(self, toy):
-        with pytest.raises(EmptySet):
-            dealer.add_qualified_set(toy.state, toy.board, "s1", [])
-        with pytest.raises(UnknownParticipant):
-            dealer.add_qualified_set(toy.state, toy.board, "s1", ["Z"])
-        with pytest.raises(UnknownSecret):
-            dealer.add_qualified_set(toy.state, toy.board, "s9", ["A"])
-
-
-class TestRemoveQualifiedSet:
-    def _two_entry_package(self, toy):
-        key_c = participant.keygen(toy.params, "C", ScriptedRandom([9]))
-        dealer.enroll(toy.board, "C", key_c.ps)
-        return dealer.add_qualified_set(toy.state, toy.board, "s1", ["C"], random.Random(1))
-
-    def test_remove_first_of_two(self, toy):
-        before = self._two_entry_package(toy)
-        pkg = dealer.remove_qualified_set(toy.board, "s1", 1)
-        assert len(pkg.entries) == 1
-        assert pkg.entries == before.entries[1:]
-
-    def test_remove_only_entry(self, toy):
-        with pytest.raises(LastEntry):
-            dealer.remove_qualified_set(toy.board, "s1", 1)
-
-    def test_bad_index(self, toy):
-        self._two_entry_package(toy)
-        with pytest.raises(IndexOutOfRange):
-            dealer.remove_qualified_set(toy.board, "s1", 3)
-        with pytest.raises(IndexOutOfRange):
-            dealer.remove_qualified_set(toy.board, "s1", 0)
-
-    def test_removed_set_loses_access(self, toy):
-        self._two_entry_package(toy)
-        cached = [
-            participant.contribute(toy.params, toy.key_a, toy.board.packages["s1"], 1),
-            participant.contribute(toy.params, toy.key_b, toy.board.packages["s1"], 1),
-        ]
-        pkg = dealer.remove_qualified_set(toy.board, "s1", 1)
-        assert all(e.members != frozenset("AB") for e in pkg.entries)
-        # binding check refuses the cached contributions against the survivor
-        from msss.errors import ExtraContribution
-
-        with pytest.raises(ExtraContribution):
-            combiner.reconstruct(toy.params, pkg, 1, cached, toy.roster)
-
-
-class TestRemoveParticipant:
-    def _world(self):
-        params, state = dealer.setup(4, ScriptedRandom(TOY_SETUP))
-        keys, roster = _enroll_three(params)
-        board = bulletin.Board(params, roster)
-        s1 = dealer.share_secret(
-            state,
-            board,
-            100,
-            accessstruct.validate_minimal([["A", "B"], ["A", "C"]]),
-            random.Random(1),
-        )
-        s2 = dealer.share_secret(
-            state,
-            board,
-            42,
-            accessstruct.validate_minimal([["A"]]),
-            random.Random(2),
-        )
-        return params, state, keys, board, s1, s2
-
-    def test_sets_filtered_and_secret_renewed(self):
-        params, state, keys, board, s1, s2 = self._world()
-        renewed = dealer.remove_participant(state, board, "B", random.Random(3))
-        assert [p.secret_id for p in renewed] == ["s1"]
-        assert "B" not in board.roster
-        new_s1 = renewed[0]
-        assert [sorted(e.members) for e in new_s1.entries] == [["A", "C"]]
-        assert (new_s1.ps0, new_s1.h0) != (s1.ps0, s1.h0)
-        # the survivor set still recovers the same secret value
-        c_a = participant.contribute(params, keys["A"], new_s1, 1)
-        c_c = participant.contribute(params, keys["C"], new_s1, 1)
-        assert combiner.reconstruct(params, new_s1, 1, [c_a, c_c], board.roster) == 100
-
-    def test_unmentioned_participant_renews_nothing(self):
-        params, state, keys, board, s1, s2 = self._world()
-        key_d = participant.keygen(params, "D", random.Random(9))
-        dealer.enroll(board, "D", key_d.ps)
-        before = {sid: bulletin.package_to_obj(pkg) for sid, pkg in board.packages.items()}
-        renewed = dealer.remove_participant(state, board, "D", random.Random(4))
-        assert renewed == []
-        assert "D" not in board.roster
-        after = {sid: bulletin.package_to_obj(pkg) for sid, pkg in board.packages.items()}
-        assert before == after
-
-    def test_last_set_blocks_removal(self, toy):
-        with pytest.raises(StructureBecameEmpty) as info:
-            dealer.remove_participant(toy.state, toy.board, "B", random.Random(1))
-        assert info.value.secret_ids == ["s1"]
-        # nothing was mutated
-        assert "B" in toy.roster
-        assert toy.board.packages["s1"] == toy.package
-
-    def test_unknown_participant(self, toy):
-        with pytest.raises(UnknownParticipant):
-            dealer.remove_participant(toy.state, toy.board, "Z", random.Random(1))
-
 
 class TestToySizeCoincidences:
     """Known properties of the toy group (g = 15 of order 60 mod 143, one-byte
@@ -528,27 +334,6 @@ class TestToySizeCoincidences:
             False,
         ]
         assert attack_entry(toy.params, pkg, 1, [c.x for c in stale]) == (True, 100)
-
-
-def test_end_to_end_randomized_round_trips():
-    rng = random.Random(2024)
-    for _ in range(5):
-        params, state = dealer.setup(16, rng)
-        pids = ["P1", "P2", "P3", "P4"]
-        keys = {pid: participant.keygen(params, pid, rng) for pid in pids}
-        roster = {pid: k.ps for pid, k in keys.items()}
-        board = bulletin.Board(params, roster)
-        structure = accessstruct.validate_minimal([["P1", "P2"], ["P2", "P3"], ["P4"]])
-        value = rng.randrange(0, params.m)
-        pkg = dealer.share_secret(state, board, value, structure, rng)
-        for j in range(1, len(pkg.entries) + 1):
-            contribs = [
-                participant.contribute(params, keys[pid], pkg, j)
-                for pid in sorted(pkg.entry(j).members)
-            ]
-            got = combiner.reconstruct(params, pkg, j, contribs, roster)
-            assert got == value
-            assert combiner.verify_secret(pkg, j, got, params.width)
 
 
 def test_toy_world_fixture_is_fresh_each_time():

@@ -1,6 +1,7 @@
-"""The demos run to their closing line, and the README quickstart and CLI
-session run."""
+"""The demos run to their closing line, the README quickstart and CLI
+session run, and every test that the README's claims table names exists."""
 
+import ast
 import functools
 import re
 import shlex
@@ -79,3 +80,22 @@ def _run_demo(demo):
         [sys.executable, "-B", str(ROOT / "demos" / demo)],
         capture_output=True, text=True, env=_ENV, timeout=60,
     )
+
+
+def test_every_test_the_claims_table_names_exists():
+    # found with ast, so no test module is imported, and a deleted or
+    # renamed test fails here, not in a stale row
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("\n## Claims of the paper\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in table.splitlines() if line.startswith("| ")][2:]
+    assert len(rows) == 7
+    for row in rows:
+        named = re.findall(r"`(tests/\w+\.py)::([\w:]+)`", row)
+        assert named, row
+        for path, name in named:
+            scope = ast.parse((ROOT / path).read_text()).body
+            for part in name.split("::"):
+                defs = {node.name: node.body for node in scope
+                        if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+                assert part in defs, f"{path}::{name}"
+                scope = defs[part]
