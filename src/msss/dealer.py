@@ -62,29 +62,34 @@ def setup(
     Every prime is proved, each grown with its Pocklington chain as in
     Maurer 1995 and FIPS 186-4, Appendix B.3.2 (``numtheory``). n = p*q for
     two distinct proved primes of ``bits_per_prime`` bits each
-    (``numtheory.gen_prime``), whose chains are discarded; g is drawn from
-    [ceil(sqrt(n)), n] and resampled until it shares no factor with n (which
-    in particular rules out p and q). After them, m > n comes with the chain
-    the board carries for it (``numtheory.proved_prime_above``): the smallest
-    prime above n while n is below ``numtheory.TRIAL_LIMIT``, otherwise the
-    first prime above n of the form 2*k*N1 + 1 over the chain's top link N1,
-    about half as wide as n; either way the mask width stays
-    ``codec.mask_width(m)``.
+    (``numtheory.gen_prime``), whose chains are discarded but for their top
+    links r_p and r_q, the largest prime factors of p - 1 and q - 1. g is
+    drawn from [ceil(sqrt(n)), n] and resampled until it shares no factor
+    with n and g**((p-1)/r_p) != 1 mod p and g**((q-1)/r_q) != 1 mod q, so
+    r_p and r_q both divide the order of g. m > n is public and drawn from
+    no rng (``numtheory.proved_prime_above`` over 2 * bits_per_prime bits):
+    the smallest prime above n while n is below ``numtheory.TRIAL_LIMIT``,
+    otherwise one constant per ``bits_per_prime``; either way the mask width
+    stays ``codec.mask_width(m)``.
     """
     if bits_per_prime < 4:
         raise BadParameter(f"bits_per_prime must be >= 4, got {bits_per_prime}")
     rng = rng or _default_rng
-    p = gen_prime(bits_per_prime, rng)
-    q = gen_prime(bits_per_prime, rng)
+    p, r_p = gen_prime(bits_per_prime, rng)
+    q, r_q = gen_prime(bits_per_prime, rng)
     while q == p:
-        q = gen_prime(bits_per_prime, rng)
+        q, r_q = gen_prime(bits_per_prime, rng)
     n = p * q
     lo = ceil_sqrt(n)
     while True:
         g = rng.randrange(lo, n + 1)
-        if math.gcd(g, n) == 1:
+        if (
+            math.gcd(g, n) == 1
+            and powmod(g, (p - 1) // r_p, p) != 1
+            and powmod(g, (q - 1) // r_q, q) != 1
+        ):
             break
-    m, m_chain = proved_prime_above(n, rng)
+    m, m_chain = proved_prime_above(n, 2 * bits_per_prime)
     params = PublicParams(g=g, n=n, m=m, width=codec.mask_width(m), m_chain=m_chain)
     return params, DealerState(p=p, q=q)
 

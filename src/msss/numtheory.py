@@ -11,19 +11,24 @@ where trial division decides. ``_proved_prime`` grows such a chain upward,
 each link about twice as wide as the one below, as in Maurer's method
 (Maurer 1995, "Fast generation of prime numbers and secure public-key
 cryptographic parameters") and Shawe-Taylor's construction (FIPS 186-4,
-Appendix B.3.2). ``gen_prime`` keeps only the head; ``proved_prime_above``
-keeps the chain, which the board carries for m, and ``proves_prime``
-checks one deterministically, with about one pow at the size of m and no
-random draw. Every prime N above the tail has N - 1 = 2*k*r with r a prime
-of about half its width, so Pollard's p - 1 method does not apply to p or q.
+Appendix B.3.2). ``gen_prime`` keeps the head and its top link, the
+largest prime factor of p - 1; ``proved_prime_above`` keeps the chain,
+which the board carries for m, and ``proves_prime`` checks one
+deterministically, with about one pow at the size of m and no random draw.
+Every prime N above the tail has N - 1 = 2*k*r with r a prime of about half
+its width, so Pollard's p - 1 method does not apply to p or q.
 
-Randomized routines take an optional ``rng`` (any ``random.Random``-alike);
-the default is a cryptographically secure source. Passing a seeded
-``random.Random`` makes them fully deterministic.
+m is public and needs no secret randomness: above TRIAL_LIMIT it is a
+constant of the width, grown once per process from a fixed seed
+(``_field_prime``), as published protocols fix one group per size (RFC
+7919). Randomized routines take an optional ``rng`` (any
+``random.Random``-alike); the default is a cryptographically secure source.
+Passing a seeded ``random.Random`` makes them fully deterministic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from typing import Sequence
@@ -126,27 +131,52 @@ def _proved_prime(bits: int, rng: random.Random) -> tuple[int, ...]:
             return (n, *chain)
 
 
-def gen_prime(bits: int, rng: random.Random | None = None) -> int:
-    """A proved prime of exactly ``bits`` bits (top bit set)."""
+def gen_prime(bits: int, rng: random.Random | None = None) -> tuple[int, int]:
+    """A proved prime p of exactly ``bits`` bits (top bit set) and r, the
+    largest prime factor of p - 1.
+
+    Above _TAIL_BITS, r is the top link of p's chain: p = 2*k*r + 1 with
+    2*k < r. Up to it, r comes from factoring p - 1 by trial division.
+    """
     if bits < 2:
         raise BadParameter(f"bits must be >= 2, got {bits}")
-    return _proved_prime(bits, rng or _default_rng)[0]
+    chain = _proved_prime(bits, rng or _default_rng)
+    if len(chain) > 1:
+        return chain[0], chain[1]
+    rest, largest = chain[0] - 1, 1
+    for r in SMALL_PRIMES:  # p - 1 < TRIAL_LIMIT: its cofactor past sqrt is prime
+        if r * r > rest:
+            break
+        while rest % r == 0:
+            rest //= r
+            largest = r
+    return chain[0], max(largest, rest)
 
 
-def proved_prime_above(n: int, rng: random.Random | None = None) -> tuple[int, tuple[int, ...]]:
-    """A prime m > n and the chain (N1, ..., Nk) that proves it, for
-    ``proves_prime``.
+def proved_prime_above(n: int, bits: int) -> tuple[int, tuple[int, ...]]:
+    """A public prime m > n and the chain (N1, ..., Nk) that proves it, for
+    ``proves_prime``; n must be below 2**bits. No random draw.
 
-    Below TRIAL_LIMIT, m is the smallest prime above n, with an empty chain
-    and no draw. Above it, N1 and its chain come from ``_proved_prime`` at
-    n.bit_length() // 2 + 2 bits, and m is the smallest 2*k*N1 + 1 above n
-    that passes the step.
+    Below TRIAL_LIMIT, m is the smallest prime above n, with an empty chain.
+    Above it, m depends on ``bits`` alone (``_field_prime``), so every n of
+    a width shares one m, computed once per process.
     """
+    if n >= 1 << bits:
+        raise BadParameter(f"n must be below 2**{bits}, got {n.bit_length()} bits")
     for m in range(max(n + 1, 2), TRIAL_LIMIT):
         if _trial_division(m):
             return m, ()
-    chain = _proved_prime(n.bit_length() // 2 + 2, rng or _default_rng)
-    step = 2 * chain[0]
+    return _field_prime(bits)
+
+
+@functools.lru_cache(maxsize=16)
+def _field_prime(bits: int) -> tuple[int, tuple[int, ...]]:
+    """The smallest m = 2*k*N1 + 1 above 2**bits that passes the step over
+    N1, and its chain, where N1 and its chain come from ``_proved_prime`` at
+    bits // 2 + 2 bits, drawn from the fixed seed "msss m <bits>". So m has
+    exactly bits + 1 bits."""
+    chain = _proved_prime(bits // 2 + 2, random.Random(f"msss m {bits}"))
+    step, n = 2 * chain[0], 1 << bits
     m = n + step - (n - 1) % step  # the smallest 2*k*N1 + 1 above n
     while not _passes_step(m, chain[0]):
         m += step

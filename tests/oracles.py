@@ -31,6 +31,28 @@ def trial_division_factor(n: int, bound: int):
     return None
 
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, by trial division."""
+    found, k = [], 2
+    while k * k <= n:
+        if n % k == 0:
+            found.append(k)
+            while n % k == 0:
+                n //= k
+        k += 1
+    return found + [n] if n > 1 else found
+
+
+def multiplicative_order(g: int, p: int) -> int:
+    """The order of g mod a prime p not dividing g: p - 1 with every prime
+    factor divided out that g**(order / f) = 1 allows."""
+    order = p - 1
+    for f in prime_factors(p - 1):
+        while order % f == 0 and pow(g, order // f, p) == 1:
+            order //= f
+    return order
+
+
 def brute_line_search(x1: int, y1: int, x2: int, y2: int, m: int) -> list:
     """All lines (intercept, slope) through both points, by scanning every
     slope candidate and deriving the intercept from the first point."""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from msss import bulletin, combiner, dealer, numtheory, participant
+from msss import bulletin, codec, combiner, dealer, numtheory, participant
 from msss.accessstruct import validate_minimal
 from msss.bulletin import Board, from_document, hex_to_int, load, save, to_document
 from msss.errors import (
@@ -104,6 +104,25 @@ class TestValidation:
         save(Board(params), tmp_path / "board.json")
         monkeypatch.setattr(numtheory, "_default_rng", NoDraws())
         assert load(tmp_path / "board.json").params == params
+
+    def test_board_whose_m_was_searched_above_n_still_loads(self, tmp_path):
+        # before m was one constant per width, setup searched up from n for
+        # the smallest 2*k*N1 + 1 that the step proves, over an N1 of
+        # n.bit_length() // 2 + 2 bits; the reader takes any proved m > n
+        params, state = dealer.setup(64, random.Random(2))
+        n = params.n
+        chain = numtheory._proved_prime(n.bit_length() // 2 + 2, random.Random(5))
+        step = 2 * chain[0]
+        m = n + step - (n - 1) % step
+        while not numtheory.pocklington_step(m, chain[0]):
+            m += step
+        assert n < m < params.m
+        board = Board(params._replace(m=m, width=codec.mask_width(m), m_chain=chain))
+        for pid, seed in (("A", 1), ("B", 2)):
+            dealer.enroll(board, pid, participant.keygen(board.params, pid, random.Random(seed)).ps)
+        dealer.share_secret(state, board, 12345, [["A", "B"]], random.Random(3))
+        save(board, tmp_path / "board.json")
+        assert load(tmp_path / "board.json") == board
 
     def test_repeated_pseudo_share_rejected(self):
         # B enrolls a copy of A's pseudo-share: their masks cancel, so the

@@ -1063,7 +1063,7 @@ class TestDealerWrite:
         # every later command exited 19 on ps0^h0 != g
         p = 65521
         n = p * p
-        m, m_chain = numtheory.proved_prime_above(n, random.Random(1))
+        m, m_chain = numtheory.proved_prime_above(n, 32)
         params = PublicParams(g=p + 1, n=n, m=m, width=codec.mask_width(m), m_chain=m_chain)
         board, dealer = tmp_path / "board.json", tmp_path / "dealer.json"
         bulletin.save(bulletin.Board(params), board)
@@ -1143,13 +1143,17 @@ class TestDealerWrite:
 # dealer.json and its history were recorded again when the dealer file
 # replaced its copy of each package by the package's SHA-256: at every step
 # it is the earlier file with "packages" replaced by "digests"; every output,
-# board.json and the board history stayed byte-identical. A refactor of the
-# write path must not change a byte of it.
+# board.json and the board history stayed byte-identical. The setup line, the
+# two s2 contributions and their files, board.json, dealer.json and both
+# histories were recorded again when m became the one constant of its width
+# (33 bits above n's 31, so width 5) and setup stopped drawing for it: the
+# keys, s1's contributions and both recovered secrets did not change. A
+# refactor of the write path must not change a byte of it.
 GOLDEN_BOARD = ("--board", "board.json")
 GOLDEN_DEALER = GOLDEN_BOARD + ("--dealer", "dealer.json")
 GOLDEN_SESSION = [
     (("setup", "--bits", 16, *GOLDEN_DEALER, "--seed", 1), 0,
-     "n = 1911295649 (31 bits)\nm = 1913349007 (31 bits)\nwidth = 4\n"),
+     "n = 1911295649 (31 bits)\nm = 4296084629 (33 bits)\nwidth = 5\n"),
     (("enroll", "--id", "A", *GOLDEN_BOARD, "--key-out", "A.key", "--seed", 11), 0,
      "enrolled A: ps = df1a60e\n"),
     (("enroll", "--id", "B", *GOLDEN_BOARD, "--key-out", "B.key", "--seed", 12), 0,
@@ -1179,9 +1183,9 @@ GOLDEN_SESSION = [
     (("verify", *GOLDEN_BOARD, "--secret-id", "s1", "--set", "A,B",
       "--contribution", "a.x", "--contribution", "b.x"), 0, "ok: A\nok: B\n"),
     (("contribute", *GOLDEN_BOARD, "--key", "B.key", "--secret-id", "s2", "--set", "B,D",
-      "--out", "b2.x"), 0, "1081415083\n"),
+      "--out", "b2.x"), 0, "825572685\n"),
     (("contribute", *GOLDEN_BOARD, "--key", "D.key", "--secret-id", "s2", "--set", "B,D",
-      "--out", "d2.x"), 0, "626289511\n"),
+      "--out", "d2.x"), 0, "1595666044\n"),
     (("reconstruct", *GOLDEN_BOARD, "--secret-id", "s2", "--set", "B,D",
       "--contribution", "b2.x", "--contribution", "d2.x"), 0, "26729\ntag: ok\n"),
 ]
@@ -1192,14 +1196,14 @@ GOLDEN_SHA256 = {
     "D.key": "fba2a10462e9258108084cea183fbf5f5266fc6a3cd0e0099babf7891db3f717",
     "a.x": "2a8a96279bafc4e8589c7c1138de6e45502cf325a7fed9a3a4ea52f7a8b10dd6",
     "b.x": "06103c46eda089c855711f5f41939b60a17360c9a09d012f47ca71dfe5014dd4",
-    "b2.x": "09909a07a3fa550c1cff7aa6ed3c46dcaefb06b891eb06918f6b0fce15566f8d",
-    "board.json": "63fe8a50f88e1c114755e33cd874ff477842ae117d8e7053a5e17d37c0a68ad0",
+    "b2.x": "8aa01b7b5b4a06749be732573c00a946513736a0e126b5d1680cf9a73c68aafe",
+    "board.json": "e78d5133b797ed710e0f42c9a500067f8a5cf31840ab2c59f7546086ab6df0e2",
     "board.json.lock": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "d2.x": "678de20b91d0d0fbbb01364ec9edc0451abc52d0998b094863cfc8fe32d4937b",
-    "dealer.json": "67623aeb89f5a2ecbf3e4b7fe035d1b29270b479b762f902a6dfac9e1bf79581",
+    "d2.x": "585846ae6c73634512e1d98032d8f65b5ba8d365864360d32bafcfdd14f447d4",
+    "dealer.json": "266d29b6185fd60f8d2021324b112f362d8e8e436f50740399952011fc23653c",
 }
-GOLDEN_BOARD_HISTORY_SHA256 = "810bb217420bd08017ba2926de1ebf01402518b5442d0bad6d8cb3cb6fe6ff55"
-GOLDEN_DEALER_HISTORY_SHA256 = "92e9a180e7a367c93c2da2d58a7b383c7614bd30c5db4b598bc63ee1ecca6ea1"
+GOLDEN_BOARD_HISTORY_SHA256 = "d95a9d26efadb2fe5cd1a9087a46c3a575562675d1f65ae0b0b62c1c1d93976d"
+GOLDEN_DEALER_HISTORY_SHA256 = "1dc749cf79792cd2d5d0bdbf91f84809b6f345b5b85570a7c955fea63002a41b"
 
 
 def test_golden_session(run, tmp_path, monkeypatch):
@@ -1572,11 +1576,13 @@ def test_a_corrupted_file_exits_with_a_documented_code(fuzz_world, data):
 # sampling brings its stream back to the same words. All three were recorded
 # again when the dealer began to draw a short h0 first, which moves every
 # draw after the first share, and again when p and q came with prime chains
-# of their own, which moves n and every draw after it.
+# of their own, which moves n and every draw after it. All three were
+# recorded again when m became the one constant of its width, drawn from no
+# rng, which moves every draw after g and widens m to 129 bits.
 GOLDEN_REPORT_SHA256 = {
-    7: "819bddc281b3724f63ec8ca805d6ee066c1d4479ed9343277ed8eb5063909b66",
-    3: "eeeadae71de08e2c8738a3f8ce29d41a2a9babe1391d0e2a3625d3d54ee0fc7e",
-    11: "8925d5805f15004eba549c0f95829e8e6080f49e5ea830d11e06fc643195fdb2",
+    7: "672bd39616419983739b4985aed4f8bbaafd3b0db10102fd8f780ddb6659cfed",
+    3: "043672a2e0898dcc885bac9ae3e75125278da8b92c5f37ade1894e6fe361aaa3",
+    11: "c134c52a3410e42befec153def7a44f744870bbe313428b29aa501c9992bd7ab",
 }
 
 
@@ -1600,13 +1606,14 @@ class TestSimulateCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORT_SHA256[seed]
 
     def test_too_few_powers_of_g_for_distinct_pseudo_shares(self, run):
-        # seed 3 draws g = 133, of order 3 mod 143: 12 members cannot all
-        # hold a pseudo-share of their own, and the redraw gives up
-        code, out, err = run("simulate", "--participants", 12, "--secrets", 1, "--bits", 4,
+        # every g mod 143 = 11 * 13 has an order dividing lcm(10, 12) = 60, so
+        # 61 members cannot all hold a pseudo-share of their own, and the
+        # redraw gives up; seed 3 draws g = 28
+        code, out, err = run("simulate", "--participants", 61, "--secrets", 1, "--bits", 4,
                              "--seed", 3)
         assert code == 25
         assert out == ""
-        assert "g = 133 has too few powers mod n = 143" in err
+        assert "g = 28 has too few powers mod n = 143 for 61 distinct pseudo-shares" in err
 
     def test_timing_goes_to_stderr_not_the_report(self, run):
         code, out, err = run("simulate", "--participants", 3, "--secrets", 1, "--seed", 2)

@@ -2,10 +2,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from msss import accessstruct, bulletin, codec, combiner, dealer, participant
+from msss import accessstruct, bulletin, codec, combiner, dealer, numtheory, participant
 from msss.errors import (
     BadParameter,
     DuplicateParticipant,
@@ -14,10 +14,10 @@ from msss.errors import (
     UnknownSecret,
 )
 from msss.numtheory import proves_prime
-from msss.simulate import attack_entry
+from msss.simulate import SimulationConfig, attack_entry, run_simulation
 
 from conftest import FIVE_SETS, TEN_ROSTER, TOY_SETUP, make_toy_world
-from oracles import miller_rabin, naive_mod_exp
+from oracles import miller_rabin, multiplicative_order, naive_mod_exp, prime_factors
 from scripted import LimitedRandom, ScriptedRandom
 
 
@@ -97,6 +97,12 @@ class TestSetup:
 
     @given(bits=st.integers(min_value=8, max_value=128), seed=st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
+    # n = p*q passes numtheory.TRIAL_LIMIT (about 2**19.9) between 9 and 11
+    # bits: seed 95 draws n = 999919 at 10 bits, which gets the 21-bit m of 2**20
+    @example(bits=9, seed=1)
+    @example(bits=10, seed=1)
+    @example(bits=10, seed=95)
+    @example(bits=11, seed=1)
     def test_m_comes_with_a_chain_that_proves_it(self, bits, seed):
         params, _ = dealer.setup(bits, random.Random(seed))
         assert params.m > params.n
@@ -104,6 +110,40 @@ class TestSetup:
         assert proves_prime(params.m, params.m_chain)
         oracle = random.Random(seed)
         assert all(miller_rabin(link, oracle) for link in (params.m, *params.m_chain))
+
+    @pytest.mark.parametrize("bits", [11, 16, 64])
+    def test_m_is_one_constant_per_width(self, bits):
+        first, _ = dealer.setup(bits, random.Random(1))
+        before = numtheory._field_prime.cache_info()
+        other, _ = dealer.setup(bits, random.Random(2))
+        after = numtheory._field_prime.cache_info()
+        assert first.n != other.n
+        assert (first.m, first.m_chain, first.width) == (other.m, other.m_chain, other.width)
+        assert first.m.bit_length() == 2 * bits + 1
+        # the second setup builds no m: it finds the width's in the cache
+        assert (after.misses, after.hits) == (before.misses, before.hits + 1)
+
+    @given(bits=st.integers(min_value=4, max_value=24), seed=st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_the_largest_prime_factors_of_p_and_q_minus_1_divide_the_order_of_g(self, bits, seed):
+        params, state = dealer.setup(bits, random.Random(seed))
+        (p, r_p), (q, r_q) = [(x, max(prime_factors(x - 1))) for x in (state.p, state.q)]
+        order_p, order_q = (multiplicative_order(params.g, x) for x in (p, q))
+        assert order_p % r_p == 0 and order_q % r_q == 0
+        # the order of g mod n is lcm(order_p, order_q): r_p * r_q whenever r_p != r_q
+        assert math.lcm(order_p, order_q) % math.lcm(r_p, r_q) == 0
+
+    # the --bits 4 seeds whose g had an order below 15 mod 143 (2 to 12) when
+    # g was only drawn coprime to n; 15 = 5 * 3 is the least order the rule
+    # leaves, from p - 1 = 10 and q - 1 = 12
+    @pytest.mark.parametrize("seed", [2, 3, 5, 6, 8, 11, 17, 19, 23, 25, 28])
+    def test_no_small_order_g_at_four_bits(self, seed):
+        params, state = dealer.setup(4, random.Random(seed))
+        assert (params.n, sorted((state.p, state.q))) == (143, [11, 13])
+        order = math.lcm(*(multiplicative_order(params.g, x) for x in (11, 13)))
+        assert order % 15 == 0
+        config = SimulationConfig(participants=12, secrets=1, bits_per_prime=4, seed=seed)
+        assert run_simulation(config)["summary"]["recovered"] >= 1
 
     def test_rejects_tiny_primes(self):
         with pytest.raises(BadParameter):

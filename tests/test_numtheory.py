@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from msss.errors import BadParameter
 from msss.numtheory import (
     TRIAL_LIMIT,
+    _field_prime,
     _proved_prime,
     gen_prime,
     pocklington_step,
@@ -15,8 +16,13 @@ from msss.numtheory import (
     proves_prime,
 )
 
-from oracles import miller_rabin, naive_mod_exp, scan_inverse, trial_division_factor
-from scripted import ScriptedRandom
+from oracles import (
+    miller_rabin,
+    naive_mod_exp,
+    prime_factors,
+    scan_inverse,
+    trial_division_factor,
+)
 
 
 class TestModExp:
@@ -71,13 +77,13 @@ class TestModInv:
 
 class TestGenPrime:
     def test_eight_bit(self):
-        p = gen_prime(8, random.Random(7))
+        p, _ = gen_prime(8, random.Random(7))
         assert 128 <= p <= 255
         assert trial_division_factor(p, 256) is None
 
     def test_four_bit_hits_the_only_candidates(self):
         seen = {gen_prime(4, random.Random(seed)) for seed in range(30)}
-        assert seen <= {11, 13}
+        assert seen <= {(11, 5), (13, 3)}
         assert seen  # at least one draw
 
     def test_one_bit_is_refused(self):
@@ -88,12 +94,12 @@ class TestGenPrime:
         a = gen_prime(16, random.Random(1234))
         b = gen_prime(16, random.Random(1234))
         assert a == b
-        assert a.bit_length() == 16
+        assert a[0].bit_length() == 16
 
     def test_survives_trial_division(self):
         rng = random.Random(99)
         for _ in range(5):
-            p = gen_prime(48, rng)
+            p, _ = gen_prime(48, rng)
             assert p.bit_length() == 48
             for small in range(2, 1000):
                 assert p % small != 0
@@ -102,7 +108,11 @@ class TestGenPrime:
         # up to 19 bits a prime is drawn whole; from 20 bits on it is 2*k*r + 1
         for bits in range(2, 65):
             chain = _proved_prime(bits, random.Random(bits))
-            assert chain[0] == gen_prime(bits, random.Random(bits))
+            p, r = gen_prime(bits, random.Random(bits))
+            assert chain[0] == p
+            # r is the largest prime factor of p - 1: the top link, or found by trial division
+            assert (p - 1) % r == 0 and miller_rabin(r, random.Random(bits))
+            assert all(f <= r for f in prime_factors((p - 1) // r))
             assert chain[0].bit_length() == bits
             assert miller_rabin(chain[0], random.Random(bits))
             assert proves_prime(chain[0], chain[1:])
@@ -116,21 +126,10 @@ class TestGenPrime:
     @settings(max_examples=30, deadline=None)
     def test_agrees_with_40_round_reference(self, bits, seed):
         rng = random.Random(seed)
-        p = gen_prime(bits, rng)
+        p, r = gen_prime(bits, rng)
         assert p.bit_length() == bits
         assert miller_rabin(p, rng)
-
-
-def _prime_factors(n: int) -> list[int]:
-    """The distinct prime factors of n >= 1, by trial division."""
-    found, k = [], 2
-    while k * k <= n:
-        if n % k == 0:
-            found.append(k)
-            while n % k == 0:
-                n //= k
-        k += 1
-    return found + [n] if n > 1 else found
+        assert miller_rabin(r, rng) and (p - 1) % r == 0
 
 
 class TestPocklingtonStep:
@@ -139,7 +138,7 @@ class TestPocklingtonStep:
         for n in range(3, 20000, 2):
             # a composite n has a proper divisor up to its square root
             prime = trial_division_factor(n, math.isqrt(n) + 1) is None
-            rs = [r for r in _prime_factors(n - 1) if r * r >= n]
+            rs = [r for r in prime_factors(n - 1) if r * r >= n]
             for r in rs:
                 if pocklington_step(n, r):
                     accepted += 1
@@ -165,8 +164,8 @@ class TestPocklingtonStep:
 
 class TestProvedPrime:
     def test_small_n_gives_the_next_prime_with_no_chain_or_draw(self):
-        assert proved_prime_above(143, ScriptedRandom([])) == (149, ())
-        assert proved_prime_above(1, ScriptedRandom([])) == (2, ())
+        assert proved_prime_above(143, 8) == (149, ())
+        assert proved_prime_above(1, 1) == (2, ())
         assert proves_prime(149, ())
         assert not proves_prime(143, ())
 
@@ -175,20 +174,42 @@ class TestProvedPrime:
         assert not proves_prime(TRIAL_LIMIT, ())
 
     def test_chain_above_the_trial_limit(self):
-        m, chain = proved_prime_above(TRIAL_LIMIT, random.Random(3))
+        m, chain = proved_prime_above(TRIAL_LIMIT, 20)
         assert m > TRIAL_LIMIT and chain
         assert proves_prime(m, chain)
         assert not proves_prime(m + 2, chain)
         assert not proves_prime(m, chain[:-1])
+
+    def test_n_must_be_below_two_to_the_bits(self):
+        with pytest.raises(BadParameter, match=r"^n must be below 2\*\*8, got 9 bits$"):
+            proved_prime_above(256, 8)
+        assert proved_prime_above(255, 8) == (257, ())
 
     @given(bits=st.integers(min_value=2, max_value=300), seed=st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)
     def test_chain_is_short_and_every_link_is_prime(self, bits, seed):
         rng = random.Random(seed)
         n = rng.getrandbits(bits) | (1 << (bits - 1))
-        m, chain = proved_prime_above(n, rng)
+        m, chain = proved_prime_above(n, bits)
         assert m > n
-        assert m.bit_length() <= n.bit_length() + 1
+        if chain:  # past trial division m is the width's constant, just above 2**bits
+            assert m.bit_length() == bits + 1
+        else:
+            assert m.bit_length() <= bits + 1
         assert proves_prime(m, chain)
         assert len(chain) <= max(0, n.bit_length().bit_length() - 3)
         assert all(miller_rabin(link, rng) for link in (m, *chain))
+
+    @pytest.mark.parametrize("bits", [20, 24, 33])
+    def test_above_the_trial_limit_m_depends_on_the_width_alone(self, bits):
+        # every n of the width gets one m: the least 2*k*N1 + 1 above 2**bits
+        # that passes the step, over N1 grown from the seed "msss m <bits>"
+        ns = {TRIAL_LIMIT, max(TRIAL_LIMIT, 1 << (bits - 1)) + 12345, (1 << bits) - 1}
+        found = {proved_prime_above(n, bits) for n in ns}
+        assert len(found) == 1
+        m, chain = found.pop()
+        assert chain == _proved_prime(bits // 2 + 2, random.Random(f"msss m {bits}"))
+        step = 2 * chain[0]
+        assert (m - 1) % step == 0
+        assert not any(pocklington_step(k, chain[0]) for k in range(m - step, 1 << bits, -step))
+        assert _field_prime(bits) == (m, chain)
