@@ -47,9 +47,10 @@ def _rng(args):
     return random.Random(seed) if seed is not None else random.SystemRandom()
 
 
-def _refuse_existing(path: str, force: bool) -> None:
-    if os.path.exists(path) and not force:
-        raise OutputExists(f"{path} already exists (use --force to replace it)")
+def _refuse_existing(force: bool, *paths: str) -> None:
+    for path in paths:
+        if os.path.exists(path) and not force:
+            raise OutputExists(f"{path} already exists (use --force to replace it)")
 
 
 @contextlib.contextmanager
@@ -123,11 +124,12 @@ def _session(args) -> tuple[Board, bulletin.SecretPackage, int]:
 
 
 def cmd_setup(args) -> int:
-    _refuse_existing(args.board, args.force)
-    _refuse_existing(args.dealer, args.force)
+    _refuse_existing(args.force, args.board, args.dealer)  # before a draw that may take long
     params, state = dealer.setup(args.bits, _rng(args))
     board = Board(params)
     with _board_lock(args.board, must_exist=False):
+        # decided again under the lock: another setup may have written either file meanwhile
+        _refuse_existing(args.force, args.board, args.dealer)
         bulletin.save(board, args.board)
         bulletin.save_dealer(state, board, args.dealer)
     print(f"n = {params.n} ({params.n.bit_length()} bits)")
@@ -137,8 +139,8 @@ def cmd_setup(args) -> int:
 
 
 def cmd_enroll(args) -> int:
-    _refuse_existing(args.key_out, args.force)
     with _board_lock(args.board):
+        _refuse_existing(args.force, args.key_out)
         board = bulletin.load(args.board)
         key = participant.keygen(board.params, args.id, _rng(args))
         dealer.enroll(board, key.pid, key.ps)
@@ -158,7 +160,7 @@ def cmd_share(args) -> int:
 
 
 def cmd_contribute(args) -> int:
-    _refuse_existing(args.out, args.force)
+    _refuse_existing(args.force, args.out)
     board, pkg, j = _session(args)
     key = bulletin.load_key(args.key)
     c = participant.contribute(board.params, key, pkg, j)

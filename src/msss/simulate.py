@@ -23,6 +23,11 @@ from .modexp import powmod
 
 _default_rng = random.SystemRandom()
 
+# draws of a member's key before a pseudo-share held by another is given up on
+_ENROLL_ATTEMPTS = 30
+# draws of a coalition before a structure is taken to authorize them all
+_COALITION_ATTEMPTS = 30
+
 
 class SimulationConfig(NamedTuple):
     participants: int
@@ -61,13 +66,14 @@ def random_antichain(rng, pids, max_sets: int, max_set_size: int) -> tuple[froze
     return tuple(sets)
 
 
-def _enroll_all(rng, board, pids, attempts: int = 30) -> dict:
+def _enroll_all(rng, board, pids) -> dict:
     """A key for each id, each enrolled on the board (``dealer.enroll``).
     A pseudo-share that is already another member's is refused, as equal
-    masks cancel, so it is drawn again, at most ``attempts`` times per member."""
+    masks cancel, so it is drawn again, at most ``_ENROLL_ATTEMPTS`` times
+    per member."""
     params, keys = board.params, {}
     for pid in pids:
-        for _ in range(attempts):
+        for _ in range(_ENROLL_ATTEMPTS):
             keys[pid] = participant.keygen(params, pid, rng)
             try:
                 dealer.enroll(board, pid, keys[pid].ps)
@@ -101,10 +107,11 @@ def _corrupt(rng, honest_x: int, n: int) -> int:
             return candidate
 
 
-def _non_covering_coalition(rng, pids, structure, attempts: int = 30):
-    """A random coalition that ``structure`` does not authorize, if one can be found."""
+def _non_covering_coalition(rng, pids, structure):
+    """A random coalition that ``structure`` does not authorize, if one of
+    ``_COALITION_ATTEMPTS`` draws is."""
     pool = sorted(pids)
-    for _ in range(attempts):
+    for _ in range(_COALITION_ATTEMPTS):
         size = rng.randint(1, max(1, len(pool) - 1))
         candidate = frozenset(rng.sample(pool, size))
         if not is_authorized(structure, candidate):
