@@ -22,14 +22,10 @@ are lowercase hex with no leading zeros; tags are 64 hex chars):
 
 ``m_chain`` is the chain of primes, largest first, that proves m prime
 (``numtheory.proves_prime``); an m below ``numtheory.TRIAL_LIMIT``, like the
-toy 149 here, has an empty one. A board without the key predates the chain
-and cannot be converted, as its m - 1 cannot be factored in general: run
-``msss setup`` again.
+toy 149 here, has an empty one.
 
 Every h0 is odd, at least 3 and at most ``H0_BITS`` bits wide, and no two
-packages share one; a board from before h0 was short fails the width bound
-and cannot be converted either, as a new h0 means a new s0 and new masks:
-run ``msss setup`` again.
+packages share one.
 
 Identical boards serialize byte-identically. ``load`` checks every public
 invariant, so a tampered or hand-edited document either fails loudly here
@@ -93,13 +89,11 @@ class _Field(NamedTuple):
     """One key of a file record, both ways: ``read(value, where)`` turns its
     JSON value into the record's attribute ``attr`` (the key itself if empty)
     or raises MalformedDocument naming ``where``; ``write`` turns the
-    attribute back (the identity by default). A record that lacks the key
-    fails with the ``missing`` note, if any: its file predates the key."""
+    attribute back (the identity by default)."""
 
     read: Callable
     write: Callable = lambda value: value
     attr: str = ""
-    missing: str = ""
 
 
 def _fields(obj, where: str, table: dict[str, _Field]) -> dict:
@@ -109,9 +103,6 @@ def _fields(obj, where: str, table: dict[str, _Field]) -> dict:
         raise MalformedDocument(f"{where}: expected an object")
     if obj.keys() != table.keys():
         missing = [k for k in table if k not in obj]
-        for key in missing:
-            if table[key].missing:
-                raise MalformedDocument(f"{where}: no {key}, {table[key].missing}")
         extra = [k for k in obj if k not in table]
         raise MalformedDocument(f"{where}: missing keys {missing}, unexpected keys {extra}")
     return {f.attr or key: f.read(obj[key], f"{where} {key}") for key, f in table.items()}
@@ -168,13 +159,13 @@ def _chain(value, where: str) -> tuple[int, ...]:
     return tuple(hex_to_int(link, f"{where} link {i}") for i, link in enumerate(links, 1))
 
 
-def _map_of(field: _Field, **options) -> _Field:
+def _map_of(field: _Field) -> _Field:
     """An object of ``field`` values: the roster, or the dealer's secrets or digests."""
 
     def read(value, where: str) -> dict:
         return {k: field.read(raw, f"{where} {k}") for k, raw in _require_map(value, where).items()}
 
-    return _Field(read, lambda values: {k: field.write(v) for k, v in values.items()}, **options)
+    return _Field(read, lambda values: {k: field.write(v) for k, v in values.items()})
 
 
 # The seven records, each type declared beside its table, keys in file order:
@@ -185,11 +176,7 @@ _INT = _Field(_require_int)
 _ID = _Field(_require_id)
 _TAG = _Field(_tag, bytes.hex)
 _HEX_MAP = _map_of(_BIG)
-_CHAIN = _Field(
-    _chain, lambda links: [int_to_hex(link) for link in links],
-    missing="the chain that proves m prime: the board predates it and cannot be converted;"
-    " run `msss setup` again",
-)
+_CHAIN = _Field(_chain, lambda links: [int_to_hex(link) for link in links])
 
 
 class PublicParams(NamedTuple):
@@ -328,10 +315,8 @@ class Board:
         owner = {}
         for sid, pkg in self.packages.items():
             if pkg.h0.bit_length() > H0_BITS:
-                raise InvariantViolation(
-                    f"{sid}: h0 has {pkg.h0.bit_length()} bits, over {H0_BITS}: a board"
-                    " with full-width h0 predates short exponents; run `msss setup` again"
-                )
+                bits = pkg.h0.bit_length()
+                raise InvariantViolation(f"{sid}: h0 has {bits} bits, over {H0_BITS}")
             if pkg.h0 < 3 or pkg.h0 % 2 == 0:
                 raise InvariantViolation(f"{sid}: h0 is not odd and at least 3")
             if pkg.h0 in owner:
@@ -422,10 +407,7 @@ class DealerState:
 
 _DEALER = {
     "p": _BIG, "q": _BIG, "secrets": _HEX_MAP,
-    "digests": _map_of(
-        _TAG, missing="the SHA-256 of each package: the file predates them and holds whole"
-        " packages; replace them by their digests as the README says",
-    ),
+    "digests": _map_of(_TAG),
 }
 
 

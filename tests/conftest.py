@@ -1,5 +1,4 @@
 import itertools
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,17 +56,6 @@ def make_toy_world() -> ToyWorld:
     structure = accessstruct.validate_minimal([["A", "B"]])
     package = dealer.share_secret(state, board, 100, structure, ScriptedRandom(TOY_SHARE))
     return ToyWorld(board=board, state=state, key_a=key_a, key_b=key_b, package=package)
-
-
-def full_width_draw(state, board, rng):
-    """The dealer's draw before h0 was short, for building boards of that
-    time: s0 from [2, n] coprime to phi(n), and h0 = s0^-1 mod phi(n), as
-    wide as phi(n). Stands in for ``dealer._draw_h0``."""
-    n, g = state.p * state.q, board.params.g
-    while True:
-        s0 = rng.randrange(2, n + 1)
-        if math.gcd(s0, state.phi) == 1:
-            return pow(s0, -1, state.phi), s0, pow(g, s0, n)
 
 
 @pytest.fixture

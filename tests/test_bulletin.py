@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from types import SimpleNamespace
 
@@ -17,7 +18,8 @@ from msss.errors import (
 )
 from msss.linepoly import interpolate_line
 
-from conftest import TOY_WIDE_H0, full_width_draw, make_toy_world
+from conftest import TOY_WIDE_H0, make_toy_world
+from oracles import miller_rabin, trial_division_factor
 
 
 def _no_pow(*args):
@@ -252,19 +254,6 @@ class TestValidation:
             from_document(to_document(board))
         assert raised.value.exit_code == 19
 
-    def test_full_width_h0_from_before_short_exponents_rejected(self, monkeypatch):
-        params, state = dealer.setup(512, random.Random(6))
-        rng = random.Random(7)
-        roster = {"A": participant.keygen(params, "A", rng).ps}
-        board = Board(params, roster)
-        monkeypatch.setattr(dealer, "_draw_h0", full_width_draw)
-        pkg = dealer.share_secret(state, board, 5, validate_minimal([["A"]]), rng)
-        assert pkg.h0.bit_length() > 1000
-        doc = to_document(board)
-        with pytest.raises(InvariantViolation, match="run `msss setup` again") as raised:
-            from_document(doc)
-        assert raised.value.exit_code == 19
-
     def test_d_of_one_rejected(self, toy):
         entry = toy.package.entry(1)._replace(d=1)
         pkg = toy.package._replace(entries=(entry,))
@@ -309,6 +298,8 @@ def test_each_board_refusal_names_its_rule(toy, keys, value, code, message):
 # errors name it ("{path}" is the file's own path), and a value of the wrong
 # JSON type for each of its fields.
 RECORDS = {
+    "document": ("board", [], "{path}",
+                 {"revision": "3", "params": [], "roster": [], "packages": []}),
     "params": ("board", ["params"], "{path} params",
                {"g": 15, "n": 143, "m": None, "width": "1", "m_chain": {}}),
     "package": ("board", ["packages", "s1"], "{path} packages s1",
@@ -320,11 +311,16 @@ RECORDS = {
     "contribution": ("contribution", [], "{path}",
                      {"pid": 1, "secret_id": None, "set_index": "1", "x": 1.5}),
 }
+# the faults of every field, then those of the hex and the integer fields
+FIELD_FAULTS = ("missing", "wrong type", "repeated key")
+HEX_FIELDS = ("g", "n", "m", "ps0", "h0", "f1", "d", "masked", "p", "q", "s", "ps", "x")
+READER_FAULTS = {**dict.fromkeys(HEX_FIELDS, ("leading zero",)),
+                 **dict.fromkeys(("revision", "width", "set_index"), ("true", "1.9"))}
 FAULTS = [
     (record, fault, field)
     for record, (*_, wrong) in RECORDS.items()
     for field in wrong
-    for fault in ("missing", "wrong type")
+    for fault in FIELD_FAULTS + READER_FAULTS.get(field, ())
 ] + [(record, "extra", "note") for record in RECORDS]
 
 
@@ -343,15 +339,19 @@ def toy_file_texts(tmp_path_factory):
     return board, {file: (tmp / file).read_text() for file in files}
 
 
-@pytest.mark.parametrize("record, fault, field", FAULTS)
-def test_every_record_field_is_read_strictly(toy_file_texts, tmp_path, record, fault, field):
-    board, texts = toy_file_texts
-    readers = {
+def _read(board, file, path):
+    """``path`` read by the one reader of ``file``."""
+    return {
         "board": load,
         "dealer": lambda path: bulletin.load_dealer(path, board),
         "key": bulletin.load_key,
         "contribution": bulletin.load_contribution,
-    }
+    }[file](path)
+
+
+@pytest.mark.parametrize("record, fault, field", FAULTS)
+def test_every_record_field_is_read_strictly(toy_file_texts, tmp_path, record, fault, field):
+    board, texts = toy_file_texts
     file, keys, where, wrong = RECORDS[record]
     path = tmp_path / f"{file}.json"
     where = where.format(path=path)
@@ -361,19 +361,200 @@ def test_every_record_field_is_read_strictly(toy_file_texts, tmp_path, record, f
         target = target[key]
     if fault == "missing":
         del target[field]
+    elif fault == "repeated key":
+        # the same value under a second key, made the field's own once written:
+        # a reader that keeps the last of two equal keys reads the file as valid
+        target["\0"] = target[field]
     else:
-        target[field] = wrong.get(field)
-    path.write_text(json.dumps(obj))
+        target[field] = {"wrong type": wrong.get(field), "extra": None, "true": True, "1.9": 1.9,
+                         "leading zero": f"0{target.get(field)}"}[fault]
+    path.write_text(json.dumps(obj).replace(r'"\u0000"', json.dumps(field)))
     with pytest.raises(MalformedDocument) as raised:
-        readers[file](path)
+        _read(board, file, path)
     assert raised.value.exit_code == 18
     message = str(raised.value)
     if fault == "missing":
         assert message.startswith(f"{where}: ") and field in message
     elif fault == "extra":
         assert message == f"{where}: missing keys [], unexpected keys ['note']"
+    elif fault == "repeated key":
+        assert message == f"{path}: not valid JSON: duplicate key {field!r}"
     else:
         assert message.startswith((f"{where} {field} ", f"{where} {field}:"))
+
+
+@pytest.mark.parametrize("secrets, digests", [
+    # share names the next secret s<k+1>, which would be s2 again
+    pytest.param(["s2"], ["s2"], id="only-record-s2"),
+    pytest.param(["s1"], ["s2"], id="digest-of-s2"),
+])
+def test_dealer_file_ids_run_s1_to_sk(toy_file_texts, tmp_path, secrets, digests):
+    board, texts = toy_file_texts
+    obj = json.loads(texts["dealer"])
+    obj.update(secrets={sid: obj["secrets"]["s1"] for sid in secrets},
+               digests={sid: obj["digests"]["s1"] for sid in digests})
+    path = tmp_path / "dealer.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(MalformedDocument) as raised:
+        bulletin.load_dealer(path, board)
+    ids = f"secrets [{', '.join(secrets)}] and digests [{', '.join(digests)}]"
+    assert (raised.value.exit_code, str(raised.value)) == (
+        18, f"{path} {ids} are not both s1 ... s<k>")
+
+
+@pytest.mark.parametrize("file", ["board", "dealer", "key", "contribution"])
+@pytest.mark.parametrize("fault, message", [
+    ("not UTF-8", "not UTF-8: 'utf-8' codec can't decode byte 0xff"),
+    # past int's 4300-digit limit json.loads raises a plain ValueError
+    ("5000 digits", "not valid JSON: Exceeds the limit"),
+    ("cut short", "not valid JSON: Expecting"),
+])
+def test_every_file_is_json_text(toy_file_texts, tmp_path, file, fault, message):
+    board, texts = toy_file_texts
+    raw = texts[file].encode()
+    path = tmp_path / f"{file}.json"
+    path.write_bytes({"not UTF-8": b"\xff" + raw[1:], "cut short": raw[:-3],
+                      "5000 digits": raw.replace(b"{", b'{"x": ' + b"1" * 5000 + b", ", 1)}[fault])
+    with pytest.raises(MalformedDocument) as raised:
+        _read(board, file, path)
+    assert raised.value.exit_code == 18
+    assert str(raised.value).startswith(f"{path}: {message}")
+
+
+def _secret_m_with_its_tags(board, obj):
+    # the tags accept m = 149, which is no field element
+    entry = board.packages["s1"].entry(1)._replace(tag=codec.tag(149, 7, 1))
+    pkg = board.packages["s1"] = board.packages["s1"]._replace(entries=(entry,))
+    obj["secrets"]["s1"], obj["digests"]["s1"] = "95", bulletin._digest(pkg).hex()
+
+
+# One edit each of the toy board and its dealer file that load_dealer
+# refuses (exit 19), and the end of the refusal's message
+@pytest.mark.parametrize("edit, rule", [
+    pytest.param(lambda board, obj: obj.update(p="1", q="8f"),
+                 "is not the dealer file of this board: p*q is not n", id="1-and-n"),
+    # n = 11 * 11: phi(n) is 110, not 100, and there is no CRT split
+    pytest.param(lambda board, obj: (obj.update(q="b"), setattr(
+        board, "params", board.params._replace(n=121))),
+                 "has p = q or a factor common to p and q: n must have two distinct prime factors",
+                 id="p-equal-to-q"),
+    # ps0^h0 = g on a board does not make h0 a unit mod phi(n) = 120
+    pytest.param(lambda board, obj: board.packages.update(s1=board.packages["s1"]._replace(h0=3)),
+                 "s1: h0 is not a unit mod phi(n)", id="h0-not-a-unit"),
+    pytest.param(lambda board, obj: obj["secrets"].update(s1="65"),
+                 "dealer state and board disagree on s1", id="secret-plus-one"),
+    pytest.param(_secret_m_with_its_tags, "dealer state and board disagree on s1",
+                 id="secret-m-with-its-tags"),
+    # the dealer file lost the write that published s1
+    pytest.param(lambda board, obj: obj.update(secrets={}, digests={}),
+                 "dealer state and board disagree on s1", id="lost-write"),
+    # the board was put back to an earlier s1
+    pytest.param(lambda board, obj: obj["digests"].update(s1="0" * 64),
+                 "dealer state and board disagree on s1", id="board-rolled-back"),
+])
+def test_dealer_file_serves_its_board_alone(toy_file_texts, tmp_path, edit, rule):
+    served, texts = toy_file_texts
+    board = Board(served.params, dict(served.roster), dict(served.packages), served.revision)
+    obj = json.loads(texts["dealer"])
+    edit(board, obj)
+    path = tmp_path / "dealer.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(InvariantViolation) as raised:
+        bulletin.load_dealer(path, board)
+    assert raised.value.exit_code == 19
+    assert str(raised.value).endswith(rule)
+
+
+def _next_link(r, low):
+    """The smallest N = 2*k*r + 1 >= low that the 40-round oracle calls prime
+    and for which 2**((N-1)/r) is not 1 mod N."""
+    rng = random.Random(0)
+    link = low + (1 - low) % (2 * r)
+    while not (miller_rabin(link, rng) and pow(2, (link - 1) // r, link) != 1):
+        link += 2 * r
+    return link
+
+
+def _forged_chain(n, top_shift=0, composite_tail=False):
+    """A prime m > n and a chain built like the dealer's, but with the top
+    link ``top_shift`` bits wider than the rule allows for m, or with a
+    composite tail."""
+    bits = [n.bit_length() // 2 + 2 + top_shift]
+    while bits[-1] > 19:
+        bits.append(bits[-1] // 2 + 2)
+    tail = (1 << (bits[-1] - 1)) + 1
+    while (trial_division_factor(tail, math.isqrt(tail) + 1) is None) == composite_tail:
+        tail += 2
+    chain = [tail]
+    for b in reversed(bits[:-1]):
+        chain.insert(0, _next_link(chain[0], 1 << (b - 1)))
+    return _next_link(chain[0], n + 1), chain
+
+
+def _chain_tampers():
+    """(id, edit of (m, chain, n) -> (m, chain)); each breaks one rule of the chain."""
+
+    def too_wide(m, chain, n):
+        m, chain = _forged_chain(n, top_shift=1)
+        assert chain[0].bit_length() > m.bit_length() // 2 + 2
+        return m, chain
+
+    def too_small(m, chain, n):
+        m, chain = _forged_chain(n, top_shift=-3)
+        assert chain[0] ** 2 < m
+        return m, chain
+
+    def composite_tail(m, chain, n):
+        m, chain = _forged_chain(n, composite_tail=True)
+        # every step holds; only the tail is not prime
+        links = [m, *chain]
+        assert all(numtheory.pocklington_step(a, b) for a, b in zip(links, links[1:]))
+        return m, chain
+
+    def not_a_divisor(m, chain, n):
+        other = chain[0] + 2
+        while not miller_rabin(other, random.Random(0)):
+            other += 2
+        assert (m - 1) % other
+        return m, [other, *chain[1:]]
+
+    return [
+        ("m-plus-2", lambda m, chain, n: (m + 2, chain)),
+        ("link-plus-2", lambda m, chain, n: (m, [chain[0] + 2, *chain[1:]])),
+        ("dropped-link", lambda m, chain, n: (m, chain[:-1])),
+        ("r-squared-below-n", too_small),
+        ("link-not-dividing", not_a_divisor),
+        ("link-over-bit-bound", too_wide),
+        ("composite-tail", composite_tail),
+    ]
+
+
+@pytest.fixture(scope="module", params=[16, 64])
+def chain_params(request):
+    """The params of a board whose m is past trial division, so that its
+    chain does the proving."""
+    return dealer.setup(request.param, random.Random(4))[0]
+
+
+@pytest.mark.parametrize("tamper", [pytest.param(t, id=name) for name, t in _chain_tampers()])
+def test_chain_that_proves_nothing_is_refused(chain_params, tamper):
+    p = chain_params
+    m, chain = tamper(p.m, list(p.m_chain), p.n)
+    board = Board(p._replace(m=m, width=codec.mask_width(m), m_chain=tuple(chain)))
+    with pytest.raises(InvariantViolation) as raised:
+        from_document(to_document(board))
+    assert (raised.value.exit_code, str(raised.value)) == (19, "m not proved prime by its chain")
+
+
+def test_chain_link_that_is_not_hex_is_refused(chain_params):
+    obj = json.loads(to_document(Board(chain_params)))
+    link = obj["params"]["m_chain"][0]
+    obj["params"]["m_chain"][0] = f"x{link}"
+    with pytest.raises(MalformedDocument) as raised:
+        from_document(json.dumps(obj))
+    assert (raised.value.exit_code, str(raised.value)) == (18, (
+        f"document params m_chain link 1: expected lowercase hex with no leading zeros,"
+        f" got 'x{link}'"))
 
 
 # Every record as written and read through its one table: the table, how its

@@ -16,63 +16,7 @@ from msss.numtheory import (
     proves_prime,
 )
 
-from oracles import (
-    miller_rabin,
-    naive_mod_exp,
-    prime_factors,
-    scan_inverse,
-    trial_division_factor,
-)
-
-
-class TestModExp:
-    """The built-in pow the protocol computes with, against the oracle."""
-
-    def test_worked_values(self):
-        assert pow(15, 7, 143) == naive_mod_exp(15, 7, 143) == 115
-        assert pow(15, 49, 143) == naive_mod_exp(15, 49, 143) == 80
-
-    @given(
-        base=st.integers(min_value=0, max_value=2**16),
-        exp=st.integers(min_value=0, max_value=2**16),
-        modulus=st.integers(min_value=2, max_value=2**16),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_agrees_with_repeated_multiplication(self, base, exp, modulus):
-        assert pow(base, exp, modulus) == naive_mod_exp(base, exp, modulus)
-
-
-class TestModInv:
-    """The built-in inverse pow(a, -1, m) the dealer and the combiner invert
-    with, against the oracle."""
-
-    def test_worked_value(self):
-        inv = pow(7, -1, 120)
-        assert inv == 103
-        assert 7 * inv % 120 == 1
-        assert inv == scan_inverse(7, 120)
-
-    def test_identity(self):
-        assert pow(1, -1, 120) == 1
-        assert pow(1, -1, 2) == 1
-
-    def test_not_invertible(self):
-        # load_dealer refuses an h0 that is not a unit mod phi(n) for this
-        with pytest.raises(ValueError):
-            pow(6, -1, 120)
-        with pytest.raises(ValueError):
-            pow(0, -1, 97)
-
-    @given(a=st.integers(min_value=1, max_value=10**9), m=st.integers(min_value=2, max_value=10**9))
-    @settings(max_examples=80, deadline=None)
-    def test_inverse_multiplies_to_one(self, a, m):
-        if math.gcd(a, m) != 1:
-            with pytest.raises(ValueError):
-                pow(a, -1, m)
-        else:
-            inv = pow(a, -1, m)
-            assert 1 <= inv < m
-            assert a * inv % m == 1
+from oracles import miller_rabin, prime_factors, trial_division_factor
 
 
 class TestGenPrime:
