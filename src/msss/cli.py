@@ -263,51 +263,62 @@ def _shared(parser, *flags) -> None:
             parser.add_argument(flag, **_SHARED[flag])
 
 
+# name -> (help, function) of every command, in the order that help lists them
+_COMMANDS = {
+    "setup": ("generate parameters and an empty board", cmd_setup),
+    "enroll": ("create a participant key and register it", cmd_enroll),
+    "share": ("publish a new secret", cmd_share),
+    "contribute": ("compute one member's reconstruction value", cmd_contribute),
+    "reconstruct": ("recover a secret from contribution files", cmd_reconstruct),
+    "verify": ("check contribution files without reconstructing", cmd_verify),
+    "update": ("dynamic updates to published secrets", cmd_update),
+    "simulate": ("run an in-memory deployment and print a JSON report", cmd_simulate),
+}
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The msss parser. It names every command, but given a command only
-    that command gets its options, which is all it takes to parse a
-    command line that starts with it."""
+    """The msss parser. Given the name of a command it builds that command
+    alone, which is all it takes to parse a command line that starts with
+    it; else every command, for the help and the errors that list them."""
     parser = argparse.ArgumentParser(
         prog="msss",
         description="Multi-secret sharing over generalized access structures "
         "with a file-backed public bulletin board.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # with one command built, the metavar keeps the usage naming them all
+    every = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    built = {name: sub.add_parser(name, help=_COMMANDS[name][0]) for name in names}
 
-    def add(name: str, help_text: str, func):
-        """The subparser of name, or None if only another command is built."""
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
-        return p if command in (None, name) else None
-
-    if p := add("setup", "generate parameters and an empty board", cmd_setup):
+    if p := built.get("setup"):
         p.add_argument("--bits", type=int, default=512, help="bits per prime factor of n")
         _shared(p, "--board", "--dealer", "--seed", "--force")
 
-    if p := add("enroll", "create a participant key and register it", cmd_enroll):
+    if p := built.get("enroll"):
         _shared(p, "--id", "--board")
         p.add_argument("--key-out", required=True, help="path for the private key file")
         _shared(p, "--seed", "--force")
 
-    if p := add("share", "publish a new secret", cmd_share):
+    if p := built.get("share"):
         _shared(p, "--secret")
         p.add_argument("--sets", required=True, help="qualified sets, e.g. 'A,B|B,C'")
         _shared(p, "--board", "--dealer", "--seed")
 
-    if p := add("contribute", "compute one member's reconstruction value", cmd_contribute):
+    if p := built.get("contribute"):
         _shared(p, "--board")
         p.add_argument("--key", required=True, help="participant key file")
         _shared(p, "--secret-id", "--set")
         p.add_argument("--out", required=True, help="path for the contribution file")
         _shared(p, "--force")
 
-    if p := add("reconstruct", "recover a secret from contribution files", cmd_reconstruct):
+    if p := built.get("reconstruct"):
         _shared(p, "--board", "--secret-id", "--set", "--contribution")
 
-    if p := add("verify", "check contribution files without reconstructing", cmd_verify):
+    if p := built.get("verify"):
         _shared(p, "--board", "--secret-id", "--set", "--contribution")
 
-    if p := add("update", "dynamic updates to published secrets", cmd_update):
+    if p := built.get("update"):
         usub = p.add_subparsers(dest="action", required=True)
 
         u = usub.add_parser("renew", help="re-share a secret id with a fresh value")
@@ -325,18 +336,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         _shared(u, "--board", "--dealer", "--id", "--seed")
 
     # dest names are the SimulationConfig fields that cmd_simulate fills
-    if p := add("simulate", "run an in-memory deployment and print a JSON report", cmd_simulate):
+    if p := built.get("simulate"):
         p.add_argument("--participants", type=int, required=True, help="participants to enroll")
         p.add_argument("--secrets", type=int, required=True, help="secrets to share")
         p.add_argument("--bits", type=int, default=16, dest="bits_per_prime", metavar="BITS",
                        help="bits per prime factor")
-        p.add_argument("--max-sets", type=int, default=4, dest="max_minimal_sets",
-                       metavar="MAX_SETS", help="most minimal sets per secret")
-        p.add_argument("--max-set-size", type=int, default=4, help="most members per set")
         p.add_argument("--cheaters", type=int, default=0, dest="cheaters_per_session",
                        metavar="CHEATERS", help="cheaters injected per session")
-        p.add_argument("--probes", type=int, default=2, dest="unauthorized_probes",
-                       metavar="PROBES", help="non-covering coalitions per secret")
         _shared(p, "--seed")
 
     return parser
@@ -344,11 +350,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # the command is the first word; the top-level parser, which names
-    # every command, answers a first word that is none of them by itself
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][1](args)
     except BadContribution as exc:
         for pid in exc.pids:
             print(f"cheater: {pid}")

@@ -21,9 +21,8 @@ its width, so Pollard's p - 1 method does not apply to p or q.
 m is public and needs no secret randomness: above TRIAL_LIMIT it is a
 constant of the width, grown once per process from a fixed seed
 (``_field_prime``), as published protocols fix one group per size (RFC
-7919). Randomized routines take an optional ``rng`` (any
-``random.Random``-alike); the default is a cryptographically secure source.
-Passing a seeded ``random.Random`` makes them fully deterministic.
+7919). Randomized routines take an ``rng`` (any ``random.Random``-alike);
+a seeded ``random.Random`` makes them fully deterministic.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ from typing import Sequence
 
 from .errors import BadParameter
 from .modexp import powmod
-
-_default_rng = random.SystemRandom()
 
 
 def _sieve(bound: int) -> tuple[int, ...]:
@@ -131,7 +128,7 @@ def _proved_prime(bits: int, rng: random.Random) -> tuple[int, ...]:
             return (n, *chain)
 
 
-def gen_prime(bits: int, rng: random.Random | None = None) -> tuple[int, int]:
+def gen_prime(bits: int, rng: random.Random) -> tuple[int, int]:
     """A proved prime p of exactly ``bits`` bits (top bit set) and r, the
     largest prime factor of p - 1.
 
@@ -140,7 +137,7 @@ def gen_prime(bits: int, rng: random.Random | None = None) -> tuple[int, int]:
     """
     if bits < 2:
         raise BadParameter(f"bits must be >= 2, got {bits}")
-    chain = _proved_prime(bits, rng or _default_rng)
+    chain = _proved_prime(bits, rng)
     if len(chain) > 1:
         return chain[0], chain[1]
     rest, largest = chain[0] - 1, 1

@@ -27,16 +27,16 @@ _default_rng = random.SystemRandom()
 _ENROLL_ATTEMPTS = 30
 # draws of a coalition before a structure is taken to authorize them all
 _COALITION_ATTEMPTS = 30
+# each secret gets 1 to _MAX_SETS minimal sets of 1 to _MAX_SET_SIZE members
+# each, and _PROBES non-covering coalitions try to open it
+_MAX_SETS, _MAX_SET_SIZE, _PROBES = 4, 4, 2
 
 
 class SimulationConfig(NamedTuple):
     participants: int
     secrets: int
     bits_per_prime: int = 16
-    max_minimal_sets: int = 4
-    max_set_size: int = 4
     cheaters_per_session: int = 0
-    unauthorized_probes: int = 2
     seed: int | None = None
 
     def validate(self) -> None:
@@ -44,21 +44,19 @@ class SimulationConfig(NamedTuple):
             raise BadParameter("need at least one participant")
         if self.secrets < 1:
             raise BadParameter("need at least one secret")
-        if self.max_minimal_sets < 1 or self.max_set_size < 1:
-            raise BadParameter("structure bounds must be positive")
-        if self.cheaters_per_session < 0 or self.unauthorized_probes < 0:
-            raise BadParameter("counts must be non-negative")
+        if self.cheaters_per_session < 0:
+            raise BadParameter("cheaters per session must be non-negative")
 
 
-def random_antichain(rng, pids, max_sets: int, max_set_size: int) -> tuple[frozenset[str], ...]:
-    """A random antichain of 1..max_sets minimal sets over the given ids."""
+def random_antichain(rng, pids) -> tuple[frozenset[str], ...]:
+    """A random antichain of 1.._MAX_SETS minimal sets over the given ids."""
     pool = sorted(pids)
-    target = rng.randint(1, max_sets)
+    target = rng.randint(1, _MAX_SETS)
     sets: list[frozenset[str]] = []
     attempts = 0
     while len(sets) < target and attempts < 50:
         attempts += 1
-        size = rng.randint(1, min(max_set_size, len(pool)))
+        size = rng.randint(1, min(_MAX_SET_SIZE, len(pool)))
         candidate = frozenset(rng.sample(pool, size))
         if any(candidate <= s or s <= candidate for s in sets):
             continue
@@ -140,7 +138,7 @@ def run_simulation(config: SimulationConfig) -> dict:
     keys = _enroll_all(rng, board, pids)
 
     for _ in range(config.secrets):
-        structure = random_antichain(rng, pids, config.max_minimal_sets, config.max_set_size)
+        structure = random_antichain(rng, pids)
         value = rng.randrange(0, params.m)
         dealer.share_secret(state, board, value, structure, rng)
 
@@ -196,7 +194,7 @@ def run_simulation(config: SimulationConfig) -> dict:
                     )
 
         structure = pkg.structure()
-        for _ in range(config.unauthorized_probes):
+        for _ in range(_PROBES):
             coalition = _non_covering_coalition(rng, pids, structure)
             if coalition is None:
                 break

@@ -44,10 +44,7 @@ def small_world_pass():
             participants=rng.randint(3, 8),
             secrets=rng.randint(1, 5),
             bits_per_prime=16,
-            max_minimal_sets=rng.randint(1, 4),
-            max_set_size=4,
             cheaters_per_session=0,
-            unauthorized_probes=2,
             seed=rng.randrange(2**32),
         )
         reports.append(run_simulation(config))
@@ -80,9 +77,6 @@ def test_round_trip_completeness_512_bit():
             participants=rng.randint(3, 5),
             secrets=rng.randint(1, 2),
             bits_per_prime=512,
-            max_minimal_sets=2,
-            max_set_size=3,
-            unauthorized_probes=1,
             seed=rng.randrange(2**32),
         )
         report = run_simulation(config)

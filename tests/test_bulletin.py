@@ -104,7 +104,7 @@ class TestValidation:
         params, _ = dealer.setup(64, random.Random(2))
         assert params.m_chain  # m is past trial division, so the chain does the proving
         save(Board(params), tmp_path / "board.json")
-        monkeypatch.setattr(numtheory, "_default_rng", NoDraws())
+        monkeypatch.setattr(numtheory, "random", NoDraws())
         assert load(tmp_path / "board.json").params == params
 
     def test_board_whose_m_was_searched_above_n_still_loads(self, tmp_path):
@@ -433,11 +433,18 @@ def _secret_m_with_its_tags(board, obj):
 @pytest.mark.parametrize("edit, rule", [
     pytest.param(lambda board, obj: obj.update(p="1", q="8f"),
                  "is not the dealer file of this board: p*q is not n", id="1-and-n"),
+    pytest.param(lambda board, obj: obj.update(p="11", q="13"),
+                 "is not the dealer file of this board: p*q is not n", id="other-board"),
     # n = 11 * 11: phi(n) is 110, not 100, and there is no CRT split
     pytest.param(lambda board, obj: (obj.update(q="b"), setattr(
         board, "params", board.params._replace(n=121))),
                  "has p = q or a factor common to p and q: n must have two distinct prime factors",
                  id="p-equal-to-q"),
+    # n = 45 = 3 * 15: 15**-1 mod 3 does not exist
+    pytest.param(lambda board, obj: (obj.update(p="3", q="f"), setattr(
+        board, "params", board.params._replace(n=45))),
+                 "has p = q or a factor common to p and q: n must have two distinct prime factors",
+                 id="p-and-q-sharing-a-factor"),
     # ps0^h0 = g on a board does not make h0 a unit mod phi(n) = 120
     pytest.param(lambda board, obj: board.packages.update(s1=board.packages["s1"]._replace(h0=3)),
                  "s1: h0 is not a unit mod phi(n)", id="h0-not-a-unit"),

@@ -53,7 +53,7 @@ def test_probes_raise_each_x_at_most_once_per_secret(monkeypatch):
 
     monkeypatch.setattr(participant, "contribute", recording_contribute)
     monkeypatch.setattr(simulate, "powmod", recording_powmod)
-    config = SimulationConfig(participants=8, secrets=4, unauthorized_probes=4, seed=7)
+    config = SimulationConfig(participants=8, secrets=4, seed=7)
     report = run_simulation(config)
     assert report["summary"]["unauthorized_accepted"] == 0
     assert raised
@@ -73,7 +73,7 @@ def test_each_line_inverse_is_taken_once(monkeypatch):
 
     linepoly._inverse.cache_clear()
     monkeypatch.setattr(linepoly, "pow", recording_pow, raising=False)
-    config = SimulationConfig(participants=8, secrets=4, unauthorized_probes=4, seed=7)
+    config = SimulationConfig(participants=8, secrets=4, seed=7)
     summary = run_simulation(config)["summary"]
     assert summary["recovered"] == summary["sessions"] > 0
     assert inverted
@@ -117,11 +117,5 @@ def test_config_validation():
     # the --bits floor is dealer.setup's, checked before it draws anything
     with pytest.raises(BadParameter, match="bits_per_prime must be >= 4, got 2"):
         run_simulation(SimulationConfig(participants=3, secrets=1, bits_per_prime=2))
-    for bad, rule in [
-        (dict(max_minimal_sets=0), "structure bounds must be positive"),
-        (dict(max_set_size=0), "structure bounds must be positive"),
-        (dict(cheaters_per_session=-1), "counts must be non-negative"),
-        (dict(unauthorized_probes=-1), "counts must be non-negative"),
-    ]:
-        with pytest.raises(BadParameter, match=rule):
-            run_simulation(SimulationConfig(participants=3, secrets=1, **bad))
+    with pytest.raises(BadParameter, match="cheaters per session must be non-negative"):
+        run_simulation(SimulationConfig(participants=3, secrets=1, cheaters_per_session=-1))
