@@ -1223,6 +1223,38 @@ def test_simulate_takes_the_config_fields_and_a_seed():
 
 
 @pytest.mark.parametrize("names", COMMANDS, ids=" ".join)
+def test_every_command_has_help(capsys, names):
+    with pytest.raises(SystemExit) as raised:
+        main([*names, "--help"])
+    assert raised.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: msss {' '.join(names)} ")
+
+
+# A first word that names no command: main builds every command, and the
+# top-level parser answers with the help or the usage that lists them all
+@pytest.mark.parametrize("argv, code, error", [
+    pytest.param(["--help"], 0, None, id="help"),
+    pytest.param([], 2, "the following arguments are required: command", id="no-word"),
+    pytest.param(["bogus"], 2, "argument command: invalid choice: 'bogus'", id="unknown-word"),
+])
+def test_a_word_that_names_no_command_builds_them_all(capsys, monkeypatch, argv, code, error):
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda word: built.append(build(word)) or built[-1])
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    assert raised.value.code == code
+    assert set(dict(_commands(*built))) == set(COMMANDS)
+    full = build()
+    out, err = capsys.readouterr()
+    if error is None:
+        assert (out, err) == (full.format_help(), "")
+    else:
+        assert out == ""
+        assert err.startswith(full.format_usage() + f"msss: error: {error}")
+        assert all(name in err for name, in {n[:1] for n in COMMANDS})
+
+
+@pytest.mark.parametrize("names", COMMANDS, ids=" ".join)
 def test_the_named_command_alone_gets_its_options(capsys, monkeypatch, names):
     # main builds the subparser of the command its first word names, update's
     # with its four actions, and no other; its help is the full parser's
